@@ -30,13 +30,14 @@ from .facts import (
     DEFAULT_SNAPSHOT,
     MAX_SUBJECTS_PER_RELATION,
     MIN_FACTS_PER_GROUP,
+    FactGroup,
     build_groups,
     group_stats,
     load_fact_file,
     split_subjects,
 )
-from .jsonl import read_jsonl, write_jsonl
-from .oracle import index_groups, solve
+from .jsonl import load_jsonl, write_json, write_jsonl
+from .oracle import SubjectIndex, index_groups, solve
 from .questions import Question, gen_l1, gen_l1_future, gen_l2, gen_l3, partition_l1
 from .scoring import (
     DEFAULT_PERIOD_EDGES,
@@ -124,29 +125,7 @@ def _render_version(templates) -> str:
     return f"{RENDER_FORMAT}.t{templates.version}"
 
 
-def _load_questions(path: str) -> tuple[dict | None, list[Question]]:
-    meta, records = read_jsonl(path)
-    questions = []
-    for i, record in enumerate(records, start=1):
-        try:
-            questions.append(Question.from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad question record #{i}: {exc}") from exc
-    return meta, questions
-
-
-def _load_predictions(path: str) -> tuple[dict | None, list[Prediction]]:
-    meta, records = read_jsonl(path)
-    predictions = []
-    for i, record in enumerate(records, start=1):
-        try:
-            predictions.append(Prediction.from_record(record))
-        except KeyError as exc:
-            raise ValueError(f"{path}: bad prediction record #{i}: missing {exc}") from exc
-    return meta, predictions
-
-
-def _load_store_groups(args, templates, *, filtered: bool):
+def _load_groups(args, templates, max_subjects: int, min_facts: int) -> list[FactGroup]:
     store = load_fact_file(
         args.facts,
         snapshot=_parse_point(args.snapshot),
@@ -155,18 +134,17 @@ def _load_store_groups(args, templates, *, filtered: bool):
     )
     for diagnostic in store.diagnostics:
         print(f"warning: {args.facts}: {diagnostic}", file=sys.stderr)
-    if filtered:
-        groups = build_groups(store, args.seed, max_subjects_per_relation=args.max_subjects,
-                              min_facts=args.min_facts)
-    else:
-        # Solving and rendering must see every group a question may reference.
-        groups = build_groups(store, args.seed, max_subjects_per_relation=1 << 60, min_facts=1)
-    return store, groups
+    return build_groups(store, args.seed, max_subjects_per_relation=max_subjects, min_facts=min_facts)
 
 
-def _write_questions(path: Path, questions: list[Question], meta: dict) -> None:
-    write_jsonl(str(path), (q.to_record() for q in questions), meta)
-    print(f"wrote {len(questions)} questions to {path}")
+def _group_index(args, templates) -> SubjectIndex[FactGroup]:
+    # Solving and rendering must see every group a question may reference.
+    return index_groups(_load_groups(args, templates, 1 << 60, 1))
+
+
+def _write_records(path, records, meta: dict, noun: str) -> None:
+    count = write_jsonl(str(path), records, meta)
+    print(f"wrote {count} {noun} to {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +166,7 @@ def cmd_gen_l1(args) -> int:
     config = {"range": args.range, "counts": counts, "templates": args.templates}
     for name, questions in partitions.items():
         meta = _meta("gen-l1", args.seed, _render_version(templates), config)
-        _write_questions(out_dir / f"l1_{name}.jsonl", questions, meta)
+        _write_records(out_dir / f"l1_{name}.jsonl", (q.to_record() for q in questions), meta, "questions")
     return EXIT_OK
 
 
@@ -199,7 +177,7 @@ def cmd_gen_l1_future(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {"count": args.count, "templates": args.templates}
     meta = _meta("gen-l1-future", args.seed, _render_version(templates), config)
-    _write_questions(out_dir / "l1_future.jsonl", questions, meta)
+    _write_records(out_dir / "l1_future.jsonl", (q.to_record() for q in questions), meta, "questions")
     return EXIT_OK
 
 
@@ -215,7 +193,7 @@ def _split_groups(args, groups):
 
 def _cmd_gen_grouped(args, level: str, generator) -> int:
     templates = load_templates(args.templates)
-    _, groups = _load_store_groups(args, templates, filtered=True)
+    groups = _load_groups(args, templates, args.max_subjects, args.min_facts)
     partitions = _split_groups(args, groups)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +213,8 @@ def _cmd_gen_grouped(args, level: str, generator) -> int:
             for question in generator(group, args.seed, split=name, templates=templates)
         ]
         meta = _meta(f"gen-{level}", args.seed, _render_version(templates), config)
-        _write_questions(out_dir / f"{level}_{name}.jsonl", questions, meta)
+        _write_records(out_dir / f"{level}_{name}.jsonl", (q.to_record() for q in questions), meta,
+                       "questions")
     return EXIT_OK
 
 
@@ -247,62 +226,44 @@ def cmd_gen_l3(args) -> int:
     return _cmd_gen_grouped(args, "l3", gen_l3)
 
 
+def _article(record: dict) -> tuple[str | None, str | None, str, None]:
+    text = record["text"]
+    if not isinstance(text, str):
+        raise ValueError(f"article text must be a string, got {type(text).__name__}")
+    return record.get("subject_id"), record.get("subject"), text, None
+
+
 def cmd_render(args) -> int:
     templates = load_templates(args.templates)
     setting = canonical_setting(args.setting)
-    meta_in, questions = _load_questions(args.questions)
+    meta_in, questions = load_jsonl(args.questions, Question.from_record)
 
-    groups = None
+    groups = articles = None
     if setting == "ReasonQA":
         if not args.facts:
             raise UsageError("--facts is required for the ReasonQA setting")
-        _, group_list = _load_store_groups(args, templates, filtered=False)
-        groups = index_groups(group_list)
-    articles = {}
+        groups = _group_index(args, templates)
     if setting == "OBQA":
         if not args.articles:
             raise UsageError("--articles is required for the OBQA setting")
-        _, article_records = read_jsonl(args.articles)
-        for record in article_records:
-            text = str(record["text"])
-            if record.get("subject_id"):
-                articles[str(record["subject_id"])] = text
-            if record.get("subject"):
-                articles.setdefault(str(record["subject"]), text)
+        articles = SubjectIndex("article", load_jsonl(args.articles, _article)[1])
 
     records = []
     for question in questions:
-        group = article = None
-        if setting == "ReasonQA":
-            key = (question.subject_id, question.relation)
-            group = groups.get(key) or groups.get((question.subject, question.relation))
-            if group is None:
-                raise ValueError(f"question {question.id!r}: no fact group for subject "
-                                 f"{question.subject!r} relation {question.relation!r}")
-        elif setting == "OBQA":
-            article = articles.get(question.subject_id or "") or articles.get(question.subject or "")
-            if article is None:
-                raise ValueError(f"question {question.id!r}: no article for subject {question.subject!r}")
-        example = render(question, group, article, setting=setting, seed=args.seed,
-                         templates=templates, snapshot=_parse_point(args.snapshot))
+        group = groups.resolve(question, question.relation) if groups is not None else None
+        article = articles.resolve(question) if articles is not None else None
+        example = render(question, group, article, setting=setting, seed=args.seed, templates=templates)
         records.append(example.to_record())
 
     render_version = (meta_in or {}).get("render_version", _render_version(templates))
     config = {"questions": args.questions, "setting": setting, "facts": args.facts,
               "articles": args.articles, "templates": args.templates}
-    count = write_jsonl(args.out, records, _meta("render", args.seed, render_version, config))
-    print(f"wrote {count} rendered examples to {args.out}")
+    _write_records(args.out, records, _meta("render", args.seed, render_version, config), "rendered examples")
     return EXIT_OK
 
 
 def cmd_mask(args) -> int:
-    _, records = read_jsonl(args.docs)
-    docs = []
-    for i, record in enumerate(records, start=1):
-        try:
-            docs.append(AnnotatedDocument.from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{args.docs}: bad document record #{i}: {exc}") from exc
+    _, docs = load_jsonl(args.docs, AnnotatedDocument.from_record)
     masked, diagnostics = mask_corpus(docs, args.ratio, args.seed, args.sentinel_pattern)
     for message in diagnostics:
         print(f"warning: {args.docs}: {message}", file=sys.stderr)
@@ -314,19 +275,15 @@ def cmd_mask(args) -> int:
 
 def cmd_solve(args) -> int:
     templates = load_templates(args.templates)
-    meta_in, questions = _load_questions(args.questions)
-    groups = None
-    if args.facts:
-        _, group_list = _load_store_groups(args, templates, filtered=False)
-        groups = index_groups(group_list)
+    meta_in, questions = load_jsonl(args.questions, Question.from_record)
+    groups = _group_index(args, templates) if args.facts else None
     records = []
     for question in questions:
         answer = solve(question, groups, templates)
         records.append({"id": question.id, "prediction": answer.answers[0] if answer.answers else ""})
     render_version = (meta_in or {}).get("render_version", _render_version(templates))
     config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
-    count = write_jsonl(args.out, records, _meta("solve", args.seed, render_version, config))
-    print(f"wrote {count} predictions to {args.out}")
+    _write_records(args.out, records, _meta("solve", args.seed, render_version, config), "predictions")
     return EXIT_OK
 
 
@@ -340,8 +297,8 @@ def _print_block(label: str, block) -> None:
 
 
 def cmd_eval(args) -> int:
-    meta_q, questions = _load_questions(args.questions)
-    meta_p, predictions = _load_predictions(args.predictions)
+    meta_q, questions = load_jsonl(args.questions, Question.from_record)
+    meta_p, predictions = load_jsonl(args.predictions, Prediction.from_record)
     version_q = (meta_q or {}).get("render_version")
     version_p = (meta_p or {}).get("render_version")
     if version_q and version_p and version_q != version_p and not args.force:
@@ -359,17 +316,15 @@ def cmd_eval(args) -> int:
         config = {"questions": args.questions, "predictions": args.predictions,
                   "breakdown": args.breakdown, "period_edges": args.period_edges,
                   "missing": args.missing}
-        payload = {"_meta": _meta("eval", args.seed, version_q or "", config),
-                   "report": report.to_record()}
-        Path(args.out).write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-                                  encoding="utf-8")
+        write_json(args.out, {"_meta": _meta("eval", args.seed, version_q or "", config),
+                              "report": report.to_record()})
         print(f"wrote report to {args.out}")
     return EXIT_OK
 
 
 def cmd_reward(args) -> int:
-    meta_q, questions = _load_questions(args.questions)
-    _, predictions = _load_predictions(args.predictions)
+    meta_q, questions = load_jsonl(args.questions, Question.from_record)
+    _, predictions = load_jsonl(args.predictions, Prediction.from_record)
     records = reward_records(questions, predictions)
     config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")
@@ -388,7 +343,7 @@ def cmd_stats(args) -> int:
     payload: dict = {}
     if args.facts:
         templates = load_templates(args.templates)
-        _, groups = _load_store_groups(args, templates, filtered=True)
+        groups = _load_groups(args, templates, args.max_subjects, args.min_facts)
         stats = group_stats(groups)
         payload["facts_file"] = stats
         print(f"fact groups: {stats['groups']}  subjects: {stats['subjects']}  "
@@ -397,7 +352,7 @@ def cmd_stats(args) -> int:
             print(f"  {relation:<6} groups {entry['groups']:>6}  facts {entry['facts']:>7}")
     question_stats: dict = {}
     for path in args.questions or []:
-        _, questions = _load_questions(path)
+        _, questions = load_jsonl(path, Question.from_record)
         for question in questions:
             bucket = question_stats.setdefault((question.level, question.split),
                                                {"questions": 0, "subjects": set()})
@@ -420,8 +375,7 @@ def cmd_stats(args) -> int:
     if args.out:
         config = {"facts": args.facts, "questions": args.questions}
         payload["_meta"] = _meta("stats", args.seed, "", config)
-        Path(args.out).write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-                                  encoding="utf-8")
+        write_json(args.out, payload)
         print(f"wrote stats to {args.out}")
     return EXIT_OK
 
@@ -433,8 +387,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     parser.add_argument("--templates", default=None, help="path to a custom template JSON file")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker hint; outputs are identical at any value")
 
 
 def _add_fact_flags(parser: argparse.ArgumentParser) -> None:
@@ -545,8 +497,6 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         if args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be at least 1")
         return args.func(args)
     except UsageError as exc:
         print(f"chronoqa: error [E_USAGE] {exc}", file=sys.stderr)

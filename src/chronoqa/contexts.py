@@ -20,10 +20,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .facts import DEFAULT_SNAPSHOT, FactGroup
+from .facts import FactGroup
 from .questions import Question
 from .templates import TemplateTable, load_templates
-from .timeline import TimePoint, format_time
+from .timeline import format_time
 
 SETTINGS = ("CBQA", "OBQA", "ReasonQA")
 SPAN_KINDS = ("entity", "temporal")
@@ -88,8 +88,7 @@ def canonical_setting(name: str) -> str:
 
 
 def render(question: Question, group: FactGroup | None = None, article: str | None = None, *,
-           setting: str, seed: int = 0, templates: TemplateTable | None = None,
-           snapshot: TimePoint = DEFAULT_SNAPSHOT) -> RenderedExample:
+           setting: str, seed: int = 0, templates: TemplateTable | None = None) -> RenderedExample:
     """Build the prompt/target pair for one question in one setting."""
     setting = canonical_setting(setting)
     if setting == "CBQA":
@@ -102,10 +101,8 @@ def render(question: Question, group: FactGroup | None = None, article: str | No
         if group is None:
             raise RenderError(f"question {question.id!r}: the structured-facts setting requires a fact group")
         templates = templates or load_templates()
-        lines = []
-        for fact in group.facts:
-            end = fact.interval.end if fact.interval.end is not None else snapshot
-            lines.append(f"{fact.object} from {format_time(fact.interval.start)} to {format_time(end)}.")
+        lines = [f"{fact.object} from {format_time(fact.interval.start)} to {format_time(fact.interval.end)}."
+                 for fact in group.facts]
         random.Random(f"{seed}|render|{question.id}").shuffle(lines)
         header = f"{group.subject} {templates.relation(group.relation).phrase}:"
         prompt = "\n".join([question.question, header, *lines])

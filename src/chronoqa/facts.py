@@ -9,11 +9,11 @@ most a fixed number of subjects, subsampled by seeded shuffle.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
+from .jsonl import read_rows
 from .templates import load_templates
 from .timeline import TimeInterval, TimePoint, month_index, parse_time
 
@@ -51,8 +51,7 @@ class Fact:
     interval: TimeInterval
 
     def sort_key(self) -> tuple[int, int, str]:
-        end = self.interval.end
-        return (month_index(self.interval.start), month_index(end) if end else 1 << 30, self.object)
+        return (month_index(self.interval.start), month_index(self.interval.end), self.object)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +74,12 @@ class FactStore:
 
     facts: tuple[Fact, ...]
     diagnostics: tuple[Diagnostic, ...]
-    snapshot: TimePoint
     duplicates_dropped: int = 0
 
 
 def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoint) -> Fact:
+    if isinstance(row, ValueError):  # a line the JSONL reader could not use
+        raise row
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     for field in _REQUIRED_FIELDS:
@@ -115,10 +115,10 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
            relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
     """Validate quintuplet rows into a store.
 
-    ``rows`` yields dicts, or (line_number, dict) pairs when the caller knows
-    file positions. Bad rows raise in strict mode, otherwise they are skipped
-    and reported. Rows identical in (subject_id, relation, object, interval)
-    are deduplicated.
+    ``rows`` yields dicts, or (line_number, row) pairs from
+    :func:`jsonl.read_rows`. Bad rows raise in strict mode, otherwise they
+    are skipped and reported. Rows identical in (subject_id, relation,
+    object, interval) are deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -144,40 +144,14 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
             continue
         seen.add(key)
         facts.append(fact)
-    return FactStore(tuple(facts), tuple(diagnostics), snapshot, duplicates)
-
-
-def _iter_file_rows(path: str) -> Iterator[tuple[int, object]]:
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                yield line_no, exc
-                continue
-            if isinstance(obj, dict) and "_meta" in obj and len(obj) == 1:
-                continue
-            yield line_no, obj
+    return FactStore(tuple(facts), tuple(diagnostics), duplicates)
 
 
 def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
                    relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
-    """Ingest a JSONL fact file, reporting malformed lines by number."""
-    rows: list[tuple[int, object]] = []
-    json_diagnostics: list[Diagnostic] = []
-    for line_no, obj in _iter_file_rows(path):
-        if isinstance(obj, json.JSONDecodeError):
-            if strict:
-                raise FactValidationError(f"line {line_no}: invalid JSON: {obj.msg}")
-            json_diagnostics.append(Diagnostic(line_no, f"invalid JSON: {obj.msg}"))
-            continue
-        rows.append((line_no, obj))
-    store = ingest(rows, snapshot=snapshot, relation_codes=relation_codes, strict=strict)
-    diagnostics = tuple(sorted((*json_diagnostics, *store.diagnostics), key=lambda d: d.line))
-    return FactStore(store.facts, diagnostics, store.snapshot, store.duplicates_dropped)
+    """Ingest a JSONL fact file, reporting bad lines by number."""
+    _, rows = read_rows(path)
+    return ingest(rows, snapshot=snapshot, relation_codes=relation_codes, strict=strict)
 
 
 def build_groups(store: FactStore, seed: int = 0, *,

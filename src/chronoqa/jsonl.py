@@ -1,26 +1,44 @@
 """JSONL reading and writing with an optional provenance header.
 
-Artifact files start with a single ``{"_meta": {...}}`` line carrying the
-tool version, seed, and config hash of the run that produced them. Readers
-skip it; files without one load fine.
+Every line holds one JSON object. Artifact files start with a single
+``{"_meta": {...}}`` line carrying the tool version, seed, and config hash of
+the run that produced them; it is legal on line 1 only. Writes are atomic.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+import os
+from contextlib import contextmanager
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 META_KEY = "_meta"
+
+T = TypeVar("T")
 
 
 def dumps(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[IO[str]]:
+    """A handle on a temp file that replaces ``path`` only if the block completes."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = open(temp, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) -> int:
     """Write records (plus an optional meta header); returns the record count."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _replacing(path) as handle:
         if meta is not None:
             handle.write(dumps({META_KEY: meta}) + "\n")
         for record in records:
@@ -29,21 +47,57 @@ def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) ->
     return count
 
 
-def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
-    """Read (meta, records), raising with the line number on bad JSON."""
+def write_json(path: str, payload: dict) -> None:
+    """Write one indented JSON document (a report)."""
+    with _replacing(path) as handle:
+        handle.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+
+
+def read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError]]]:
+    """Read (meta, rows) with one ``(line_no, row)`` pair per non-blank line.
+
+    ``row`` is the decoded object, or a ValueError for invalid JSON, a value
+    that is not an object, or a ``_meta`` header anywhere but line 1.
+    """
     meta = None
-    records = []
+    rows: list[tuple[int, dict | ValueError]] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
-                obj = json.loads(text)
+                row = json.loads(text)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-            if line_no == 1 and isinstance(obj, dict) and set(obj) == {META_KEY}:
-                meta = obj[META_KEY]
-                continue
-            records.append(obj)
-    return meta, records
+                row = ValueError(f"invalid JSON: {exc.msg}")
+            else:
+                if not isinstance(row, dict):
+                    row = ValueError(f"expected a JSON object, got {type(row).__name__}")
+                elif len(row) == 1 and META_KEY in row:
+                    if line_no == 1:
+                        meta = row[META_KEY]
+                        continue
+                    row = ValueError(f"a {META_KEY} header is only allowed on line 1")
+            rows.append((line_no, row))
+    return meta, rows
+
+
+def load_jsonl(path: str, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
+    """Read (meta, items) with ``parse`` applied to every record; the first
+    bad line or record raises a ValueError that starts with ``path:line``."""
+    meta, rows = read_rows(path)
+    items = []
+    for line_no, row in rows:
+        try:
+            if isinstance(row, ValueError):
+                raise row
+            items.append(parse(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"{path}:{line_no}: {detail}") from exc
+    return meta, items
+
+
+def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
+    """Read (meta, records), raising ``path:line`` on the first bad line."""
+    return load_jsonl(path, lambda record: record)

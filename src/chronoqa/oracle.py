@@ -10,7 +10,7 @@ trace can be audited independently of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Generic, Iterable, TypeVar
 
 from .facts import FactGroup
 from .questions import Question
@@ -27,6 +27,9 @@ from .timeline import (
     parse_time,
     shift,
 )
+
+
+T = TypeVar("T")
 
 
 class OracleError(ValueError):
@@ -110,7 +113,7 @@ def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
             "fact": i,
             "object": fact.object,
             "start": format_time(fact.interval.start),
-            "end": format_time(fact.interval.end) if fact.interval.end else None,
+            "end": format_time(fact.interval.end),
             "contains": inside,
         })
         if inside:
@@ -150,25 +153,45 @@ def solve_l3(group: FactGroup, neighbor_object: str, direction: str) -> OracleAn
     return OracleAnswer((), rationale)
 
 
-def index_groups(groups: Iterable[FactGroup]) -> dict[tuple[str, str], FactGroup]:
-    """Index groups by (subject_id, relation) with a (subject name, relation)
-    fallback for question files that lack subject ids."""
-    index: dict[tuple[str, str], FactGroup] = {}
-    for group in groups:
-        index[(group.subject_id, group.relation)] = group
-        index.setdefault((group.subject, group.relation), group)
-    return index
+class SubjectIndex(Generic[T]):
+    """Values keyed by subject id, and separately by subject name, each
+    optionally narrowed by a relation. ``entries`` holds
+    ``(subject_id, subject, value, relation)`` tuples; ids and names may be None."""
+
+    def __init__(self, kind: str, entries: Iterable[tuple[str | None, str | None, T, str | None]]) -> None:
+        self.kind = kind
+        self.by_id: dict[tuple[str, str | None], T] = {}
+        self.by_name: dict[tuple[str, str | None], T] = {}
+        self.ids_by_name: dict[str, set[str | None]] = {}
+        for subject_id, subject, value, relation in entries:
+            if subject_id is not None:
+                self.by_id[(subject_id, relation)] = value
+            if subject is not None:
+                self.by_name.setdefault((subject, relation), value)
+                self.ids_by_name.setdefault(subject, set()).add(subject_id)
+
+    def resolve(self, question: Question, relation: str | None = None) -> T:
+        """The value for the question's subject: by ``subject_id`` when the
+        question has one, otherwise by a name that only one subject holds."""
+        subject_id, subject = question.subject_id, question.subject
+        if subject_id is not None:
+            value = self.by_id.get((subject_id, relation))
+        else:
+            subjects = len(self.ids_by_name.get(subject, ()))
+            if subjects > 1:
+                raise OracleError(f"question {question.id!r}: subject name {subject!r} is shared by "
+                                  f"{subjects} subjects; give a subject_id")
+            value = self.by_name.get((subject, relation))
+        if value is None:
+            key = f"subject_id {subject_id!r}" if subject_id is not None else f"subject {subject!r}"
+            at = f" relation {relation!r}" if relation is not None else ""
+            raise OracleError(f"question {question.id!r}: no {self.kind} for {key}{at}")
+        return value
 
 
-def _resolve_group(question: Question, index: Mapping[tuple[str, str], FactGroup] | None) -> FactGroup:
-    if index is None:
-        raise OracleError("structured facts are required to solve L2/L3 questions")
-    if question.relation is None:
-        raise OracleError(f"question {question.id!r} names no relation")
-    for subject_key in (question.subject_id, question.subject):
-        if subject_key and (subject_key, question.relation) in index:
-            return index[(subject_key, question.relation)]
-    raise OracleError(f"no fact group for subject {question.subject!r} relation {question.relation!r}")
+def index_groups(groups: Iterable[FactGroup]) -> SubjectIndex[FactGroup]:
+    """Index groups by subject and relation for :func:`solve` and rendering."""
+    return SubjectIndex("fact group", ((g.subject_id, g.subject, g, g.relation) for g in groups))
 
 
 def _l3_direction(question: Question) -> str:
@@ -179,20 +202,23 @@ def _l3_direction(question: Question) -> str:
     raise OracleError(f"cannot determine before/after direction of question {question.id!r}")
 
 
-def solve(question: Question, groups: Mapping[tuple[str, str], FactGroup] | None = None,
+def solve(question: Question, groups: SubjectIndex[FactGroup] | None = None,
           templates: TemplateTable | None = None) -> OracleAnswer:
     """Dispatch a question of any level to its solver."""
     if question.level == "L1":
         return solve_l1(question, templates)
+    if question.level not in ("L2", "L3"):
+        raise OracleError(f"unknown question level {question.level!r}")
+    if groups is None:
+        raise OracleError("structured facts are required to solve L2/L3 questions")
+    group = groups.resolve(question, question.relation)
     if question.level == "L2":
         if question.t_ref is None:
             raise OracleError(f"L2 question {question.id!r} has no reference time")
-        return solve_l2(_resolve_group(question, groups), question.t_ref)
-    if question.level == "L3":
-        if not question.neighbor_object:
-            raise OracleError(f"L3 question {question.id!r} has no pivot object")
-        return solve_l3(_resolve_group(question, groups), question.neighbor_object, _l3_direction(question))
-    raise OracleError(f"unknown question level {question.level!r}")
+        return solve_l2(group, question.t_ref)
+    if not question.neighbor_object:
+        raise OracleError(f"L3 question {question.id!r} has no pivot object")
+    return solve_l3(group, question.neighbor_object, _l3_direction(question))
 
 
 def replay(answer: OracleAnswer, group: FactGroup | None = None) -> tuple[str, ...]:

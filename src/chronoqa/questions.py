@@ -88,6 +88,10 @@ class Question:
         level = str(record["level"])
         if level not in LEVELS:
             raise ValueError(f"unknown question level {level!r}")
+        answers, negatives = record["answers"], record.get("negatives", [])
+        if not (isinstance(answers, list) and answers and isinstance(negatives, list)
+                and all(isinstance(item, str) for item in answers + negatives)):
+            raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
         return cls(
             id=str(record["id"]),
             level=level,
@@ -96,8 +100,8 @@ class Question:
             subject_id=record.get("subject_id"),
             template_id=str(record.get("template_id", "")),
             question=str(record["question"]),
-            answers=tuple(record["answers"]),
-            negatives=tuple(record.get("negatives", ())),
+            answers=tuple(answers),
+            negatives=tuple(negatives),
             t_ref=parse_time(t_ref) if t_ref else None,
             neighbor_object=record.get("neighbor_object"),
             split=str(record.get("split", "train")),
@@ -299,8 +303,6 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
     rng = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}")
     questions = []
     for j, fact in enumerate(group.facts):
-        if fact.interval.end is None:
-            raise ValueError("ongoing facts must be closed at a snapshot before generation")
         t_r = time_from_month_index(
             rng.randint(month_index(fact.interval.start), month_index(fact.interval.end)))
         questions.append(_l2_question(

@@ -105,7 +105,10 @@ class Prediction:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Prediction":
-        return cls(id=str(record["id"]), prediction=str(record["prediction"]))
+        prediction = record["prediction"]
+        if not isinstance(prediction, str):
+            raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
+        return cls(id=str(record["id"]), prediction=prediction)
 
     def to_record(self) -> dict:
         return {"id": self.id, "prediction": self.prediction}

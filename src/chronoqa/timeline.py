@@ -89,26 +89,19 @@ class Offset:
 
 @dataclass(frozen=True, slots=True)
 class TimeInterval:
-    """An inclusive validity range. ``end=None`` marks an ongoing fact."""
+    """An inclusive validity range. Ongoing facts are closed at the KB
+    snapshot month when they are ingested."""
 
     start: TimePoint
-    end: TimePoint | None
+    end: TimePoint
 
     def __post_init__(self) -> None:
-        if self.end is not None and self.end < self.start:
+        if self.end < self.start:
             raise ValueError(f"interval start {self.start} is after end {self.end}")
 
     def contains(self, point: TimePoint) -> bool:
-        """Inclusive at both bounds; an open end extends indefinitely."""
-        if point < self.start:
-            return False
-        return self.end is None or point <= self.end
-
-    def closed(self, snapshot: TimePoint) -> "TimeInterval":
-        """This interval with an open end pinned to the KB snapshot month."""
-        if self.end is not None:
-            return self
-        return TimeInterval(self.start, snapshot)
+        """Inclusive at both bounds."""
+        return self.start <= point <= self.end
 
 
 def month_index(t: TimePoint) -> int:

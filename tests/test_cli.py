@@ -14,6 +14,18 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
+def write_lines(path, lines) -> str:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def l2_record(subject_id, qid="q1") -> dict:
+    return {"id": qid, "level": "L2", "relation": "P39", "subject": "Aiko Abe", "subject_id": subject_id,
+            "template_id": "P39_l2", "question": "Which position did Aiko Abe hold in Jul 2019?",
+            "answers": ["Mayor"], "negatives": [], "t_ref": "Jul 2019", "neighbor_object": None,
+            "split": "train"}
+
+
 @pytest.fixture
 def facts_file(tmp_path):
     rows = synth_rows(8, relation="P39", facts_per_subject=(3, 6), seed=300)
@@ -42,9 +54,6 @@ class TestExitCodes:
         path = write_facts(tmp_path / "facts.jsonl",
                            [dict(YOSHIMURA_ROWS[0], relation="P999")])
         assert run("gen-l2", "--facts", path, "--out-dir", str(tmp_path), "--strict") == 2
-
-    def test_bad_jobs_value(self):
-        assert run("stats", "--jobs", "0") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -237,3 +246,53 @@ class TestStatsCli:
         assert l2_stats["questions"] == facts_stats["facts"]
         assert l2_stats["subjects"] == facts_stats["subjects"]
         assert l2_stats["facts_per_subject"] == facts_stats["facts_per_subject"]
+
+
+class TestFileBoundary:
+    @pytest.fixture
+    def namesake_facts(self, tmp_path):
+        """Two subjects, Q1 and Q2, that share the name Aiko Abe."""
+        rows = [{"subject": "Aiko Abe", "subject_id": sid, "relation": "P39", "object": obj,
+                 "object_id": f"O{sid}{i}", "start": start, "end": end}
+                for sid, objects in (("Q1", ("Mayor", "Governor")), ("Q2", ("Senator", "Minister")))
+                for i, (obj, start, end) in enumerate(zip(objects, ("Jan 2015", "Jan 2020"),
+                                                          ("Dec 2019", "Dec 2021")))]
+        return write_facts(tmp_path / "facts.jsonl", rows)
+
+    @pytest.mark.parametrize("subject_id, message", [
+        (None, "subject name 'Aiko Abe' is shared by 2 subjects"),
+        ("Q999", "no fact group for subject_id 'Q999'"),
+    ], ids=["shared-name", "unknown-id"])
+    def test_solve_and_render_refuse_unresolved_subjects(self, tmp_path, namesake_facts, capsys,
+                                                        subject_id, message):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record(subject_id))])
+        out = str(tmp_path / "out.jsonl")
+        assert run("solve", "--questions", questions, "--facts", namesake_facts, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert run("render", "--questions", questions, "--facts", namesake_facts,
+                   "--setting", "reasonqa", "--out", out) == 2
+        assert message in capsys.readouterr().err
+
+    def test_mid_file_meta_in_fact_file_is_one_warning(self, tmp_path, capsys):
+        lines = [json.dumps(row) for row in YOSHIMURA_ROWS]
+        lines.insert(2, json.dumps({"_meta": {"seed": 1}}))
+        facts = write_lines(tmp_path / "facts.jsonl", lines)
+        assert run("stats", "--facts", facts) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == [f"warning: {facts}: line 3: a _meta header is only allowed on line 1"]
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (json.dumps({"_meta": {"seed": 2}}), "a _meta header is only allowed on line 1"),
+        (json.dumps(dict(l2_record("Q1", "q2"), answers="Mayor")), "answers must be a non-empty list of strings"),
+    ], ids=["mid-file-meta", "string-answers"])
+    def test_bad_question_line_is_named_by_path_and_line(self, tmp_path, capsys, bad_line, message):
+        lines = [json.dumps({"_meta": {"seed": 1}}), json.dumps(l2_record("Q1")), "", bad_line]
+        questions = write_lines(tmp_path / "q.jsonl", lines)
+        assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
+        assert f"{questions}:4: {message}" in capsys.readouterr().err
+
+    def test_non_object_prediction_line_is_data_error(self, tmp_path, capsys):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
+        predictions = write_lines(tmp_path / "p.jsonl", ['["q1", "Mayor"]'])
+        assert run("eval", "--questions", questions, "--predictions", predictions) == 2
+        assert f"{predictions}:1: expected a JSON object" in capsys.readouterr().err

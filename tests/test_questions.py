@@ -61,6 +61,17 @@ class TestGenL1:
         for q in questions:
             assert Question.from_record(q.to_record()) == q
 
+    @pytest.mark.parametrize("field, value", [
+        ("answers", "FC Barcelona"),  # once split into characters, so "F" scored EM 100
+        ("answers", []),
+        ("answers", [1906]),
+        ("negatives", "Paris Saint-Germain"),
+    ])
+    def test_from_record_rejects_bad_answer_lists(self, field, value):
+        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        with pytest.raises(ValueError, match="must be a non-empty list of strings"):
+            Question.from_record(dict(record, **{field: value}))
+
 
 class TestGenL1Future:
     def test_range_and_split(self):

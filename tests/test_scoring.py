@@ -180,6 +180,13 @@ def _question(qid, answers, negatives=(), t_ref=None, relation=None, level="L2")
                     negatives=tuple(negatives), t_ref=t_ref, neighbor_object=None, split="test")
 
 
+class TestPredictionRecord:
+    @pytest.mark.parametrize("value", [None, 7, ["X"]])
+    def test_prediction_must_be_a_string(self, value):
+        with pytest.raises(ValueError, match="prediction must be a string"):
+            Prediction.from_record({"id": "a", "prediction": value})
+
+
 class TestEvaluate:
     def test_all_correct_is_100(self):
         questions = [_question(f"q{i}", [f"Answer {i}"]) for i in range(5)]

@@ -155,11 +155,3 @@ class TestTypes:
     def test_interval_rejects_inverted(self):
         with pytest.raises(ValueError):
             TimeInterval(TimePoint(2020, 1), TimePoint(2019, 12))
-
-    def test_open_interval_closing(self):
-        open_interval = TimeInterval(TimePoint(2019, 4), None)
-        assert open_interval.contains(TimePoint(2999, 1))
-        snapshot = TimePoint(2022, 11)
-        closed = open_interval.closed(snapshot)
-        assert closed.end == snapshot
-        assert not closed.contains(TimePoint(2022, 12))
