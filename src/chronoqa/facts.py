@@ -10,10 +10,11 @@ most a fixed number of subjects, subsampled by seeded shuffle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .jsonl import read_rows
+from .scoring import normalized_key
 from .templates import load_templates
 from .timeline import TimeInterval, TimePoint, month_index, parse_time
 
@@ -56,16 +57,29 @@ class Fact:
 
 @dataclass(frozen=True, slots=True)
 class FactGroup:
-    """All facts sharing (subject_id, relation), chronologically sorted."""
+    """All facts sharing (subject_id, relation), sorted by
+    :meth:`Fact.sort_key` on construction whatever order they arrive in."""
 
     subject: str
     subject_id: str
     relation: str
     facts: tuple[Fact, ...]
+    _keys: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "facts", tuple(sorted(self.facts, key=Fact.sort_key)))
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.subject_id, self.relation)
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The scoring key of each fact's object, aligned with ``facts``;
+        computed on first use, so grouping itself normalizes nothing."""
+        if self._keys is None:
+            object.__setattr__(self, "_keys", tuple(normalized_key(fact.object) for fact in self.facts))
+        return self._keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,13 +183,10 @@ def build_groups(store: FactStore, seed: int = 0, *,
     for (subject_id, relation), group_facts in by_key.items():
         if len(group_facts) < min_facts:
             continue
-        ordered = tuple(sorted(group_facts, key=Fact.sort_key))
-        surviving[(subject_id, relation)] = FactGroup(
-            subject=ordered[0].subject,
-            subject_id=subject_id,
-            relation=relation,
-            facts=ordered,
-        )
+        group = FactGroup(group_facts[0].subject, subject_id, relation, tuple(group_facts))
+        if group.facts[0].subject != group.subject:  # the name comes from the earliest fact
+            group = replace(group, subject=group.facts[0].subject)
+        surviving[(subject_id, relation)] = group
 
     kept_subjects: dict[str, set[str]] = {}
     relations = sorted({relation for _, relation in surviving})

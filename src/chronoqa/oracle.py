@@ -91,23 +91,17 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
     raise OracleError(f"question {question.id!r} matches no relative-time template: {question.question!r}")
 
 
-def _chronological_indices(group: FactGroup) -> list[int]:
-    # Groups from build_groups are already sorted; sorting again makes the
-    # solver insensitive to the fact order it is handed.
-    return sorted(range(len(group.facts)), key=lambda i: group.facts[i].sort_key())
-
-
 def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
     """All objects valid at the reference month, ordered by interval start.
 
-    The result does not depend on the order the group's facts arrive in.
+    The result does not depend on the order the group's facts arrive in:
+    a :class:`FactGroup` sorts them on construction.
     """
     checks = []
     matched = []
     answers: list[str] = []
     seen: set[str] = set()
-    for i in _chronological_indices(group):
-        fact = group.facts[i]
+    for i, (fact, key) in enumerate(zip(group.facts, group.keys)):
         inside = fact.interval.contains(t_r)
         checks.append({
             "fact": i,
@@ -118,7 +112,6 @@ def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
         })
         if inside:
             matched.append(i)
-            key = normalized_key(fact.object)
             if key not in seen:
                 seen.add(key)
                 answers.append(fact.object)
@@ -136,18 +129,15 @@ def solve_l3(group: FactGroup, neighbor_object: str, direction: str) -> OracleAn
     """
     if direction not in (BEFORE, AFTER):
         raise OracleError(f"direction must be 'before' or 'after', got {direction!r}")
-    target_key = normalized_key(neighbor_object)
-    order = _chronological_indices(group)
-    position = next((p for p, i in enumerate(order)
-                     if normalized_key(group.facts[i].object) == target_key), None)
-    if position is None:
-        raise OracleError(f"pivot object {neighbor_object!r} does not occur in the group")
+    try:
+        position = group.keys.index(normalized_key(neighbor_object))
+    except ValueError:
+        raise OracleError(f"pivot object {neighbor_object!r} does not occur in the group") from None
     answer_position = position + 1 if direction == AFTER else position - 1
-    rationale = {"op": "adjacent_fact", "pivot_index": order[position], "direction": direction}
-    if 0 <= answer_position < len(order):
-        answer_index = order[answer_position]
-        rationale["answer_index"] = answer_index
-        return OracleAnswer((group.facts[answer_index].object,), rationale)
+    rationale = {"op": "adjacent_fact", "pivot_index": position, "direction": direction}
+    if 0 <= answer_position < len(group.facts):
+        rationale["answer_index"] = answer_position
+        return OracleAnswer((group.facts[answer_position].object,), rationale)
     rationale["answer_index"] = None
     rationale["no_valid_answer"] = True
     return OracleAnswer((), rationale)
@@ -238,7 +228,7 @@ def replay(answer: OracleAnswer, group: FactGroup | None = None) -> tuple[str, .
         answers: list[str] = []
         seen: set[str] = set()
         for i in trace["matched"]:
-            key = normalized_key(group.facts[i].object)
+            key = group.keys[i]
             if key not in seen:
                 seen.add(key)
                 answers.append(group.facts[i].object)

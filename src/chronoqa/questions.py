@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .facts import FactGroup
-from .scoring import normalized_key
 from .templates import DIRECTIONS, TemplateTable, load_templates
 from .timeline import (
     SAME,
@@ -247,34 +246,28 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
     return partitions
 
 
-def _objects_at(group: FactGroup, t_r: TimePoint) -> tuple[list[str], list[str]]:
-    """(valid objects in chronological order, invalid objects), deduplicated
-    under scoring normalization. An object text valid anywhere at ``t_r`` is
-    never listed as invalid."""
-    valid_keys: set[str] = set()
-    valid_objects: list[str] = []
-    for fact in group.facts:
-        if fact.interval.contains(t_r):
-            key = normalized_key(fact.object)
-            if key not in valid_keys:
-                valid_keys.add(key)
-                valid_objects.append(fact.object)
+def _objects_at(group: FactGroup, t_r: TimePoint) -> tuple[list[tuple[str, str]], list[str]]:
+    """(valid (object, key) pairs in chronological order, invalid objects),
+    deduplicated by the group's scoring keys. An object text valid anywhere
+    at ``t_r`` is never listed as invalid."""
+    valid: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for fact, key in zip(group.facts, group.keys):
+        if key not in seen and fact.interval.contains(t_r):
+            seen.add(key)
+            valid.append((fact.object, key))
     negatives: list[str] = []
-    negative_keys: set[str] = set()
-    for fact in group.facts:
-        key = normalized_key(fact.object)
-        if key in valid_keys or key in negative_keys:
-            continue
-        negative_keys.add(key)
-        negatives.append(fact.object)
-    return valid_objects, negatives
+    for fact, key in zip(group.facts, group.keys):
+        if key not in seen:
+            seen.add(key)
+            negatives.append(fact.object)
+    return valid, negatives
 
 
-def _l2_question(group: FactGroup, t_r: TimePoint, primary: str, question_id: str,
+def _l2_question(group: FactGroup, t_r: TimePoint, primary: str, primary_key: str, question_id: str,
                  split: str, templates: TemplateTable) -> Question:
-    valid_objects, negatives = _objects_at(group, t_r)
-    primary_key = normalized_key(primary)
-    answers = [primary] + [o for o in valid_objects if normalized_key(o) != primary_key]
+    valid, negatives = _objects_at(group, t_r)
+    answers = [primary] + [obj for obj, key in valid if key != primary_key]
     return Question(
         id=question_id,
         level="L2",
@@ -302,11 +295,11 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
     templates = templates or load_templates()
     rng = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}")
     questions = []
-    for j, fact in enumerate(group.facts):
+    for j, (fact, key) in enumerate(zip(group.facts, group.keys)):
         t_r = time_from_month_index(
             rng.randint(month_index(fact.interval.start), month_index(fact.interval.end)))
         questions.append(_l2_question(
-            group, t_r, fact.object,
+            group, t_r, fact.object, key,
             f"l2-{split}-{group.subject_id}-{group.relation}-{j}", split, templates))
     return questions
 
@@ -319,11 +312,11 @@ def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
     must be at least one.
     """
     templates = templates or load_templates()
-    valid_objects, _ = _objects_at(group, t_r)
-    if not valid_objects:
+    valid, _ = _objects_at(group, t_r)
+    if not valid:
         raise ValueError(f"no object in the group is valid at {format_time(t_r)}")
     question_id = f"l2-{split}-{group.subject_id}-{group.relation}-at-{month_index(t_r)}"
-    return _l2_question(group, t_r, valid_objects[0], question_id, split, templates)
+    return _l2_question(group, t_r, *valid[0], question_id, split, templates)
 
 
 def gen_l3(group: FactGroup, seed: int | None = None, *, split: str = "train",
@@ -337,8 +330,7 @@ def gen_l3(group: FactGroup, seed: int | None = None, *, split: str = "train",
     has exactly one defensible answer.
     """
     templates = templates or load_templates()
-    facts = group.facts
-    keys = [normalized_key(fact.object) for fact in facts]
+    facts, keys = group.facts, group.keys
     first_occurrence: dict[str, int] = {}
     for i, key in enumerate(keys):
         first_occurrence.setdefault(key, i)

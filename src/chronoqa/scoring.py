@@ -130,39 +130,55 @@ class RewardRecord:
 Scorer = Callable[[str, str], float]
 
 
-def _em_scorer(prediction: str, reference: str) -> float:
-    return float(score_em(prediction, [reference]))
+class _Memo(dict):
+    """``memo[text]`` is ``func(text)``, computed once per distinct text."""
+
+    def __init__(self, func: Callable[[str], object]) -> None:
+        super().__init__()
+        self.func = func
+
+    def __missing__(self, text: str):
+        value = self[text] = self.func(text)
+        return value
+
+
+def _reward(prediction: str, gold: str, negatives: Sequence[str], scorer: Scorer | None, id: str,
+            key: Callable[[str], str]) -> RewardRecord:
+    gold_key = key(gold)
+    negative_keys = [key(neg) for neg in negatives]
+    if gold_key in negative_keys:
+        raise ValueError(f"gold answer {gold!r} also appears in the negative set")
+    if scorer is None:  # exact match compares normalized keys
+        pred_key = key(prediction)
+        p, n = float(pred_key == gold_key), float(pred_key in negative_keys)
+    else:
+        p = float(scorer(prediction, gold))
+        n = max((float(scorer(prediction, neg)) for neg in negatives), default=0.0)
+    return RewardRecord(id=id, p=p, n=n, reward=p if p >= n else -n)
 
 
 def reward(prediction: str, gold: str, negatives: Sequence[str],
            scorer: Scorer | None = None, id: str = "") -> RewardRecord:
     """Score one prediction against the gold and its temporally wrong
-    alternatives. Requires gold and negatives to be disjoint after
-    normalization; that is a data error, not a scoring outcome.
+    alternatives, by exact match unless a ``scorer`` is given. Requires gold
+    and negatives to be disjoint after normalization; that is a data error,
+    not a scoring outcome.
     """
-    gold_key = normalized_key(gold)
-    if any(normalized_key(neg) == gold_key for neg in negatives):
-        raise ValueError(f"gold answer {gold!r} also appears in the negative set")
-    score = scorer or _em_scorer
-    p = float(score(prediction, gold))
-    n = max((float(score(prediction, neg)) for neg in negatives), default=0.0)
-    value = p if p >= n else -n
-    return RewardRecord(id=id, p=p, n=n, reward=value)
+    return _reward(prediction, gold, negatives, scorer, id, normalized_key)
 
 
-def reward_records(questions: Iterable["Question"], predictions: Iterable[Prediction],
+def reward_records(questions: Sequence["Question"], predictions: Iterable[Prediction],
                    scorer: Scorer | None = None) -> list[RewardRecord]:
-    """Reward for every question, matched to predictions by id.
+    """Reward for every question, matched to predictions by id under the
+    same id rules as :func:`evaluate`.
 
     A question with no prediction scores as an empty prediction.
     """
-    pred_map = _prediction_map(predictions)
-    records = []
-    for question in questions:
-        text = pred_map.get(question.id, "")
-        records.append(reward(text, question.answers[0], question.negatives,
-                              scorer=scorer, id=question.id))
-    return records
+    pred_map = _prediction_map(questions, predictions)
+    key = _Memo(normalized_key).__getitem__
+    return [_reward(pred_map.get(question.id, ""), question.answers[0], question.negatives,
+                    scorer, question.id, key)
+            for question in questions]
 
 
 @dataclass
@@ -246,12 +262,20 @@ def period_label(year: int, edges: Sequence[int]) -> str:
     return f"{edges[-1]}+"
 
 
-def _prediction_map(predictions: Iterable[Prediction]) -> dict[str, str]:
+def _prediction_map(questions: Sequence["Question"], predictions: Iterable[Prediction]) -> dict[str, str]:
+    """Prediction text by question id. Question ids and prediction ids must
+    each be unique, and every prediction id must name a question."""
+    question_ids = {q.id for q in questions}
+    if len(question_ids) != len(questions):
+        raise ValueError("duplicate question ids in the question file")
     pred_map: dict[str, str] = {}
     for pred in predictions:
         if pred.id in pred_map:
             raise ValueError(f"duplicate prediction id {pred.id!r}")
         pred_map[pred.id] = pred.prediction
+    unknown = pred_map.keys() - question_ids
+    if unknown:
+        raise ValueError(f"predictions reference unknown question ids: {sorted(unknown)[:5]}")
     return pred_map
 
 
@@ -264,13 +288,8 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
     """
     if missing_policy not in ("zero", "error"):
         raise ValueError(f"unknown missing-prediction policy {missing_policy!r}")
-    question_ids = {q.id for q in questions}
-    if len(question_ids) != len(questions):
-        raise ValueError("duplicate question ids in evaluation input")
-    pred_map = _prediction_map(predictions)
-    unknown = set(pred_map) - question_ids
-    if unknown:
-        raise ValueError(f"predictions reference unknown question ids: {sorted(unknown)[:5]}")
+    pred_map = _prediction_map(questions, predictions)
+    tokens = _Memo(normalize)
 
     overall = _Accumulator()
     per_period: dict[str, _Accumulator] = {}
@@ -279,9 +298,12 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
         if question.id not in pred_map and missing_policy == "error":
             raise ValueError(f"no prediction for question id {question.id!r}")
         text = pred_map.get(question.id, "")
-        golds = list(question.answers)
-        em = score_em(text, golds)
-        f1 = score_f1(text, golds)
+        golds = question.answers
+        pred_tokens = tokens[text]
+        gold_tokens = [tokens[gold] for gold in golds]
+        em = int(pred_tokens in gold_tokens)  # equal token lists are equal keys
+        # An exact match has token F1 exactly 1.0, the most any gold can give.
+        f1 = 1.0 if em else max(_token_f1(pred_tokens, gold) for gold in gold_tokens)
         numeric = None
         gold_year = golds[0].strip()
         if question.t_ref is not None and gold_year.isdigit() and len(golds) == 1:

@@ -296,3 +296,12 @@ class TestFileBoundary:
         predictions = write_lines(tmp_path / "p.jsonl", ['["q1", "Mayor"]'])
         assert run("eval", "--questions", questions, "--predictions", predictions) == 2
         assert f"{predictions}:1: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_prediction_ids_must_resolve_against_questions(self, tmp_path, capsys, command):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
+        predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "renamed", "prediction": "Mayor"})])
+        out = ["--out", str(tmp_path / "out.jsonl")] if command == "reward" else []
+        assert run(command, "--questions", questions, "--predictions", predictions, *out) == 2
+        assert "E_DATA" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
-from chronoqa.facts import FactValidationError, group_stats
+from chronoqa.facts import Fact, FactGroup, FactValidationError, group_stats
+from chronoqa.scoring import normalized_key
 
-from conftest import synth_rows
+from conftest import make_group, synth_rows
 
 MESSI_ROW = {
     "subject": "Lionel Messi", "subject_id": "QM1", "relation": "P54",
@@ -169,3 +170,26 @@ class TestStats:
         assert stats["facts"] == facts
         assert stats["subjects"] == subjects
         assert stats["facts_per_subject"] == round(facts / subjects, 2)
+
+
+class TestFactGroup:
+    def test_sorted_on_construction_with_aligned_keys(self):
+        rows = synth_rows(1, facts_per_subject=(8, 8), seed=12, allow_overlap=True)
+        rows[5]["object"] = rows[1]["object"].upper() + "!"
+        group = make_group(rows)
+        for seed in range(5):
+            facts = list(group.facts)
+            random.Random(seed).shuffle(facts)
+            shuffled = FactGroup(group.subject, group.subject_id, group.relation, tuple(facts))
+            assert shuffled.facts == tuple(sorted(facts, key=Fact.sort_key))
+            assert shuffled.keys == tuple(normalized_key(fact.object) for fact in shuffled.facts)
+            assert shuffled == group
+
+    def test_subject_name_comes_from_the_earliest_fact(self):
+        rows = synth_rows(1, facts_per_subject=(4, 4), seed=13)
+        for i, row in enumerate(rows):
+            row["subject"] = f"Name {i}"
+        for seed in range(4):
+            shuffled = list(rows)
+            random.Random(seed).shuffle(shuffled)
+            assert make_group(shuffled).subject == "Name 0"

@@ -1,0 +1,113 @@
+"""Golden digests: the sha256 of every artifact of a small seeded pipeline.
+
+The criterion-6 test compares two runs of the same code; this one pins the
+bytes themselves, so a change that claims to keep outputs identical (a
+speed-up, a refactor) can prove it against the digests recorded before it.
+Update a digest only for an intended output change, and say which in the
+change's notes.
+"""
+
+import hashlib
+import json
+import random
+
+from chronoqa.cli import main
+from chronoqa.jsonl import read_jsonl
+
+from conftest import synth_rows, write_facts
+
+GOLDEN = {
+    "eval_l1.json": "010bb16d3209adbd2b13002a778eaff265effd3e8eb71a25332e10596b3683f5",
+    "eval_l1_table.txt": "ef16eca75a30e9583bb13a50dd27cc80580cd2351f2ab94501615e4b2a49283e",
+    "eval_l2.json": "99a53e66012965d38c43600976914c3b850c96f5508077046501a8bcee15c681",
+    "eval_l2_table.txt": "2c2917c3c4c65bbdaf0db7146edda3116df9818380ac90c3c76621248914facf",
+    "eval_l3.json": "e0c4f94526738da1c119f57ed81fd396eb3a6c7c1bff7618dd15e792e9dcbccf",
+    "eval_l3_table.txt": "551570c17a6d73c97c2b62c2b94a4bfabaf01e9c894b4758df8bcca94f51216c",
+    "l1_train.jsonl": "4c58aed77b0c4369653bd5d21b206e5105af253681723d15a4fb3adf8bd03215",
+    "l2_test.jsonl": "2f5209fd849cabdbbf7d5e98a50a1b523090f4f342d035801af16768198c0227",
+    "l2_train.jsonl": "05bff0d3c0163739f5d65c77ddc191998eec6d5ab7c58dee09296967ec5b2833",
+    "l3_test.jsonl": "b266de0a70c2fd2125515a8a8d1705856e3b4ebdc31b7eab673ea427834fea8b",
+    "l3_train.jsonl": "c0465128a6613757b6b0fe09d2fd56e7e52229c42a9d9ee19c0b791030d2a28e",
+    "render_l2.jsonl": "12b1d295cd20fe9bde4bd846f66398f254aeda61fdf58da2adad00774941e861",
+    "reward_l2.jsonl": "9c159e5767a92092127cdc92ff991c8c2eb698b685b1cb2a40536e7fd30de62f",
+    "reward_l3.jsonl": "4e6a5ed82d1e626da8a06ea2608b9362ccf75c1fecb882357c93abaa9121819b",
+    "solve_l2.jsonl": "cc4adbd6557570d2575526593fe9f8f1e72b9a2cad2da318f897a6289174840e",
+    "solve_l3.jsonl": "4b1605d6995bde3ef94d13bda9a3d1d5771b3c54625e8fdcdb4a57cd9857c33c",
+}
+
+
+def _facts():
+    rows = synth_rows(10, relation="P39", facts_per_subject=(3, 7), seed=700, allow_overlap=True)
+    rows += synth_rows(8, relation="P54", facts_per_subject=(3, 6), seed=701, allow_overlap=True)
+    # Object texts that only differ by case and punctuation share a key:
+    # the L2 answer/negative dedup and the L3 pair and pivot rules see them.
+    for index in (2, 30, 45):
+        rows[index]["object"] = rows[index - 2]["object"].upper() + "!"
+    return rows
+
+
+def _prediction_mix(questions_path, out_path, seed):
+    """A labelled mix: gold, its variants, a non-primary gold, a negative,
+    a token prefix, unrelated, empty, and missing predictions."""
+    rng = random.Random(seed)
+    _, questions = read_jsonl(questions_path)
+    lines = []
+    for question in questions:
+        gold = question["answers"][rng.randrange(len(question["answers"]))]
+        kind = rng.choice(["gold", "upper", "article", "negative", "prefix", "unrelated", "empty",
+                           "missing"])
+        if kind == "missing":
+            continue
+        text = {
+            "gold": gold,
+            "upper": gold.upper() + ".",
+            "article": "The " + gold,
+            "negative": rng.choice(question["negatives"]) if question["negatives"] else gold,
+            "prefix": gold.split()[0],
+            "unrelated": "Something else entirely",
+            "empty": "",
+        }[kind]
+        lines.append(json.dumps({"id": question["id"], "prediction": text}))
+    rng.shuffle(lines)
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the _meta config stable
+    write_facts(tmp_path / "facts.jsonl", _facts())
+    fact_flags = ["--facts", "facts.jsonl", "--seed", "11"]
+    commands = [
+        ["gen-l2", *fact_flags, "--out-dir", "out", "--split-counts", "train:12,test:5"],
+        ["gen-l3", *fact_flags, "--out-dir", "out", "--split-counts", "train:12,test:5"],
+        ["gen-l1", "--out-dir", "out", "--count", "80", "--seed", "11", "--range", "Jan 1890:Dec 2030"],
+        ["render", *fact_flags, "--questions", "out/l2_train.jsonl", "--setting", "reasonqa",
+         "--out", "out/render_l2.jsonl"],
+    ]
+    for level in ("l2", "l3"):
+        commands.append(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
+                         "--out", f"out/solve_{level}.jsonl"])
+    for command in commands:
+        assert main(command) == 0, command
+    capsys.readouterr()
+
+    for seed, level in enumerate(("l1", "l2", "l3")):
+        _prediction_mix(f"out/{level}_train.jsonl", tmp_path / f"mix_{level}.jsonl", seed)
+        questions, predictions = f"out/{level}_train.jsonl", f"mix_{level}.jsonl"
+        assert main(["eval", "--questions", questions, "--predictions", predictions,
+                     "--out", f"out/eval_{level}.json"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--questions", questions, "--predictions", predictions,
+                     "--breakdown", "relation"]) == 0
+        (tmp_path / "out" / f"eval_{level}_table.txt").write_text(capsys.readouterr().out)
+        if level != "l1":
+            assert main(["reward", "--questions", questions, "--predictions", predictions,
+                         "--out", f"out/reward_{level}.jsonl"]) == 0
+    capsys.readouterr()
+
+    digests = {path.name: _digest(path) for path in sorted((tmp_path / "out").iterdir())}
+    assert digests == GOLDEN

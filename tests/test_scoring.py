@@ -9,8 +9,12 @@ import pytest
 from chronoqa import (
     Prediction,
     TimePoint,
+    build_groups,
     evaluate,
     gen_l1,
+    gen_l2,
+    gen_l3,
+    ingest,
     normalize,
     reward,
     score_em,
@@ -18,7 +22,9 @@ from chronoqa import (
     score_numeric,
 )
 from chronoqa.questions import Question
-from chronoqa.scoring import extract_year, period_label, reward_records
+from chronoqa.scoring import EvalReport, MetricBlock, extract_year, period_label, reward_records
+
+from conftest import synth_rows
 
 
 class TestNormalize:
@@ -294,3 +300,109 @@ class TestRewardRecords:
         question = l2_question_at(yoshimura_group, jul_2019)
         records = reward_records([question], [])
         assert records[0].reward == 0.0
+
+    @pytest.mark.parametrize("questions, predictions, message", [
+        ([_question("a", ["X"])], [Prediction("zz", "X")], "unknown question ids"),
+        ([_question("a", ["X"])], [Prediction("a", "X"), Prediction("a", "Y")], "duplicate prediction id"),
+        ([_question("a", ["X"]), _question("a", ["Y"])], [], "duplicate question ids"),
+    ], ids=["unknown-prediction-id", "duplicate-prediction-id", "duplicate-question-id"])
+    def test_ids_are_checked_as_in_evaluate(self, questions, predictions, message):
+        with pytest.raises(ValueError, match=message):
+            reward_records(questions, predictions)
+        with pytest.raises(ValueError, match=message):
+            evaluate(questions, predictions)
+
+
+def _labelled_mix(seed: int):
+    """L1, L2 (often multi-gold) and L3 questions with gold, case,
+    punctuation and article variants, negatives, token prefixes, unrelated,
+    empty and missing predictions."""
+    rng = random.Random(seed)
+    rows = synth_rows(12, facts_per_subject=(3, 7), seed=40, allow_overlap=True)
+    rows += synth_rows(6, relation="P54", facts_per_subject=(3, 6), seed=41, allow_overlap=True)
+    for index in (3, 20, 33):
+        rows[index]["object"] = "the " + rows[index - 1]["object"].lower() + "."
+    questions = [q for group in build_groups(ingest(rows)) for q in gen_l2(group, seed) + gen_l3(group)]
+    questions += gen_l1((TimePoint(1890, 1), TimePoint(2030, 12)), 150, seed=seed)
+    predictions = []
+    for question in questions:
+        gold = rng.choice(question.answers)
+        variants = [gold, gold.upper() + "!", "The " + gold.lower(), gold.split()[0], "", "an unrelated answer",
+                    rng.choice(question.negatives) if question.negatives else "1777"]
+        if rng.random() < 0.1:
+            continue  # missing
+        predictions.append(Prediction(question.id, rng.choice(variants)))
+    rng.shuffle(predictions)
+    return questions, predictions
+
+
+def _expected_block(items) -> MetricBlock:
+    numeric = [n for _, _, n in items if n is not None]
+    parsed = [n for n in numeric if n.parsed]
+    return MetricBlock(
+        em=100.0 * sum(em for em, _, _ in items) / len(items),
+        f1=100.0 * sum(f1 for _, f1, _ in items) / len(items),
+        mae=sum(n.abs_err for n in parsed) / len(parsed) if parsed else None,
+        trend_acc=100.0 * sum(n.trend_correct for n in numeric) / len(numeric) if numeric else None,
+        count=len(items),
+        numeric_count=len(numeric),
+        unparseable_count=len(numeric) - len(parsed),
+    )
+
+
+class TestSinglePassEquivalence:
+    """evaluate and reward_records against per-item score_em, score_f1 and
+    reward with an explicit exact-match scorer."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_evaluate_matches_per_item_scores(self, seed):
+        questions, predictions = _labelled_mix(seed)
+        assert any(len(q.answers) > 1 for q in questions)
+        texts = {p.id: p.prediction for p in predictions}
+        buckets: dict[tuple[str, str], list] = {}
+        for q in questions:
+            text = texts.get(q.id, "")
+            numeric = None
+            if (q.t_ref is not None and len(q.answers) == 1 and q.answers[0].isdigit()
+                    and int(q.answers[0]) != q.t_ref.year):
+                numeric = score_numeric(text, int(q.answers[0]), q.t_ref.year)
+            item = (score_em(text, q.answers), score_f1(text, q.answers), numeric)
+            period = period_label(q.t_ref.year, (1900, 1950, 2000)) if q.t_ref else "undated"
+            for bucket in (("overall", ""), ("period", period), ("relation", q.relation or "none")):
+                buckets.setdefault(bucket, []).append(item)
+        expected = EvalReport(
+            overall=_expected_block(buckets[("overall", "")]),
+            per_period={label: _expected_block(items)
+                        for (kind, label), items in sorted(buckets.items()) if kind == "period"},
+            per_relation={label: _expected_block(items)
+                          for (kind, label), items in sorted(buckets.items()) if kind == "relation"},
+            count=len(questions),
+        )
+        report = evaluate(questions, predictions, period_edges=(1900, 1950, 2000))
+        assert report == expected
+        assert list(report.per_period) == list(expected.per_period)
+        assert 0 < report.overall.em < report.overall.f1 < 100
+        assert report.overall.numeric_count > report.overall.unparseable_count > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reward_records_match_per_item_reward(self, seed):
+        questions, predictions = _labelled_mix(seed)
+        texts = {p.id: p.prediction for p in predictions}
+        expected = [reward(texts.get(q.id, ""), q.answers[0], q.negatives, id=q.id,
+                           scorer=lambda pred, ref: float(score_em(pred, [ref])))
+                    for q in questions]
+        records = reward_records(questions, predictions)
+        assert records == expected
+        assert {r.reward for r in records} == {-1.0, 0.0, 1.0}
+
+    def test_custom_scorer_is_still_called(self):
+        questions, predictions = _labelled_mix(3)
+        calls = []
+
+        def scorer(pred, ref):
+            calls.append((pred, ref))
+            return 0.5
+
+        records = reward_records(questions, predictions, scorer=scorer)
+        assert len(calls) == sum(1 + len(q.negatives) for q in questions)
+        assert {(r.p, r.reward) for r in records} == {(0.5, 0.5)}

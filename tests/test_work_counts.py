@@ -1,0 +1,79 @@
+"""Work counts: each answer string is normalized at most once per fact
+group or per scoring call, however many questions touch it."""
+
+import pytest
+
+from chronoqa import Prediction, build_groups, ingest, scoring
+from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
+from chronoqa.questions import gen_l2, gen_l3, l2_question_at
+from chronoqa.scoring import evaluate, reward_records
+
+from conftest import make_group, synth_rows
+
+
+@pytest.fixture
+def normalize_calls(monkeypatch):
+    calls = []
+    original = scoring.normalize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(scoring, "normalize", counting)
+    return calls
+
+
+def _rows():
+    rows = synth_rows(6, facts_per_subject=(5, 8), seed=77, allow_overlap=True)
+    rows[4]["object"] = rows[2]["object"].upper()
+    return rows
+
+
+def test_gen_l2_normalizes_each_object_once(normalize_calls):
+    group = make_group(synth_rows(1, facts_per_subject=(8, 8), seed=5, allow_overlap=True))
+    assert normalize_calls == []  # grouping normalizes nothing
+    questions = gen_l2(group, seed=1) + gen_l2(group, seed=2) + gen_l3(group)
+    questions += [l2_question_at(group, fact.interval.start) for fact in group.facts]
+    assert len(questions) > 3 * len(group.facts)
+    assert len(normalize_calls) == len(group.facts)
+
+
+def test_solver_normalizes_group_objects_once(normalize_calls):
+    group = make_group(synth_rows(1, facts_per_subject=(8, 8), seed=6, allow_overlap=True))
+    n = len(group.facts)
+    for fact in group.facts:
+        for month in (fact.interval.start, fact.interval.end):
+            solve_l2(group, month)
+    assert len(normalize_calls) == n
+    pivots = 0
+    for fact in group.facts:
+        for direction in ("before", "after"):
+            solve_l3(group, fact.object, direction)
+            pivots += 1
+    assert len(normalize_calls) == n + pivots  # one call per pivot text, none per group object
+
+
+def test_solve_dispatch_normalizes_each_group_once(normalize_calls):
+    questions = [q for group in build_groups(ingest(_rows())) for q in gen_l2(group, 3) + gen_l3(group)]
+    groups = build_groups(ingest(_rows()))  # fresh groups: no keys computed yet
+    index = index_groups(groups)
+    normalize_calls.clear()
+    for question in questions:
+        solve(question, index)
+    l3_questions = sum(q.level == "L3" for q in questions)
+    assert len(normalize_calls) == sum(len(g.facts) for g in groups) + l3_questions
+
+
+def test_scoring_normalizes_each_distinct_text_once(normalize_calls):
+    questions = [q for group in build_groups(ingest(_rows())) for q in gen_l2(group, 4) + gen_l3(group)]
+    predictions = [Prediction(q.id, q.answers[0] if i % 3 else q.answers[0].upper())
+                   for i, q in enumerate(questions) if i % 7]
+    texts = {p.prediction for p in predictions} | {""}
+    for question in questions:
+        texts.update(question.answers)
+        texts.update(question.negatives)
+    for score in (reward_records, evaluate):
+        normalize_calls.clear()
+        score(questions, predictions)
+        assert len(normalize_calls) == len(set(normalize_calls)) <= len(texts)
