@@ -10,13 +10,14 @@ most a fixed number of subjects, subsampled by seeded shuffle.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .jsonl import read_rows
 from .scoring import normalized_key
 from .templates import load_templates
-from .timeline import TimeInterval, TimePoint, month_index, parse_time
+from .timeline import TimeInterval, TimePoint, parse_time_cached
 
 DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
 MAX_SUBJECTS_PER_RELATION = 2000
@@ -51,8 +52,10 @@ class Fact:
     object_id: str
     interval: TimeInterval
 
-    def sort_key(self) -> tuple[int, int, str]:
-        return (month_index(self.interval.start), month_index(self.interval.end), self.object)
+    def sort_key(self) -> tuple[int, int, int, int, str]:
+        """Chronological order: start month, then end month, then object."""
+        start, end = self.interval.start, self.interval.end
+        return (start.year, start.month, end.year, end.month, self.object)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,26 +106,21 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoi
     relation = row["relation"]
     if relation not in relation_codes:
         raise ValueError(f"unsupported relation {relation!r}")
-    start = parse_time(row["start"], bare_year_month=1)
+    start = parse_time_cached(row["start"], 1)
     raw_end = row.get("end")
     if raw_end is None:
         end = snapshot
         if end < start:
             raise ValueError(f"ongoing fact starts {row['start']!r}, after the snapshot month")
     elif isinstance(raw_end, str) and raw_end.strip():
-        end = parse_time(raw_end, bare_year_month=12)
+        end = parse_time_cached(raw_end, 12)
         if end < start:
             raise ValueError(f"start {row['start']!r} is after end {raw_end!r}")
     else:
         raise ValueError("field 'end' must be a time string or null")
-    return Fact(
-        subject=row["subject"],
-        subject_id=row["subject_id"],
-        relation=relation,
-        object=row["object"],
-        object_id=row["object_id"],
-        interval=TimeInterval(start, end),
-    )
+    # By position: a keyword call costs about half as much again, once per row.
+    return Fact(row["subject"], row["subject_id"], relation, row["object"], row["object_id"],
+                TimeInterval(start, end))
 
 
 def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
@@ -152,7 +150,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
                 raise FactValidationError(f"line {line}: {exc}") from exc
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
-        key = (fact.subject_id, fact.relation, fact.object, fact.interval.start, fact.interval.end)
+        key = (fact.subject_id, fact.relation, fact.sort_key())  # the same object over the same months
         if key in seen:
             duplicates += 1
             continue
@@ -175,9 +173,9 @@ def build_groups(store: FactStore, seed: int = 0, *,
 
     Deterministic under ``seed`` and insensitive to input row order.
     """
-    by_key: dict[tuple[str, str], list[Fact]] = {}
+    by_key: defaultdict[tuple[str, str], list[Fact]] = defaultdict(list)
     for fact in store.facts:
-        by_key.setdefault((fact.subject_id, fact.relation), []).append(fact)
+        by_key[fact.subject_id, fact.relation].append(fact)
 
     surviving: dict[tuple[str, str], FactGroup] = {}
     for (subject_id, relation), group_facts in by_key.items():

@@ -14,6 +14,12 @@ from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 META_KEY = "_meta"
 
+# One decoder for every line. ``raw_decode`` skips the two whitespace scans
+# ``json.loads`` makes around the value, which a stripped line does not need;
+# ``read_rows`` keeps the two checks ``json.loads`` adds (trailing data, a
+# leading byte-order mark) with their messages.
+_decode = json.JSONDecoder().raw_decode
+
 T = TypeVar("T")
 
 
@@ -67,9 +73,12 @@ def read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError
             if not text:
                 continue
             try:
-                row = json.loads(text)
+                row, end = _decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
             except json.JSONDecodeError as exc:
-                row = ValueError(f"invalid JSON: {exc.msg}")
+                detail = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff" else exc.msg
+                row = ValueError(f"invalid JSON: {detail}")
             else:
                 if not isinstance(row, dict):
                     row = ValueError(f"expected a JSON object, got {type(row).__name__}")

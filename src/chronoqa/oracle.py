@@ -25,6 +25,7 @@ from .timeline import (
     TimeRangeError,
     format_time,
     parse_time,
+    parse_time_cached,
     shift,
 )
 
@@ -73,7 +74,7 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
             else:
                 if len(t_text.split()) != 2:
                     raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
-                t = parse_time(t_text)
+                t = parse_time_cached(t_text, 1)
             result = shift(t, Offset(years, months, matcher.direction))
         except (TimeParseError, TimeRangeError, ValueError) as exc:
             raise OracleError(f"malformed question {question.id!r}: {exc}") from exc

@@ -28,7 +28,7 @@ from .timeline import (
     compare,
     format_time,
     month_index,
-    parse_time,
+    parse_time_cached,
     shift,
     time_from_month_index,
 )
@@ -83,14 +83,16 @@ class Question:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Question":
-        t_ref = record.get("t_ref")
         level = str(record["level"])
         if level not in LEVELS:
             raise ValueError(f"unknown question level {level!r}")
         answers, negatives = record["answers"], record.get("negatives", [])
         if not (isinstance(answers, list) and answers and isinstance(negatives, list)
-                and all(isinstance(item, str) for item in answers + negatives)):
+                and _all_strings(answers) and _all_strings(negatives)):
             raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
+        t_ref = record.get("t_ref")
+        if t_ref is not None and not isinstance(t_ref, str):
+            raise ValueError("t_ref must be a time string or null")
         return cls(
             id=str(record["id"]),
             level=level,
@@ -101,10 +103,18 @@ class Question:
             question=str(record["question"]),
             answers=tuple(answers),
             negatives=tuple(negatives),
-            t_ref=parse_time(t_ref) if t_ref else None,
+            t_ref=parse_time_cached(t_ref, 1) if t_ref else None,
             neighbor_object=record.get("neighbor_object"),
             split=str(record.get("split", "train")),
         )
+
+
+def _all_strings(items: list) -> bool:
+    # A plain loop: about three times cheaper than all() over a generator.
+    for item in items:
+        if not isinstance(item, str):
+            return False
+    return True
 
 
 def _l1_combination_space(templates: TemplateTable, months: int, years: int) -> int:

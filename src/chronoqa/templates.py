@@ -83,12 +83,6 @@ class TemplateTable:
         except KeyError:
             raise TemplateError(f"no templates for relation {code!r}") from None
 
-    def l1_template(self, template_id: str) -> RelativeTimeTemplate:
-        for tpl in self.l1:
-            if tpl.id == template_id:
-                return tpl
-        raise TemplateError(f"no relative-time template {template_id!r}")
-
     def render_l1(self, template: RelativeTimeTemplate, direction: str, x: int, y: int, t_text: str) -> str:
         """Fill one relative-time template; collapses to the bare one-year form."""
         if direction not in DIRECTIONS:

@@ -13,6 +13,7 @@ input and resolved to a month chosen by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 MONTH_ABBREVS = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -80,11 +81,6 @@ class Offset:
     @property
     def total_months(self) -> int:
         return self.years * 12 + self.months
-
-    def mirror(self) -> "Offset":
-        """The same displacement in the opposite direction."""
-        flipped = BEFORE if self.direction == AFTER else AFTER
-        return Offset(self.years, self.months, flipped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +152,19 @@ def parse_time(text: str, bare_year_month: int = 1) -> TimePoint:
     if year < MIN_YEAR:
         raise TimeRangeError(f"year {year} is before the minimum supported year {MIN_YEAR}")
     return TimePoint(year, month)
+
+
+@lru_cache(maxsize=1 << 14)
+def parse_time_cached(text: str, bare_year_month: int) -> TimePoint:
+    """:func:`parse_time`, remembering each successful result by ``(text,
+    bare_year_month)`` for the life of the process.
+
+    A fact file or a question file repeats a few thousand distinct time texts
+    many times over. Results are immutable, so every caller may share them,
+    and the memo is bounded. Failures are not remembered, so a bad text
+    raises the same error every time it is read. Pass both arguments by
+    position: the memo keys on the arguments as passed."""
+    return parse_time(text, bare_year_month)
 
 
 def format_time(t: TimePoint) -> str:

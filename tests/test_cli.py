@@ -284,7 +284,8 @@ class TestFileBoundary:
     @pytest.mark.parametrize("bad_line, message", [
         (json.dumps({"_meta": {"seed": 2}}), "a _meta header is only allowed on line 1"),
         (json.dumps(dict(l2_record("Q1", "q2"), answers="Mayor")), "answers must be a non-empty list of strings"),
-    ], ids=["mid-file-meta", "string-answers"])
+        (json.dumps(dict(l2_record("Q1", "q2"), t_ref=2019)), "t_ref must be a time string or null"),
+    ], ids=["mid-file-meta", "string-answers", "number-t_ref"])
     def test_bad_question_line_is_named_by_path_and_line(self, tmp_path, capsys, bad_line, message):
         lines = [json.dumps({"_meta": {"seed": 1}}), json.dumps(l2_record("Q1")), "", bad_line]
         questions = write_lines(tmp_path / "q.jsonl", lines)

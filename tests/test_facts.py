@@ -82,6 +82,89 @@ class TestIngest:
         assert "invalid JSON" in store.diagnostics[0].message
 
 
+def _pin_row(object_id, start, end, **fields):
+    return dict({"subject": "Ada Park", "subject_id": "Q1", "relation": "P39", "object": f"Office {object_id}",
+                 "object_id": object_id, "start": start, "end": end}, **fields)
+
+
+PIN_LINES = [
+    json.dumps({"_meta": {"source": "pin"}}),
+    json.dumps(_pin_row("O1", "2019", "2019")),  # bare start -> Jan, bare end -> Dec
+    json.dumps(_pin_row("O2", "Jull 2019", "Mar 2020")),
+    json.dumps(_pin_row("O3", "Feb 2018", "Jull 2019")),  # the same bad text, now as an end
+    json.dumps(_pin_row("O1", "Jan 2019", "Dec 2019")),  # line 2 again, written out in full
+    json.dumps(_pin_row("O4", "Mar 2023", None)),  # ongoing, but starts after the snapshot
+    json.dumps(_pin_row("O5", "May 2021", None)),
+    "",
+    json.dumps(_pin_row("O6", "Jun 2020", "Jan 2020")),
+    json.dumps(_pin_row("O7", "Jan 0", "Dec 2000")),
+    json.dumps(_pin_row("O8", "Jan 2000", "")),
+    json.dumps(_pin_row("O9", "Jan 2000", 2001)),
+    json.dumps(_pin_row("O10", "12 Jan 2000", "2001")),
+    json.dumps(_pin_row("O11", "jan 2000", "DEC 2000")),
+    json.dumps(_pin_row("O12", "Jan 2000", "Dec 2000", relation="P999")),
+    json.dumps({k: v for k, v in _pin_row("O13", "Jan 2000", "Dec 2000").items() if k != "object_id"}),
+    json.dumps(_pin_row("O14", "Jan 2000", "Dec 2000", subject="  ")),
+    '{"subject": "Ada Park", "subject_id": "Q1"',
+    '{"a": 1} {"b": 2}',
+    "\ufeff" + json.dumps(_pin_row("O15", "Jan 2000", "Dec 2000")),
+    "[1, 2]",
+    json.dumps({"_meta": {"source": "late"}}),
+    json.dumps(_pin_row("O16", "Jull 2019", "Mar 2020")),
+    json.dumps(_pin_row("O11", "Jan 2000", "2000")),  # line 14 again, other spellings
+    json.dumps(_pin_row("O17", "2000", "Jan 2000")),
+]
+
+PIN_DIAGNOSTICS = [
+    (3, "unrecognized month token 'Jull' in 'Jull 2019'"),
+    (4, "unrecognized month token 'Jull' in 'Jull 2019'"),
+    (6, "ongoing fact starts 'Mar 2023', after the snapshot month"),
+    (9, "start 'Jun 2020' is after end 'Jan 2020'"),
+    (10, "year 0 is before the minimum supported year 1"),
+    (11, "field 'end' must be a time string or null"),
+    (12, "field 'end' must be a time string or null"),
+    (13, "expected 'Mon YYYY' or 'YYYY', got '12 Jan 2000'"),
+    (15, "unsupported relation 'P999'"),
+    (16, "missing or empty field 'object_id'"),
+    (17, "missing or empty field 'subject'"),
+    (18, "invalid JSON: Expecting ',' delimiter"),
+    (19, "invalid JSON: Extra data"),
+    (20, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (21, "expected a JSON object, got list"),
+    (22, "a _meta header is only allowed on line 1"),
+    (23, "unrecognized month token 'Jull' in 'Jull 2019'"),
+]
+
+
+class TestIngestPin:
+    """Exact diagnostics, duplicates and facts of a defect-laden fact file,
+    recorded before the fact-load path was optimized."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "facts.jsonl"
+        path.write_text("\n".join(PIN_LINES) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_diagnostics_duplicates_and_facts(self, path):
+        store = load_fact_file(path)
+        assert [(d.line, d.message) for d in store.diagnostics] == PIN_DIAGNOSTICS
+        assert store.duplicates_dropped == 2
+        assert [(f.object_id, str(f.interval.start), str(f.interval.end)) for f in store.facts] == [
+            ("O1", "Jan 2019", "Dec 2019"),
+            ("O5", "May 2021", "Nov 2022"),
+            ("O11", "Jan 2000", "Dec 2000"),
+            ("O17", "Jan 2000", "Jan 2000"),
+        ]
+        assert all(f.subject == "Ada Park" and f.relation == "P39" and f.object == f"Office {f.object_id}"
+                   for f in store.facts)
+
+    def test_strict_stops_at_the_first_bad_line(self, path):
+        with pytest.raises(FactValidationError) as excinfo:
+            load_fact_file(path, strict=True)
+        assert str(excinfo.value) == "line 3: unrecognized month token 'Jull' in 'Jull 2019'"
+
+
 class TestBuildGroups:
     def test_small_groups_dropped(self):
         rows = synth_rows(1, facts_per_subject=(2, 2), seed=1)

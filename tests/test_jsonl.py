@@ -1,22 +1,47 @@
 """The JSONL file boundary: the line-1 header rule and atomic writes."""
 
+import json
 import os
 
 import pytest
 
-from chronoqa.jsonl import read_jsonl, write_jsonl
+from chronoqa.jsonl import read_jsonl, read_rows, write_jsonl
 
 
 @pytest.mark.parametrize("bad_line, message", [
     ('{"_meta": {"seed": 2}}', "a _meta header is only allowed on line 1"),
     ("[1]", "expected a JSON object, got list"),
-], ids=["mid-file-meta", "non-object"])
+    ('\ufeff{"a": 1}', "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{"a": 1} {"b": 2}', "invalid JSON: Extra data"),
+    ('{"a": 1', "invalid JSON: Expecting ',' delimiter"),
+    ("nul", "invalid JSON: Expecting value"),
+], ids=["mid-file-meta", "non-object", "bom", "extra-data", "unterminated", "bad-literal"])
 def test_bad_line_is_named_by_path_and_line(tmp_path, bad_line, message):
     path = tmp_path / "data.jsonl"
     path.write_text(f'{{"_meta": {{"seed": 1}}}}\n{{"a": 1}}\n\n{bad_line}\n', encoding="utf-8")
     with pytest.raises(ValueError) as excinfo:
         read_jsonl(str(path))
     assert str(excinfo.value) == f"{path}:4: {message}"
+
+
+def test_rows_decode_as_json_loads_does(tmp_path):
+    lines = ['{"a": [1, 2.5e3, -0, null, true], "b": {"c": "\\u00e9\\n"}}', '\t{"d": "x"}  ',
+             ' {"e": 1}\u3000', '{"f": NaN, "g": Infinity}', "{}\x0b", '{"h": "\\ud800"}',
+             '{"i": 1}x', '{"j": 1}, ', '"text"', "[]", "1 2", '{"k": 1', "{'k': 1}", "\ufeff{}"]
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, rows = read_rows(str(path))
+    assert [line_no for line_no, _ in rows] == list(range(1, len(lines) + 1))
+    for line, (_, row) in zip(lines, rows):
+        try:
+            expected = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            assert str(row) == f"invalid JSON: {exc.msg}"
+            continue
+        if isinstance(expected, dict):
+            assert json.dumps(row) == json.dumps(expected)  # compared as text, since NaN != NaN
+        else:
+            assert str(row) == f"expected a JSON object, got {type(expected).__name__}"
 
 
 def test_interrupted_write_keeps_previous_file(tmp_path):

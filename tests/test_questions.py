@@ -72,6 +72,12 @@ class TestGenL1:
         with pytest.raises(ValueError, match="must be a non-empty list of strings"):
             Question.from_record(dict(record, **{field: value}))
 
+    @pytest.mark.parametrize("value", [2019, ["Jul 2019"], False])
+    def test_from_record_rejects_a_t_ref_that_is_not_text(self, value):
+        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        with pytest.raises(ValueError, match="t_ref must be a time string or null"):
+            Question.from_record(dict(record, t_ref=value))
+
 
 class TestGenL1Future:
     def test_range_and_split(self):

@@ -12,6 +12,11 @@ def table():
     return load_templates()
 
 
+def l1_template(table, template_id):
+    (template,) = [tpl for tpl in table.l1 if tpl.id == template_id]
+    return template
+
+
 class TestLoading:
     def test_default_table(self, table):
         assert len(table.relations) == 10
@@ -62,14 +67,14 @@ class TestRendering:
         assert text == "Which position did Nicholas Budgen hold before Member of Parliament?"
 
     def test_pluralization(self, table):
-        ym = table.l1_template("l1_time_ym")
+        ym = l1_template(table, "l1_time_ym")
         assert table.render_l1(ym, "after", 1, 1, "Jul 2019") == \
             "What is the time 1 year and 1 month after Jul 2019?"
         assert table.render_l1(ym, "before", 2, 5, "Jul 2019") == \
             "What is the time 2 years and 5 months before Jul 2019?"
 
     def test_collapsed_one_year_form(self, table):
-        year = table.l1_template("l1_year")
+        year = l1_template(table, "l1_year")
         assert table.render_l1(year, "after", 1, 0, "1905") == "What is the year after 1905?"
         assert table.render_l1(year, "after", 2, 0, "1905") == "What is the year 2 years after 1905?"
 
@@ -86,7 +91,7 @@ class TestMatchers:
         ]
         matchers = table.l1_matchers()
         for template_id, direction, x, y, t_text in cases:
-            template = table.l1_template(template_id)
+            template = l1_template(table, template_id)
             text = table.render_l1(template, direction, x, y, t_text)
             hits = []
             for matcher in matchers:

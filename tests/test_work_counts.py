@@ -1,11 +1,12 @@
 """Work counts: each answer string is normalized at most once per fact
-group or per scoring call, however many questions touch it."""
+group or per scoring call, and each distinct time text is parsed at most
+once, however many facts or questions repeat it."""
 
 import pytest
 
-from chronoqa import Prediction, build_groups, ingest, scoring
+from chronoqa import Prediction, TimePoint, build_groups, ingest, scoring, timeline
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
-from chronoqa.questions import gen_l2, gen_l3, l2_question_at
+from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3, l2_question_at
 from chronoqa.scoring import evaluate, reward_records
 
 from conftest import make_group, synth_rows
@@ -77,3 +78,53 @@ def test_scoring_normalizes_each_distinct_text_once(normalize_calls):
         normalize_calls.clear()
         score(questions, predictions)
         assert len(normalize_calls) == len(set(normalize_calls)) <= len(texts)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every ``(text, bare_year_month)`` that reaches the parser itself,
+    starting from an empty memo."""
+    calls = []
+    original = timeline.parse_time
+
+    def counting(text, bare_year_month=1):
+        calls.append((text, bare_year_month))
+        return original(text, bare_year_month)
+
+    monkeypatch.setattr(timeline, "parse_time", counting)
+    timeline.parse_time_cached.cache_clear()
+    yield calls
+    timeline.parse_time_cached.cache_clear()
+
+
+def test_ingest_parses_each_distinct_time_text_once(parse_calls):
+    rows = _rows()
+    year = rows[1]["start"].split()[1]
+    rows[1]["start"] = rows[1]["end"] = year  # one bare year: Jan as a start, Dec as an end
+    rows[2]["start"] = rows[0]["start"]  # an earlier start of the same subject, repeated
+    bad = [dict(rows[3], start="Jull 2019"), dict(rows[4], start="Jull 2019")]
+    expected = {(row["start"], 1) for row in rows} | {(row["end"], 12) for row in rows}
+    assert len(expected) < 2 * len(rows)  # texts repeat, so the memo has work to save
+
+    store = ingest(rows + bad)
+    assert len(store.facts) == len(rows)
+    assert [d.message for d in store.diagnostics] == ["unrecognized month token 'Jull' in 'Jull 2019'"] * 2
+    failed = [("Jull 2019", 1)] * 2  # a failure is not remembered: each bad row is parsed again
+    assert sorted(parse_calls) == sorted([*expected, *failed])
+
+    parse_calls.clear()
+    assert ingest(rows + bad) == store
+    assert parse_calls == failed
+
+
+def test_question_records_and_l1_solver_share_the_memo(parse_calls):
+    questions = gen_l1((TimePoint(1990, 1), TimePoint(1990, 6)), 300, seed=3)
+    parse_calls.clear()
+    loaded = [Question.from_record(q.to_record()) for q in questions]
+    assert loaded == questions
+    texts = {q.to_record()["t_ref"] for q in questions}
+    assert sorted(parse_calls) == sorted((text, 1) for text in texts)
+    parse_calls.clear()
+    for question in loaded:
+        solve(question)
+    assert parse_calls == []  # the solver re-reads each month text from the question, through the memo
