@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +26,7 @@ from .contexts import (
     canonical_setting,
     mask_corpus,
     render,
+    sentinel_parts,
 )
 from .facts import (
     DEFAULT_SNAPSHOT,
@@ -80,18 +82,27 @@ def _parse_point(text: str) -> TimePoint:
 def _parse_range(text: str) -> tuple[TimePoint, TimePoint]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise UsageError(f"range must look like 'Jan 1000:Dec 2022', got {text!r}")
+        raise ValueError(f"range must look like 'Jan 1000:Dec 2022', got {text!r}")
     return _parse_point(parts[0]), _parse_point(parts[1])
 
 
-def _parse_split_spec(text: str, kind: str) -> dict:
-    spec = {}
+def _parse_split_spec(text: str, number: type = int) -> dict:
+    spec: dict = {}
     for chunk in text.split(","):
-        name, _, value = chunk.partition(":")
+        name, _, raw = chunk.partition(":")
         name = name.strip()
-        if not name or not value:
-            raise UsageError(f"split spec must look like 'train:3000,dev:1000', got {text!r}")
-        spec[name] = int(value) if kind == "counts" else float(value)
+        if not name or not raw:
+            raise ValueError(f"split spec must look like 'train:3000,dev:1000', got {text!r}")
+        if name in spec:
+            raise ValueError(f"split {name!r} is given twice in {text!r}")
+        try:
+            spec[name] = number(raw)
+        except ValueError:
+            spec[name] = -1
+        if not spec[name] >= 0:  # also rejects nan
+            raise ValueError(f"split {name!r} needs a non-negative number, got {raw!r}")
+    if number is float and sum(spec.values()) > 1.0 + 1e-9:
+        raise ValueError(f"split ratios must sum to at most 1, got {text!r}")
     return spec
 
 
@@ -99,22 +110,48 @@ def _parse_edges(text: str) -> tuple[int, ...]:
     try:
         edges = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"period edges must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"period edges must be comma-separated integers, got {text!r}") from None
     if len(edges) < 2 or list(edges) != sorted(set(edges)):
-        raise UsageError("period edges must be at least two strictly increasing integers")
+        raise ValueError("period edges must be at least two strictly increasing integers")
     return edges
+
+
+def _parse_count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _parse_ratio(text: str) -> float:
+    if not 0 < float(text) <= 1:  # also rejects nan
+        raise ValueError(f"expected a number in (0, 1], got {text!r}")
+    return float(text)
+
+
+def _flag_type(parse, keep_text: bool = False):
+    """An argparse type from ``parse``: its ValueError is a usage error raised
+    while parsing, before any file is read. With ``keep_text`` the flag holds
+    the text as typed, which ``_meta.config`` records; the command parses it
+    again."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text if keep_text else value
+    return convert
 
 
 def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-def _meta(command: str, seed: int, render_version: str, config: dict) -> dict:
+def _meta(args, render_version: str, config: dict) -> dict:
     return {
         "tool": "chronoqa",
         "tool_version": __version__,
-        "command": command,
-        "seed": seed,
+        "command": args.command,
+        "seed": args.seed,
         "render_version": render_version,
         "config": config,
         "config_hash": _config_hash(config),
@@ -125,21 +162,14 @@ def _render_version(templates) -> str:
     return f"{RENDER_FORMAT}.t{templates.version}"
 
 
-def _load_groups(args, templates, max_subjects: int, min_facts: int) -> list[FactGroup]:
-    store = load_fact_file(
-        args.facts,
-        snapshot=_parse_point(args.snapshot),
-        relation_codes=templates.relation_codes,
-        strict=args.strict,
-    )
+def _load_groups(args, templates, max_subjects: int = 1 << 60, min_facts: int = 1) -> list[FactGroup]:
+    """The fact file's groups. The defaults keep every group: solving and
+    rendering must see every group a question may reference."""
+    store = load_fact_file(args.facts, snapshot=_parse_point(args.snapshot),
+                           relation_codes=templates.relation_codes, strict=args.strict)
     for diagnostic in store.diagnostics:
         print(f"warning: {args.facts}: {diagnostic}", file=sys.stderr)
     return build_groups(store, args.seed, max_subjects_per_relation=max_subjects, min_facts=min_facts)
-
-
-def _group_index(args, templates) -> SubjectIndex[FactGroup]:
-    # Solving and rendering must see every group a question may reference.
-    return index_groups(_load_groups(args, templates, 1 << 60, 1))
 
 
 def _write_records(path, records, meta: dict, noun: str) -> None:
@@ -147,106 +177,84 @@ def _write_records(path, records, meta: dict, noun: str) -> None:
     print(f"wrote {count} {noun} to {path}")
 
 
+def _write_questions(args, templates, config: dict, level: str, partitions: dict) -> None:
+    """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = _meta(args, _render_version(templates), config)
+    for split, questions in partitions.items():
+        _write_records(out_dir / f"{level}_{split}.jsonl", (q.to_record() for q in questions), meta,
+                       "questions")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_l1(args) -> int:
     templates = load_templates(args.templates)
-    time_range = _parse_range(args.range)
-    counts = {"train": args.count}
-    if args.dev_count:
-        counts["dev"] = args.dev_count
-    if args.test_count:
-        counts["test"] = args.test_count
-    total = sum(counts.values())
-    pool = gen_l1(time_range, total, args.seed, templates=templates)
-    partitions = partition_l1(pool, counts, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    counts = {"train": args.count, "dev": args.dev_count, "test": args.test_count}
+    counts = {name: count for name, count in counts.items() if count or name == "train"}
+    pool = gen_l1(_parse_range(args.range), sum(counts.values()), args.seed, templates=templates)
     config = {"range": args.range, "counts": counts, "templates": args.templates}
-    for name, questions in partitions.items():
-        meta = _meta("gen-l1", args.seed, _render_version(templates), config)
-        _write_records(out_dir / f"l1_{name}.jsonl", (q.to_record() for q in questions), meta, "questions")
+    _write_questions(args, templates, config, "l1", partition_l1(pool, counts, args.seed))
     return EXIT_OK
 
 
 def cmd_gen_l1_future(args) -> int:
     templates = load_templates(args.templates)
     questions = gen_l1_future(args.count, args.seed, templates=templates)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {"count": args.count, "templates": args.templates}
-    meta = _meta("gen-l1-future", args.seed, _render_version(templates), config)
-    _write_records(out_dir / "l1_future.jsonl", (q.to_record() for q in questions), meta, "questions")
+    _write_questions(args, templates, {"count": args.count, "templates": args.templates}, "l1",
+                     {"future": questions})
     return EXIT_OK
 
 
-def _split_groups(args, groups):
+def cmd_gen_grouped(args) -> int:
+    """gen-l2 and gen-l3: questions from each fact group, split by subject."""
     if args.split_counts and args.split_ratios:
         raise UsageError("give at most one of --split-counts and --split-ratios")
-    if args.split_counts:
-        return split_subjects(groups, counts=_parse_split_spec(args.split_counts, "counts"), seed=args.seed)
-    if args.split_ratios:
-        return split_subjects(groups, ratios=_parse_split_spec(args.split_ratios, "ratios"), seed=args.seed)
-    return {"train": list(groups)}
-
-
-def _cmd_gen_grouped(args, level: str, generator) -> int:
+    level = args.command[len("gen-"):]
+    generator = partial(gen_l2, seed=args.seed) if level == "l2" else gen_l3
     templates = load_templates(args.templates)
     groups = _load_groups(args, templates, args.max_subjects, args.min_facts)
-    partitions = _split_groups(args, groups)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = {
-        "facts": args.facts,
-        "snapshot": args.snapshot,
-        "max_subjects": args.max_subjects,
-        "min_facts": args.min_facts,
-        "split_counts": args.split_counts,
-        "split_ratios": args.split_ratios,
-        "templates": args.templates,
-    }
-    for name, part_groups in partitions.items():
-        questions = [
-            question
-            for group in part_groups
-            for question in generator(group, args.seed, split=name, templates=templates)
-        ]
-        meta = _meta(f"gen-{level}", args.seed, _render_version(templates), config)
-        _write_records(out_dir / f"{level}_{name}.jsonl", (q.to_record() for q in questions), meta,
-                       "questions")
+    if args.split_counts:
+        partitions = split_subjects(groups, counts=_parse_split_spec(args.split_counts), seed=args.seed)
+    elif args.split_ratios:
+        partitions = split_subjects(groups, ratios=_parse_split_spec(args.split_ratios, float), seed=args.seed)
+    else:
+        partitions = {"train": groups}
+
+    def questions(split: str, part_groups: list[FactGroup]):
+        for group in part_groups:
+            yield from generator(group, split=split, templates=templates)
+
+    config = {"facts": args.facts, "snapshot": args.snapshot, "max_subjects": args.max_subjects,
+              "min_facts": args.min_facts, "split_counts": args.split_counts,
+              "split_ratios": args.split_ratios, "templates": args.templates}
+    _write_questions(args, templates, config, level,
+                     {name: questions(name, part_groups) for name, part_groups in partitions.items()})
     return EXIT_OK
-
-
-def cmd_gen_l2(args) -> int:
-    return _cmd_gen_grouped(args, "l2", gen_l2)
-
-
-def cmd_gen_l3(args) -> int:
-    return _cmd_gen_grouped(args, "l3", gen_l3)
 
 
 def _article(record: dict) -> tuple[str | None, str | None, str, None]:
-    text = record["text"]
+    text, subject_id, subject = record["text"], record.get("subject_id"), record.get("subject")
     if not isinstance(text, str):
         raise ValueError(f"article text must be a string, got {type(text).__name__}")
-    return record.get("subject_id"), record.get("subject"), text, None
+    for name, value in (("subject_id", subject_id), ("subject", subject)):
+        if not isinstance(value, (str, type(None))):
+            raise ValueError(f"article {name} must be a string or null")
+    return subject_id, subject, text, None
 
 
 def cmd_render(args) -> int:
+    setting = args.setting
+    if setting == "ReasonQA" and not args.facts:
+        raise UsageError("--facts is required for the ReasonQA setting")
+    if setting == "OBQA" and not args.articles:
+        raise UsageError("--articles is required for the OBQA setting")
     templates = load_templates(args.templates)
-    setting = canonical_setting(args.setting)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
-
-    groups = articles = None
-    if setting == "ReasonQA":
-        if not args.facts:
-            raise UsageError("--facts is required for the ReasonQA setting")
-        groups = _group_index(args, templates)
-    if setting == "OBQA":
-        if not args.articles:
-            raise UsageError("--articles is required for the OBQA setting")
-        articles = SubjectIndex("article", load_jsonl(args.articles, _article)[1])
+    groups = index_groups(_load_groups(args, templates)) if setting == "ReasonQA" else None
+    articles = SubjectIndex("article", load_jsonl(args.articles, _article)[1]) if setting == "OBQA" else None
 
     records = []
     for question in questions:
@@ -258,7 +266,7 @@ def cmd_render(args) -> int:
     render_version = (meta_in or {}).get("render_version", _render_version(templates))
     config = {"questions": args.questions, "setting": setting, "facts": args.facts,
               "articles": args.articles, "templates": args.templates}
-    _write_records(args.out, records, _meta("render", args.seed, render_version, config), "rendered examples")
+    _write_records(args.out, records, _meta(args, render_version, config), "rendered examples")
     return EXIT_OK
 
 
@@ -268,7 +276,7 @@ def cmd_mask(args) -> int:
     for message in diagnostics:
         print(f"warning: {args.docs}: {message}", file=sys.stderr)
     config = {"docs": args.docs, "ratio": args.ratio, "sentinel_pattern": args.sentinel_pattern}
-    count = write_jsonl(args.out, masked, _meta("mask", args.seed, f"{RENDER_FORMAT}", config))
+    count = write_jsonl(args.out, masked, _meta(args, f"{RENDER_FORMAT}", config))
     print(f"wrote {count} masked documents to {args.out} ({len(diagnostics)} skipped)")
     return EXIT_OK
 
@@ -276,14 +284,14 @@ def cmd_mask(args) -> int:
 def cmd_solve(args) -> int:
     templates = load_templates(args.templates)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
-    groups = _group_index(args, templates) if args.facts else None
+    groups = index_groups(_load_groups(args, templates)) if args.facts else None
     records = []
     for question in questions:
         answer = solve(question, groups, templates)
         records.append({"id": question.id, "prediction": answer.answers[0] if answer.answers else ""})
     render_version = (meta_in or {}).get("render_version", _render_version(templates))
     config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
-    _write_records(args.out, records, _meta("solve", args.seed, render_version, config), "predictions")
+    _write_records(args.out, records, _meta(args, render_version, config), "predictions")
     return EXIT_OK
 
 
@@ -316,8 +324,7 @@ def cmd_eval(args) -> int:
         config = {"questions": args.questions, "predictions": args.predictions,
                   "breakdown": args.breakdown, "period_edges": args.period_edges,
                   "missing": args.missing}
-        write_json(args.out, {"_meta": _meta("eval", args.seed, version_q or "", config),
-                              "report": report.to_record()})
+        write_json(args.out, {"_meta": _meta(args, version_q or "", config), "report": report.to_record()})
         print(f"wrote report to {args.out}")
     return EXIT_OK
 
@@ -328,8 +335,7 @@ def cmd_reward(args) -> int:
     records = reward_records(questions, predictions)
     config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")
-    count = write_jsonl(args.out, (r.to_record() for r in records),
-                        _meta("reward", args.seed, render_version, config))
+    count = write_jsonl(args.out, (r.to_record() for r in records), _meta(args, render_version, config))
     values = [r.reward for r in records]
     mean = sum(values) / len(values) if values else 0.0
     positive = sum(1 for v in values if v > 0)
@@ -374,29 +380,98 @@ def cmd_stats(args) -> int:
             }
     if args.out:
         config = {"facts": args.facts, "questions": args.questions}
-        payload["_meta"] = _meta("stats", args.seed, "", config)
+        payload["_meta"] = _meta(args, "", config)
         write_json(args.out, payload)
         print(f"wrote stats to {args.out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one declaration per subcommand, listing only the flags it reads
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--templates", default=None, help="path to a custom template JSON file")
+def _flag(*names: str, **kwargs) -> tuple:
+    return names, kwargs
 
 
-def _add_fact_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--snapshot", default=format_time(DEFAULT_SNAPSHOT),
-                        help="KB snapshot month closing ongoing facts (default: %(default)s)")
-    parser.add_argument("--strict", action="store_true", help="fail on the first malformed fact row")
-    parser.add_argument("--max-subjects", type=int, default=MAX_SUBJECTS_PER_RELATION,
-                        help="subject cap per relation (default: %(default)s)")
-    parser.add_argument("--min-facts", type=int, default=MIN_FACTS_PER_GROUP,
-                        help="minimum facts per surviving group (default: %(default)s)")
+_COUNT = _flag_type(_parse_count)
+_TEMPLATES = _flag("--templates", help="path to a custom template JSON file")
+_QUESTIONS = _flag("--questions", required=True)
+_PREDICTIONS = _flag("--predictions", required=True)
+_OUT = _flag("--out", required=True)
+_OUT_DIR = _flag("--out-dir", required=True)
+
+
+def _fact_flags(required: bool = False) -> list:
+    return [
+        _flag("--facts", required=required, help="fact file (JSONL quintuplets)"),
+        _flag("--snapshot", type=_flag_type(_parse_point, keep_text=True),
+              default=format_time(DEFAULT_SNAPSHOT),
+              help="KB snapshot month closing ongoing facts (default: %(default)s)"),
+        _flag("--strict", action="store_true", help="fail on the first malformed fact row"),
+    ]
+
+
+_GROUP_LIMITS = [
+    _flag("--max-subjects", type=_COUNT, default=MAX_SUBJECTS_PER_RELATION,
+          help="subject cap per relation (default: %(default)s)"),
+    _flag("--min-facts", type=_COUNT, default=MIN_FACTS_PER_GROUP,
+          help="minimum facts per surviving group (default: %(default)s)"),
+]
+
+_GEN_GROUPED = [
+    _TEMPLATES, *_fact_flags(required=True), *_GROUP_LIMITS, _OUT_DIR,
+    _flag("--split-counts", type=_flag_type(_parse_split_spec, keep_text=True),
+          help="e.g. 'train:3000,dev:1000,test:1000'"),
+    _flag("--split-ratios", type=_flag_type(partial(_parse_split_spec, number=float), keep_text=True),
+          help="e.g. 'train:0.6,dev:0.2,test:0.2'"),
+]
+
+# name: (handler, help, flags); every subcommand also takes --seed
+SUBCOMMANDS = {
+    "gen-l1": (cmd_gen_l1, "generate relative-time questions", [
+        _TEMPLATES, _OUT_DIR,
+        _flag("--count", type=_COUNT, required=True, help="train questions"),
+        _flag("--dev-count", type=_COUNT, default=0),
+        _flag("--test-count", type=_COUNT, default=0),
+        _flag("--range", type=_flag_type(_parse_range, keep_text=True), default="Jan 1000:Dec 2022",
+              help="sampling range for the reference time (default: %(default)s)"),
+    ]),
+    "gen-l1-future": (cmd_gen_l1_future, "generate the 2022-2040 future test set",
+                      [_TEMPLATES, _OUT_DIR, _flag("--count", type=_COUNT, required=True)]),
+    "gen-l2": (cmd_gen_grouped, "generate L2 questions from a fact file", _GEN_GROUPED),
+    "gen-l3": (cmd_gen_grouped, "generate L3 questions from a fact file", _GEN_GROUPED),
+    "render": (cmd_render, "render prompts for a setting", [
+        _TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT,
+        _flag("--setting", type=_flag_type(canonical_setting), required=True, help="cbqa | obqa | reasonqa"),
+        _flag("--articles", help="JSONL of {subject_id, text} for OBQA"),
+    ]),
+    "mask": (cmd_mask, "mask entity/temporal spans in annotated documents", [
+        _flag("--docs", required=True), _OUT,
+        _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
+              help="fraction of spans to mask (default: %(default)s)"),
+        _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True),
+              default=DEFAULT_SENTINEL_PATTERN, help="sentinel format containing {k} (default: %(default)s)"),
+    ]),
+    "solve": (cmd_solve, "answer questions with the symbolic solver",
+              [_TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT]),
+    "eval": (cmd_eval, "score predictions against questions", [
+        _QUESTIONS, _PREDICTIONS,
+        _flag("--breakdown", choices=("period", "relation"), default="period"),
+        _flag("--period-edges", type=_flag_type(_parse_edges, keep_text=True),
+              default=",".join(str(e) for e in DEFAULT_PERIOD_EDGES),
+              help="bucket edges for the period breakdown (default: %(default)s)"),
+        _flag("--missing", choices=("zero", "error"), default="zero",
+              help="policy for questions without a prediction (default: %(default)s)"),
+        _flag("--force", action="store_true", help="evaluate despite a render version mismatch"),
+        _flag("--out", help="write the full report as JSON"),
+    ]),
+    "reward": (cmd_reward, "compute per-prediction rewards", [_QUESTIONS, _PREDICTIONS, _OUT]),
+    "stats": (cmd_stats, "dataset statistics for fact and question files", [
+        _TEMPLATES, *_fact_flags(), *_GROUP_LIMITS,
+        _flag("--questions", nargs="*"),
+        _flag("--out", help="write stats as JSON"),
+    ]),
+}
 
 
 def build_parser() -> _Parser:
@@ -404,88 +479,12 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"chronoqa {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-
-    p = sub.add_parser("gen-l1", help="generate relative-time questions")
-    _add_common(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, required=True, help="train questions")
-    p.add_argument("--dev-count", type=int, default=0)
-    p.add_argument("--test-count", type=int, default=0)
-    p.add_argument("--range", default="Jan 1000:Dec 2022",
-                   help="sampling range for the reference time (default: %(default)s)")
-    p.set_defaults(func=cmd_gen_l1)
-
-    p = sub.add_parser("gen-l1-future", help="generate the 2022-2040 future test set")
-    _add_common(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_gen_l1_future)
-
-    for level, func in (("l2", cmd_gen_l2), ("l3", cmd_gen_l3)):
-        p = sub.add_parser(f"gen-{level}", help=f"generate {level.upper()} questions from a fact file")
-        _add_common(p)
-        _add_fact_flags(p)
-        p.add_argument("--facts", required=True)
-        p.add_argument("--out-dir", required=True)
-        p.add_argument("--split-counts", default=None, help="e.g. 'train:3000,dev:1000,test:1000'")
-        p.add_argument("--split-ratios", default=None, help="e.g. 'train:0.6,dev:0.2,test:0.2'")
+    for name, (func, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("render", help="render prompts for a setting")
-    _add_common(p)
-    _add_fact_flags(p)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--setting", required=True, help="cbqa | obqa | reasonqa")
-    p.add_argument("--facts", default=None)
-    p.add_argument("--articles", default=None, help="JSONL of {subject_id, text} for OBQA")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("mask", help="mask entity/temporal spans in annotated documents")
-    _add_common(p)
-    p.add_argument("--docs", required=True)
-    p.add_argument("--ratio", type=float, default=0.5, help="fraction of spans to mask (default: %(default)s)")
-    p.add_argument("--sentinel-pattern", default=DEFAULT_SENTINEL_PATTERN,
-                   help="sentinel format containing {k} (default: %(default)s)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_mask)
-
-    p = sub.add_parser("solve", help="answer questions with the symbolic solver")
-    _add_common(p)
-    _add_fact_flags(p)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--facts", default=None, help="fact file (required for L2/L3 questions)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("eval", help="score predictions against questions")
-    _add_common(p)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--breakdown", choices=("period", "relation"), default="period")
-    p.add_argument("--period-edges", default=",".join(str(e) for e in DEFAULT_PERIOD_EDGES),
-                   help="bucket edges for the period breakdown (default: %(default)s)")
-    p.add_argument("--missing", choices=("zero", "error"), default="zero",
-                   help="policy for questions without a prediction (default: %(default)s)")
-    p.add_argument("--force", action="store_true", help="evaluate despite a render version mismatch")
-    p.add_argument("--out", default=None, help="write the full report as JSON")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("reward", help="compute per-prediction rewards")
-    _add_common(p)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reward)
-
-    p = sub.add_parser("stats", help="dataset statistics for fact and question files")
-    _add_common(p)
-    _add_fact_flags(p)
-    p.add_argument("--facts", default=None)
-    p.add_argument("--questions", nargs="*", default=None)
-    p.add_argument("--out", default=None, help="write stats as JSON")
-    p.set_defaults(func=cmd_stats)
-
     return parser
 
 

@@ -109,7 +109,7 @@ def render(question: Question, group: FactGroup | None = None, article: str | No
     return RenderedExample(id=question.id, setting=setting, prompt=prompt, target=question.answers[0])
 
 
-def _sentinel_parts(sentinel_pattern: str) -> tuple[str, str]:
+def sentinel_parts(sentinel_pattern: str) -> tuple[str, str]:
     parts = sentinel_pattern.split("{k}")
     if len(parts) != 2:
         raise ValueError(f"sentinel pattern must contain '{{k}}' exactly once, got {sentinel_pattern!r}")
@@ -126,7 +126,7 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
-    _sentinel_parts(sentinel_pattern)
+    sentinel_parts(sentinel_pattern)
     if not doc.spans:
         raise ValueError(f"document {doc.doc_id!r} has no spans to mask")
     span_count = len(doc.spans)
@@ -151,7 +151,7 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
 
 def unmask(masked_text: str, target: str, sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> str:
     """Apply a masking target back onto the masked text."""
-    prefix, suffix = _sentinel_parts(sentinel_pattern)
+    prefix, suffix = sentinel_parts(sentinel_pattern)
     pattern = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(suffix))
     parts = pattern.split(target)
     if parts and parts[0]:

@@ -37,6 +37,8 @@ LEVELS = ("L1", "L2", "L3")
 FUTURE_RANGE = (TimePoint(2022, 1), TimePoint(2040, 12))
 MAX_YEAR_OFFSET = 10
 MAX_MONTH_OFFSET = 11
+_OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
+_TEXT_OR_NULL = (str, type(None))
 
 
 class CapacityError(ValueError):
@@ -93,18 +95,25 @@ class Question:
         t_ref = record.get("t_ref")
         if t_ref is not None and not isinstance(t_ref, str):
             raise ValueError("t_ref must be a time string or null")
+        relation, subject = record.get("relation"), record.get("subject")
+        subject_id, neighbor_object = record.get("subject_id"), record.get("neighbor_object")
+        if not (isinstance(relation, _TEXT_OR_NULL) and isinstance(subject, _TEXT_OR_NULL)
+                and isinstance(subject_id, _TEXT_OR_NULL) and isinstance(neighbor_object, _TEXT_OR_NULL)):
+            name = next(name for name in _OPTIONAL_TEXT_FIELDS
+                        if not isinstance(record.get(name), _TEXT_OR_NULL))
+            raise ValueError(f"{name} must be a string or null")
         return cls(
             id=str(record["id"]),
             level=level,
-            relation=record.get("relation"),
-            subject=record.get("subject"),
-            subject_id=record.get("subject_id"),
+            relation=relation,
+            subject=subject,
+            subject_id=subject_id,
             template_id=str(record.get("template_id", "")),
             question=str(record["question"]),
             answers=tuple(answers),
             negatives=tuple(negatives),
             t_ref=parse_time_cached(t_ref, 1) if t_ref else None,
-            neighbor_object=record.get("neighbor_object"),
+            neighbor_object=neighbor_object,
             split=str(record.get("split", "train")),
         )
 
@@ -329,15 +338,14 @@ def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
     return _l2_question(group, t_r, *valid[0], question_id, split, templates)
 
 
-def gen_l3(group: FactGroup, seed: int | None = None, *, split: str = "train",
+def gen_l3(group: FactGroup, *, split: str = "train",
            templates: TemplateTable | None = None) -> list[Question]:
     """Before/after questions for chronologically adjacent fact pairs.
 
-    Extraction is deterministic (``seed`` is accepted for generator API
-    symmetry). A pair is skipped when its two objects normalize to the same
-    string or start in the same month, and a direction is skipped when its
-    pivot text also occurs earlier in the group, so every emitted question
-    has exactly one defensible answer.
+    Extraction is deterministic, so it takes no seed. A pair is skipped when
+    its two objects normalize to the same string or start in the same month,
+    and a direction is skipped when its pivot text also occurs earlier in the
+    group, so every emitted question has exactly one defensible answer.
     """
     templates = templates or load_templates()
     facts, keys = group.facts, group.keys

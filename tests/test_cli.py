@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, provenance metadata, determinism, pipelines."""
 
+import argparse
 import json
 
 import pytest
 
-from chronoqa.cli import main
+from chronoqa.cli import SUBCOMMANDS, build_parser, main
+from chronoqa.facts import build_groups, group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
 
 from conftest import YOSHIMURA_ROWS, synth_rows, write_facts
@@ -54,6 +56,39 @@ class TestExitCodes:
         path = write_facts(tmp_path / "facts.jsonl",
                            [dict(YOSHIMURA_ROWS[0], relation="P999")])
         assert run("gen-l2", "--facts", path, "--out-dir", str(tmp_path), "--strict") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-l1", "--count", "10", "--dev-count", "-1"],
+        ["gen-l1", "--count", "10", "--test-count", "-2"],
+        ["gen-l1", "--count", "-10"],
+        ["gen-l1", "--count", "10", "--range", "Foo 1000:Dec 2022"],
+        ["gen-l1", "--count", "10", "--range", "Jan 1000"],
+        ["gen-l2", "--facts", "absent.jsonl", "--max-subjects", "-1"],
+        ["gen-l3", "--facts", "absent.jsonl", "--min-facts", "-1"],
+        ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train:3,train:4"],
+        ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train:-3,test:5"],
+        ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train:abc"],
+        ["gen-l3", "--facts", "absent.jsonl", "--split-ratios", "train:0.8,test:0.4"],
+        ["gen-l3", "--facts", "absent.jsonl", "--split-ratios", "train:nan"],
+        ["gen-l2", "--facts", "absent.jsonl", "--snapshot", "Nov"],
+        ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train:5", "--split-ratios", "train:1.0"],
+        ["render", "--questions", "absent.jsonl", "--setting", "closedbook", "--out", "x.jsonl"],
+        ["render", "--questions", "absent.jsonl", "--setting", "reasonqa", "--out", "x.jsonl"],
+        ["mask", "--docs", "absent.jsonl", "--ratio", "0", "--out", "x.jsonl"],
+        ["mask", "--docs", "absent.jsonl", "--sentinel-pattern", "<mask>", "--out", "x.jsonl"],
+        ["eval", "--questions", "absent.jsonl", "--predictions", "absent.jsonl", "--period-edges", "2000,1990"],
+    ], ids=["negative-dev-count", "negative-test-count", "negative-count", "unparseable-range", "one-ended-range",
+            "negative-max-subjects", "negative-min-facts", "repeated-split", "negative-split", "non-numeric-split",
+            "ratios-above-one", "nan-ratio", "unparseable-snapshot", "both-split-specs", "unknown-setting",
+            "reasonqa-without-facts", "zero-mask-ratio", "sentinel-without-k", "decreasing-period-edges"])
+    def test_bad_flag_value_is_usage_error_before_any_read(self, tmp_path, monkeypatch, capsys, argv):
+        # Every input named here is absent, so reading any of them would be E_DATA.
+        monkeypatch.chdir(tmp_path)
+        if argv[0].startswith("gen-"):
+            argv = [*argv, "--out-dir", "out", "--templates", "absent.json"]
+        assert run(*argv) == 1
+        assert "E_USAGE" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -247,6 +282,15 @@ class TestStatsCli:
         assert l2_stats["subjects"] == facts_stats["subjects"]
         assert l2_stats["facts_per_subject"] == facts_stats["facts_per_subject"]
 
+    def test_fact_stats_follow_subject_cap_and_min_facts(self, tmp_path, facts_file):
+        out = tmp_path / "stats.json"
+        assert run("stats", "--facts", facts_file, "--max-subjects", "3", "--min-facts", "4", "--seed", "2",
+                   "--out", str(out)) == 0
+        expected = group_stats(build_groups(load_fact_file(facts_file), 2, max_subjects_per_relation=3,
+                                            min_facts=4))
+        assert json.loads(out.read_text())["facts_file"] == expected
+        assert expected["groups"] < group_stats(build_groups(load_fact_file(facts_file)))["groups"]
+
 
 class TestFileBoundary:
     @pytest.fixture
@@ -285,12 +329,24 @@ class TestFileBoundary:
         (json.dumps({"_meta": {"seed": 2}}), "a _meta header is only allowed on line 1"),
         (json.dumps(dict(l2_record("Q1", "q2"), answers="Mayor")), "answers must be a non-empty list of strings"),
         (json.dumps(dict(l2_record("Q1", "q2"), t_ref=2019)), "t_ref must be a time string or null"),
-    ], ids=["mid-file-meta", "string-answers", "number-t_ref"])
+        (json.dumps(dict(l2_record("Q1", "q2"), neighbor_object=7)), "neighbor_object must be a string or null"),
+        (json.dumps(l2_record(["Q1"], "q2")), "subject_id must be a string or null"),
+        (json.dumps(dict(l2_record("Q1", "q2"), relation=["P39"])), "relation must be a string or null"),
+        (json.dumps(dict(l2_record("Q1", "q2"), subject={"name": "Aiko Abe"})), "subject must be a string or null"),
+    ], ids=["mid-file-meta", "string-answers", "number-t_ref", "number-neighbor_object", "list-subject_id",
+            "list-relation", "object-subject"])
     def test_bad_question_line_is_named_by_path_and_line(self, tmp_path, capsys, bad_line, message):
         lines = [json.dumps({"_meta": {"seed": 1}}), json.dumps(l2_record("Q1")), "", bad_line]
         questions = write_lines(tmp_path / "q.jsonl", lines)
         assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
         assert f"{questions}:4: {message}" in capsys.readouterr().err
+
+    def test_list_article_subject_id_is_named_by_path_and_line(self, tmp_path, capsys):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
+        articles = write_lines(tmp_path / "a.jsonl", [json.dumps({"subject_id": ["Q1"], "text": "About Q1."})])
+        assert run("render", "--questions", questions, "--setting", "obqa", "--articles", articles,
+                   "--out", str(tmp_path / "out.jsonl")) == 2
+        assert f"{articles}:1: article subject_id must be a string or null" in capsys.readouterr().err
 
     def test_non_object_prediction_line_is_data_error(self, tmp_path, capsys):
         questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
@@ -306,3 +362,66 @@ class TestFileBoundary:
         assert run(command, "--questions", questions, "--predictions", predictions, *out) == 2
         assert "E_DATA" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestDeclaredFlags:
+    @pytest.fixture
+    def inputs(self, tmp_path, facts_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-l2", "--facts", facts_file, "--out-dir", ".", "--seed", "4") == 0
+        assert run("solve", "--questions", "l2_train.jsonl", "--facts", facts_file, "--out", "preds.jsonl") == 0
+        meta, records = read_jsonl("preds.jsonl")
+        write_lines(tmp_path / "stale_preds.jsonl", [json.dumps({"_meta": dict(meta, render_version="0.t0")}),
+                                                     *map(json.dumps, records)])
+        write_lines(tmp_path / "docs.jsonl", [json.dumps({"doc_id": "d1", "text": "Osaka in July 2019",
+                                                          "spans": [[0, 5, "entity"], [9, 18, "temporal"]]})])
+        return facts_file
+
+    def test_every_subcommand_reads_every_flag_it_declares(self, inputs):
+        facts = ["--facts", inputs]
+        argvs = {
+            "gen-l1": ["--out-dir", "out", "--count", "20", "--dev-count", "3", "--test-count", "2",
+                       "--range", "Jan 1950:Dec 1960"],
+            "gen-l1-future": ["--out-dir", "out", "--count", "10"],
+            "gen-l2": [*facts, "--out-dir", "out", "--split-counts", "train:6,test:3"],
+            "gen-l3": [*facts, "--out-dir", "out", "--split-ratios", "train:0.6,test:0.4"],
+            "render": [*facts, "--questions", "l2_train.jsonl", "--setting", "reasonqa", "--out", "r.jsonl"],
+            "mask": ["--docs", "docs.jsonl", "--out", "m.jsonl"],
+            "solve": [*facts, "--questions", "l2_train.jsonl", "--out", "p.jsonl"],
+            # mismatched render versions, so that --force is read
+            "eval": ["--questions", "l2_train.jsonl", "--predictions", "stale_preds.jsonl", "--force",
+                     "--out", "e.json"],
+            "reward": ["--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "w.jsonl"],
+            "stats": [*facts, "--questions", "l2_train.jsonl", "--out", "s.json"],
+        }
+        assert set(argvs) == set(SUBCOMMANDS)
+        unread = {}
+        for command, argv in argvs.items():
+            args = build_parser().parse_args([command, "--seed", "1", *argv], namespace=ReadRecorder())
+            declared = set(vars(args)) - {"_reads", "command", "func"}
+            args._reads.clear()
+            assert args.func(args) == 0, command
+            if declared - args._reads:
+                unread[command] = sorted(declared - args._reads)
+        assert unread == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--questions", "l2_train.jsonl", "--out", "p.jsonl", "--max-subjects", "5"],
+        ["eval", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--templates", "x"],
+    ], ids=["solve-max-subjects", "eval-templates"])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, inputs, capsys, argv):
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

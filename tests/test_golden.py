@@ -33,6 +33,13 @@ GOLDEN = {
     "reward_l3.jsonl": "4e6a5ed82d1e626da8a06ea2608b9362ccf75c1fecb882357c93abaa9121819b",
     "solve_l2.jsonl": "cc4adbd6557570d2575526593fe9f8f1e72b9a2cad2da318f897a6289174840e",
     "solve_l3.jsonl": "4b1605d6995bde3ef94d13bda9a3d1d5771b3c54625e8fdcdb4a57cd9857c33c",
+    # gen-l1 dev/test, the future set, mask and stats --out
+    "l1_splits/l1_dev.jsonl": "ee11ee67c266c17ccd93b5f5eab5565f8f1924648a706f939c082d0a88cc0db9",
+    "l1_splits/l1_test.jsonl": "18739fbbbae60dd20aee2f80c655f467ac1a907a4fac6b7f7dac972be04d119f",
+    "l1_splits/l1_train.jsonl": "75a69cf9bd7324405d6b3e4dd3d5c8a339c04e1bf6474cf6d518533f06e9e4c6",
+    "l1_future.jsonl": "5e8c3092dd64169ce68fefb9575e106bea98a54917fc0888a84adb932a1b38ec",
+    "mask.jsonl": "0bd8a7d7bd1443cf2c6ea01900fc6b450a3f43cd8fdfe805040536d7877b9306",
+    "stats.json": "1efb83bd3784193174dab631fe7efba43811858d394c2b6783ed7ad05fbcb149",
 }
 
 
@@ -44,6 +51,23 @@ def _facts():
     for index in (2, 30, 45):
         rows[index]["object"] = rows[index - 2]["object"].upper() + "!"
     return rows
+
+
+def _docs():
+    """Annotated documents for ``mask``, one per fact sentence, plus one
+    without spans, which ``mask`` skips."""
+    docs = []
+    for i, row in enumerate(_facts()[:12]):
+        pieces = [(row["subject"], "entity"), (" held ", None), (row["object"], "entity"),
+                  (" from ", None), (row["start"], "temporal"), (" to ", None), (row["end"], "temporal")]
+        text, spans = "", []
+        for piece, kind in pieces:
+            if kind:
+                spans.append([len(text), len(text) + len(piece), kind])
+            text += piece
+        docs.append({"doc_id": f"d{i}", "text": text + ".", "spans": spans})
+    docs.append({"doc_id": "plain", "text": "No spans here.", "spans": []})
+    return docs
 
 
 def _prediction_mix(questions_path, out_path, seed):
@@ -80,6 +104,7 @@ def _digest(path) -> str:
 def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative paths keep the _meta config stable
     write_facts(tmp_path / "facts.jsonl", _facts())
+    (tmp_path / "docs.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in _docs()))
     fact_flags = ["--facts", "facts.jsonl", "--seed", "11"]
     commands = [
         ["gen-l2", *fact_flags, "--out-dir", "out", "--split-counts", "train:12,test:5"],
@@ -87,6 +112,12 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
         ["gen-l1", "--out-dir", "out", "--count", "80", "--seed", "11", "--range", "Jan 1890:Dec 2030"],
         ["render", *fact_flags, "--questions", "out/l2_train.jsonl", "--setting", "reasonqa",
          "--out", "out/render_l2.jsonl"],
+        ["gen-l1", "--out-dir", "out/l1_splits", "--count", "40", "--dev-count", "7", "--test-count", "5",
+         "--seed", "11", "--range", "Jan 1890:Dec 2030"],
+        ["gen-l1-future", "--out-dir", "out", "--count", "30", "--seed", "11"],
+        ["mask", "--docs", "docs.jsonl", "--ratio", "0.5", "--seed", "11", "--out", "out/mask.jsonl"],
+        ["stats", *fact_flags, "--max-subjects", "7", "--min-facts", "4",
+         "--questions", "out/l2_train.jsonl", "out/l3_train.jsonl", "--out", "out/stats.json"],
     ]
     for level in ("l2", "l3"):
         commands.append(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
@@ -109,5 +140,6 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
                          "--out", f"out/reward_{level}.jsonl"]) == 0
     capsys.readouterr()
 
-    digests = {path.name: _digest(path) for path in sorted((tmp_path / "out").iterdir())}
+    out = tmp_path / "out"
+    digests = {path.relative_to(out).as_posix(): _digest(path) for path in out.rglob("*") if path.is_file()}
     assert digests == GOLDEN

@@ -151,7 +151,7 @@ class TestDispatch:
         questions = []
         for group in groups:
             questions += gen_l2(group, seed=3)
-            questions += gen_l3(group, seed=3)
+            questions += gen_l3(group)
         questions += gen_l1((TimePoint(1900, 1), TimePoint(2000, 12)), 50, seed=3)
         for q in questions:
             answer = solve(q, index)
