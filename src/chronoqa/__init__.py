@@ -9,32 +9,26 @@ token F1, year error metrics, and a temporally-aware reward.
 
 __version__ = "0.1.0"
 
-from .contexts import AnnotatedDocument, RenderedExample, mask_spans, render, unmask
-from .facts import Fact, FactGroup, FactStore, build_groups, ingest, load_fact_file, split_subjects
-from .oracle import OracleAnswer, solve, solve_l1, solve_l2, solve_l3
-from .questions import Question, gen_l1, gen_l1_future, gen_l2, gen_l3, l2_question_at
-from .scoring import (
-    EvalReport,
-    Prediction,
-    RewardRecord,
-    evaluate,
-    normalize,
-    reward,
-    score_em,
-    score_f1,
-    score_numeric,
-)
-from .templates import TemplateTable, load_templates
-from .timeline import Offset, TimeInterval, TimePoint, compare, format_time, parse_time, shift
+# Each public name and the module that defines it. A name is imported on
+# first use (PEP 562), so ``import chronoqa`` loads no submodule.
+_EXPORTS = {
+    "contexts": ("AnnotatedDocument", "RenderedExample", "mask_spans", "render", "unmask"),
+    "facts": ("Fact", "FactGroup", "FactStore", "build_groups", "ingest", "load_fact_file", "split_subjects"),
+    "oracle": ("OracleAnswer", "solve", "solve_l1", "solve_l2", "solve_l3"),
+    "questions": ("Question", "gen_l1", "gen_l1_future", "gen_l2", "gen_l3", "l2_question_at"),
+    "scoring": ("EvalReport", "Prediction", "RewardRecord", "evaluate", "normalize",
+                "reward", "score_em", "score_f1", "score_numeric"),
+    "templates": ("TemplateTable", "load_templates"),
+    "timeline": ("Offset", "TimeInterval", "TimePoint", "compare", "format_time", "parse_time", "shift"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AnnotatedDocument", "RenderedExample", "mask_spans", "render", "unmask",
-    "Fact", "FactGroup", "FactStore", "build_groups", "ingest", "load_fact_file", "split_subjects",
-    "OracleAnswer", "solve", "solve_l1", "solve_l2", "solve_l3",
-    "Question", "gen_l1", "gen_l1_future", "gen_l2", "gen_l3", "l2_question_at",
-    "EvalReport", "Prediction", "RewardRecord", "evaluate", "normalize",
-    "reward", "score_em", "score_f1", "score_numeric",
-    "TemplateTable", "load_templates",
-    "Offset", "TimeInterval", "TimePoint", "compare", "format_time", "parse_time", "shift",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, so -X importtime reports it
+    value = globals()[name] = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
+    return value

@@ -11,44 +11,20 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 internal.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import sys
 from functools import partial
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .contexts import (
-    DEFAULT_SENTINEL_PATTERN,
-    RENDER_FORMAT,
-    AnnotatedDocument,
-    canonical_setting,
-    mask_corpus,
-    render,
-    sentinel_parts,
-)
-from .facts import (
-    DEFAULT_SNAPSHOT,
-    MAX_SUBJECTS_PER_RELATION,
-    MIN_FACTS_PER_GROUP,
-    FactGroup,
-    build_groups,
-    group_stats,
-    load_fact_file,
-    split_subjects,
-)
 from .jsonl import load_jsonl, write_json, write_jsonl
-from .oracle import SubjectIndex, index_groups, solve
-from .questions import Question, gen_l1, gen_l1_future, gen_l2, gen_l3, partition_l1
-from .scoring import (
-    DEFAULT_PERIOD_EDGES,
-    Prediction,
-    evaluate,
-    reward_records,
-)
-from .templates import load_templates
-from .timeline import TimePoint, format_time, parse_time
+
+if TYPE_CHECKING:  # each handler imports the modules it runs
+    from .facts import FactGroup
+    from .timeline import TimePoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,9 +38,44 @@ class UsageError(Exception):
     pass
 
 
+def _lookup(module: str, name: str):
+    """``chronoqa.<module>.<name>``, importing the module on first use.
+    ``__import__`` is what an import statement calls, so ``-X importtime``
+    reports the import; ``importlib.import_module`` would hide it."""
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
+def _deferred(module: str, name: str):
+    """``chronoqa.<module>.<name>`` as a flag type that imports its module
+    only when the flag is given."""
+    return lambda text: _lookup(module, name)(text)
+
+
+class _Default:
+    """A flag default defined by another module, looked up once a parse
+    needs it, so building the parser imports no module."""
+
+    def __init__(self, module: str, name: str, as_text=None) -> None:
+        self.module, self.name, self.as_text = module, name, as_text
+
+    def value(self):
+        value = _lookup(self.module, self.name)
+        return value if self.as_text is None else self.as_text(value)
+
+    def __str__(self) -> str:  # for --help
+        return str(self.value())
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our exit codes
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, _Default):
+                setattr(namespace, dest, value.value())
+        return namespace, extras
 
 
 def _default_seed() -> int:
@@ -76,7 +87,7 @@ def _default_seed() -> int:
 
 
 def _parse_point(text: str) -> TimePoint:
-    return parse_time(text.strip())
+    return _lookup("timeline", "parse_time")(text.strip())
 
 
 def _parse_range(text: str) -> tuple[TimePoint, TimePoint]:
@@ -158,13 +169,10 @@ def _meta(args, render_version: str, config: dict) -> dict:
     }
 
 
-def _render_version(templates) -> str:
-    return f"{RENDER_FORMAT}.t{templates.version}"
-
-
 def _load_groups(args, templates, max_subjects: int = 1 << 60, min_facts: int = 1) -> list[FactGroup]:
     """The fact file's groups. The defaults keep every group: solving and
     rendering must see every group a question may reference."""
+    from .facts import build_groups, load_fact_file
     store = load_fact_file(args.facts, snapshot=_parse_point(args.snapshot),
                            relation_codes=templates.relation_codes, strict=args.strict)
     for diagnostic in store.diagnostics:
@@ -179,9 +187,10 @@ def _write_records(path, records, meta: dict, noun: str) -> None:
 
 def _write_questions(args, templates, config: dict, level: str, partitions: dict) -> None:
     """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``."""
+    from pathlib import Path
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(args, _render_version(templates), config)
+    meta = _meta(args, templates.render_version, config)
     for split, questions in partitions.items():
         _write_records(out_dir / f"{level}_{split}.jsonl", (q.to_record() for q in questions), meta,
                        "questions")
@@ -191,6 +200,8 @@ def _write_questions(args, templates, config: dict, level: str, partitions: dict
 # subcommands
 
 def cmd_gen_l1(args) -> int:
+    from .questions import gen_l1, partition_l1
+    from .templates import load_templates
     templates = load_templates(args.templates)
     counts = {"train": args.count, "dev": args.dev_count, "test": args.test_count}
     counts = {name: count for name, count in counts.items() if count or name == "train"}
@@ -201,6 +212,8 @@ def cmd_gen_l1(args) -> int:
 
 
 def cmd_gen_l1_future(args) -> int:
+    from .questions import gen_l1_future
+    from .templates import load_templates
     templates = load_templates(args.templates)
     questions = gen_l1_future(args.count, args.seed, templates=templates)
     _write_questions(args, templates, {"count": args.count, "templates": args.templates}, "l1",
@@ -212,6 +225,9 @@ def cmd_gen_grouped(args) -> int:
     """gen-l2 and gen-l3: questions from each fact group, split by subject."""
     if args.split_counts and args.split_ratios:
         raise UsageError("give at most one of --split-counts and --split-ratios")
+    from .facts import split_subjects
+    from .questions import gen_l2, gen_l3
+    from .templates import load_templates
     level = args.command[len("gen-"):]
     generator = partial(gen_l2, seed=args.seed) if level == "l2" else gen_l3
     templates = load_templates(args.templates)
@@ -251,6 +267,10 @@ def cmd_render(args) -> int:
         raise UsageError("--facts is required for the ReasonQA setting")
     if setting == "OBQA" and not args.articles:
         raise UsageError("--articles is required for the OBQA setting")
+    from .contexts import render
+    from .oracle import SubjectIndex, index_groups
+    from .questions import Question
+    from .templates import load_templates
     templates = load_templates(args.templates)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
     groups = index_groups(_load_groups(args, templates)) if setting == "ReasonQA" else None
@@ -263,7 +283,7 @@ def cmd_render(args) -> int:
         example = render(question, group, article, setting=setting, seed=args.seed, templates=templates)
         records.append(example.to_record())
 
-    render_version = (meta_in or {}).get("render_version", _render_version(templates))
+    render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "setting": setting, "facts": args.facts,
               "articles": args.articles, "templates": args.templates}
     _write_records(args.out, records, _meta(args, render_version, config), "rendered examples")
@@ -271,17 +291,22 @@ def cmd_render(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    from .contexts import AnnotatedDocument, mask_corpus
+    from .templates import RENDER_FORMAT
     _, docs = load_jsonl(args.docs, AnnotatedDocument.from_record)
     masked, diagnostics = mask_corpus(docs, args.ratio, args.seed, args.sentinel_pattern)
     for message in diagnostics:
         print(f"warning: {args.docs}: {message}", file=sys.stderr)
     config = {"docs": args.docs, "ratio": args.ratio, "sentinel_pattern": args.sentinel_pattern}
-    count = write_jsonl(args.out, masked, _meta(args, f"{RENDER_FORMAT}", config))
+    count = write_jsonl(args.out, masked, _meta(args, str(RENDER_FORMAT), config))
     print(f"wrote {count} masked documents to {args.out} ({len(diagnostics)} skipped)")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    from .oracle import index_groups, solve
+    from .questions import Question
+    from .templates import load_templates
     templates = load_templates(args.templates)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
     groups = index_groups(_load_groups(args, templates)) if args.facts else None
@@ -289,7 +314,7 @@ def cmd_solve(args) -> int:
     for question in questions:
         answer = solve(question, groups, templates)
         records.append({"id": question.id, "prediction": answer.answers[0] if answer.answers else ""})
-    render_version = (meta_in or {}).get("render_version", _render_version(templates))
+    render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
     _write_records(args.out, records, _meta(args, render_version, config), "predictions")
     return EXIT_OK
@@ -305,6 +330,8 @@ def _print_block(label: str, block) -> None:
 
 
 def cmd_eval(args) -> int:
+    from .questions import Question
+    from .scoring import Prediction, evaluate
     meta_q, questions = load_jsonl(args.questions, Question.from_record)
     meta_p, predictions = load_jsonl(args.predictions, Prediction.from_record)
     version_q = (meta_q or {}).get("render_version")
@@ -330,6 +357,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reward(args) -> int:
+    from .questions import Question
+    from .scoring import Prediction, reward_records
     meta_q, questions = load_jsonl(args.questions, Question.from_record)
     _, predictions = load_jsonl(args.predictions, Prediction.from_record)
     records = reward_records(questions, predictions)
@@ -346,6 +375,9 @@ def cmd_reward(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .facts import group_stats
+    from .questions import Question
+    from .templates import load_templates
     payload: dict = {}
     if args.facts:
         templates = load_templates(args.templates)
@@ -405,16 +437,16 @@ def _fact_flags(required: bool = False) -> list:
     return [
         _flag("--facts", required=required, help="fact file (JSONL quintuplets)"),
         _flag("--snapshot", type=_flag_type(_parse_point, keep_text=True),
-              default=format_time(DEFAULT_SNAPSHOT),
+              default=_Default("timeline", "DEFAULT_SNAPSHOT", str),
               help="KB snapshot month closing ongoing facts (default: %(default)s)"),
         _flag("--strict", action="store_true", help="fail on the first malformed fact row"),
     ]
 
 
 _GROUP_LIMITS = [
-    _flag("--max-subjects", type=_COUNT, default=MAX_SUBJECTS_PER_RELATION,
+    _flag("--max-subjects", type=_COUNT, default=_Default("facts", "MAX_SUBJECTS_PER_RELATION"),
           help="subject cap per relation (default: %(default)s)"),
-    _flag("--min-facts", type=_COUNT, default=MIN_FACTS_PER_GROUP,
+    _flag("--min-facts", type=_COUNT, default=_Default("facts", "MIN_FACTS_PER_GROUP"),
           help="minimum facts per surviving group (default: %(default)s)"),
 ]
 
@@ -442,15 +474,17 @@ SUBCOMMANDS = {
     "gen-l3": (cmd_gen_grouped, "generate L3 questions from a fact file", _GEN_GROUPED),
     "render": (cmd_render, "render prompts for a setting", [
         _TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT,
-        _flag("--setting", type=_flag_type(canonical_setting), required=True, help="cbqa | obqa | reasonqa"),
+        _flag("--setting", type=_flag_type(_deferred("contexts", "canonical_setting")), required=True,
+              help="cbqa | obqa | reasonqa"),
         _flag("--articles", help="JSONL of {subject_id, text} for OBQA"),
     ]),
     "mask": (cmd_mask, "mask entity/temporal spans in annotated documents", [
         _flag("--docs", required=True), _OUT,
         _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
               help="fraction of spans to mask (default: %(default)s)"),
-        _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True),
-              default=DEFAULT_SENTINEL_PATTERN, help="sentinel format containing {k} (default: %(default)s)"),
+        _flag("--sentinel-pattern", type=_flag_type(_deferred("contexts", "sentinel_parts"), keep_text=True),
+              default=_Default("contexts", "DEFAULT_SENTINEL_PATTERN"),
+              help="sentinel format containing {k} (default: %(default)s)"),
     ]),
     "solve": (cmd_solve, "answer questions with the symbolic solver",
               [_TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT]),
@@ -458,7 +492,7 @@ SUBCOMMANDS = {
         _QUESTIONS, _PREDICTIONS,
         _flag("--breakdown", choices=("period", "relation"), default="period"),
         _flag("--period-edges", type=_flag_type(_parse_edges, keep_text=True),
-              default=",".join(str(e) for e in DEFAULT_PERIOD_EDGES),
+              default=_Default("scoring", "DEFAULT_PERIOD_EDGES", lambda edges: ",".join(map(str, edges))),
               help="bucket edges for the period breakdown (default: %(default)s)"),
         _flag("--missing", choices=("zero", "error"), default="zero",
               help="policy for questions without a prediction (default: %(default)s)"),
@@ -496,7 +530,13 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         if args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        collecting = gc.isenabled()
+        gc.disable()  # every record a run builds is acyclic; the collector would only re-scan them
+        try:
+            return args.func(args)
+        finally:
+            if collecting:
+                gc.enable()
     except UsageError as exc:
         print(f"chronoqa: error [E_USAGE] {exc}", file=sys.stderr)
         return EXIT_USAGE

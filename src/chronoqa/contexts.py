@@ -17,29 +17,25 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .facts import FactGroup
-from .questions import Question
 from .templates import TemplateTable, load_templates
 from .timeline import format_time
+
+if TYPE_CHECKING:
+    from .facts import FactGroup
+    from .questions import Question
 
 SETTINGS = ("CBQA", "OBQA", "ReasonQA")
 SPAN_KINDS = ("entity", "temporal")
 DEFAULT_SENTINEL_PATTERN = "<mask_{k}>"
-
-# Bump when the prompt wording below changes; artifacts record it so mixed
-# datasets are detectable at evaluation time.
-RENDER_FORMAT = 1
 
 
 class RenderError(ValueError):
     """A required context (facts or article) was missing or malformed."""
 
 
-@dataclass(frozen=True, slots=True)
-class RenderedExample:
+class RenderedExample(NamedTuple):
     id: str
     setting: str
     prompt: str
@@ -49,8 +45,7 @@ class RenderedExample:
         return {"id": self.id, "setting": self.setting, "prompt": self.prompt, "target": self.target}
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedDocument:
+class AnnotatedDocument(NamedTuple):
     """Text with character-offset entity/temporal spans.
 
     Spans must be in bounds, non-overlapping, and sorted by start offset.
@@ -60,24 +55,31 @@ class AnnotatedDocument:
     text: str
     spans: tuple[tuple[int, int, str], ...]
 
-    def __post_init__(self) -> None:
-        previous_end = 0
-        for start, end, kind in self.spans:
-            if kind not in SPAN_KINDS:
-                raise ValueError(f"document {self.doc_id!r}: unknown span kind {kind!r}")
-            if not 0 <= start < end <= len(self.text):
-                raise ValueError(f"document {self.doc_id!r}: span ({start}, {end}) out of bounds")
-            if start < previous_end:
-                raise ValueError(f"document {self.doc_id!r}: spans overlap or are unsorted at offset {start}")
-            previous_end = end
-
     @classmethod
     def from_record(cls, record: Mapping) -> "AnnotatedDocument":
-        return cls(
-            doc_id=str(record["doc_id"]),
-            text=str(record["text"]),
-            spans=tuple((int(s), int(e), str(k)) for s, e, k in record["spans"]),
-        )
+        doc_id, text, spans = record["doc_id"], record["text"], record["spans"]
+        if not (isinstance(doc_id, str) and isinstance(text, str) and isinstance(spans, list)):
+            raise ValueError("doc_id and text must be strings and spans a list")
+        return cls(doc_id, text, tuple((start, end, kind) for start, end, kind in spans))
+
+
+def _annotated_document(cls, doc_id: str, text: str, spans: tuple) -> AnnotatedDocument:
+    # The validating constructor; typing.NamedTuple refuses one in the class body.
+    previous_end = 0
+    for start, end, kind in spans:
+        if type(start) is not int or type(end) is not int:  # a bool is not an offset either
+            raise ValueError(f"document {doc_id!r}: span offsets must be integers, got ({start!r}, {end!r})")
+        if kind not in SPAN_KINDS:
+            raise ValueError(f"document {doc_id!r}: unknown span kind {kind!r}")
+        if not 0 <= start < end <= len(text):
+            raise ValueError(f"document {doc_id!r}: span ({start}, {end}) out of bounds")
+        if start < previous_end:
+            raise ValueError(f"document {doc_id!r}: spans overlap or are unsorted at offset {start}")
+        previous_end = end
+    return tuple.__new__(cls, (doc_id, text, spans))
+
+
+AnnotatedDocument.__new__ = _annotated_document
 
 
 def canonical_setting(name: str) -> str:

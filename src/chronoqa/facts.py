@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .jsonl import read_rows
 from .scoring import normalized_key
 from .templates import load_templates
-from .timeline import TimeInterval, TimePoint, parse_time_cached
+from .timeline import DEFAULT_SNAPSHOT, TimeInterval, TimePoint, parse_time_cached
 
-DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
 MAX_SUBJECTS_PER_RELATION = 2000
 MIN_FACTS_PER_GROUP = 3
 
@@ -30,8 +28,7 @@ class FactValidationError(ValueError):
     """A fact row failed validation while ingesting in strict mode."""
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One rejected input row."""
 
     line: int
@@ -41,8 +38,7 @@ class Diagnostic:
         return f"line {self.line}: {self.message}"
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
+class Fact(NamedTuple):
     """One time-scoped KB statement: subject held `object` over `interval`."""
 
     subject: str
@@ -58,19 +54,31 @@ class Fact:
         return (start.year, start.month, end.year, end.month, self.object)
 
 
-@dataclass(frozen=True, slots=True)
 class FactGroup:
     """All facts sharing (subject_id, relation), sorted by
-    :meth:`Fact.sort_key` on construction whatever order they arrive in."""
+    :meth:`Fact.sort_key` on construction whatever order they arrive in.
 
-    subject: str
-    subject_id: str
-    relation: str
-    facts: tuple[Fact, ...]
-    _keys: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    Groups compare and hash by their four fields, so do not change a group
+    once it is in use."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", tuple(sorted(self.facts, key=Fact.sort_key)))
+    __slots__ = ("subject", "subject_id", "relation", "facts", "_keys")
+
+    def __init__(self, subject: str, subject_id: str, relation: str, facts: Iterable[Fact]) -> None:
+        self.subject, self.subject_id, self.relation = subject, subject_id, relation
+        self.facts: tuple[Fact, ...] = tuple(sorted(facts, key=Fact.sort_key))
+        self._keys: tuple[str, ...] | None = None
+
+    def _fields(self) -> tuple:
+        return (self.subject, self.subject_id, self.relation, self.facts)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FactGroup and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "FactGroup(subject=%r, subject_id=%r, relation=%r, facts=%r)" % self._fields()
 
     @property
     def key(self) -> tuple[str, str]:
@@ -81,12 +89,11 @@ class FactGroup:
         """The scoring key of each fact's object, aligned with ``facts``;
         computed on first use, so grouping itself normalizes nothing."""
         if self._keys is None:
-            object.__setattr__(self, "_keys", tuple(normalized_key(fact.object) for fact in self.facts))
+            self._keys = tuple(normalized_key(fact.object) for fact in self.facts)
         return self._keys
 
 
-@dataclass(frozen=True, slots=True)
-class FactStore:
+class FactStore(NamedTuple):
     """Validated facts plus the diagnostics produced while ingesting."""
 
     facts: tuple[Fact, ...]
@@ -181,10 +188,9 @@ def build_groups(store: FactStore, seed: int = 0, *,
     for (subject_id, relation), group_facts in by_key.items():
         if len(group_facts) < min_facts:
             continue
-        group = FactGroup(group_facts[0].subject, subject_id, relation, tuple(group_facts))
-        if group.facts[0].subject != group.subject:  # the name comes from the earliest fact
-            group = replace(group, subject=group.facts[0].subject)
-        surviving[(subject_id, relation)] = group
+        group = surviving[(subject_id, relation)] = FactGroup(group_facts[0].subject, subject_id, relation,
+                                                              group_facts)
+        group.subject = group.facts[0].subject  # the name comes from the earliest fact
 
     kept_subjects: dict[str, set[str]] = {}
     relations = sorted({relation for _, relation in surviving})

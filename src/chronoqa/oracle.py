@@ -9,11 +9,8 @@ trace can be audited independently of the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generic, Iterable, TypeVar
+from typing import TYPE_CHECKING, Generic, Iterable, NamedTuple, TypeVar
 
-from .facts import FactGroup
-from .questions import Question
 from .scoring import normalized_key
 from .templates import TemplateTable, load_templates
 from .timeline import (
@@ -29,6 +26,10 @@ from .timeline import (
     shift,
 )
 
+if TYPE_CHECKING:
+    from .facts import FactGroup
+    from .questions import Question
+
 
 T = TypeVar("T")
 
@@ -37,8 +38,7 @@ class OracleError(ValueError):
     """The solver could not interpret a question or locate its facts."""
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
+class OracleAnswer(NamedTuple):
     """Ranked answer texts plus the trace that produced them.
 
     ``answers`` is empty when no fact satisfies the question ("no valid
@@ -46,7 +46,7 @@ class OracleAnswer:
     """
 
     answers: tuple[str, ...]
-    rationale: dict = field(default_factory=dict)
+    rationale: dict
 
     @property
     def no_valid_answer(self) -> bool:

@@ -15,12 +15,10 @@ worker scheduling or group order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .facts import FactGroup
-from .templates import DIRECTIONS, TemplateTable, load_templates
 from .timeline import (
+    DIRECTIONS,
     SAME,
     Offset,
     TimePoint,
@@ -33,10 +31,15 @@ from .timeline import (
     time_from_month_index,
 )
 
+if TYPE_CHECKING:
+    from .facts import FactGroup
+    from .templates import TemplateTable
+
 LEVELS = ("L1", "L2", "L3")
 FUTURE_RANGE = (TimePoint(2022, 1), TimePoint(2040, 12))
 MAX_YEAR_OFFSET = 10
 MAX_MONTH_OFFSET = 11
+_TEXT_FIELDS = ("id", "question", "template_id", "split")
 _OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
 _TEXT_OR_NULL = (str, type(None))
 
@@ -45,8 +48,7 @@ class CapacityError(ValueError):
     """More unique questions were requested than the range can yield."""
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
+class Question(NamedTuple):
     """One generated QA record.
 
     ``answers`` holds every currently correct object (the primary gold
@@ -85,9 +87,15 @@ class Question:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Question":
-        level = str(record["level"])
+        level = record["level"]
         if level not in LEVELS:
             raise ValueError(f"unknown question level {level!r}")
+        texts = (record["id"], record["question"], record.get("template_id", ""), record.get("split", "train"))
+        question_id, question, template_id, split = texts
+        if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
+                and isinstance(split, str)):
+            name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
+            raise ValueError(f"{name} must be a string")
         answers, negatives = record["answers"], record.get("negatives", [])
         if not (isinstance(answers, list) and answers and isinstance(negatives, list)
                 and _all_strings(answers) and _all_strings(negatives)):
@@ -102,20 +110,16 @@ class Question:
             name = next(name for name in _OPTIONAL_TEXT_FIELDS
                         if not isinstance(record.get(name), _TEXT_OR_NULL))
             raise ValueError(f"{name} must be a string or null")
-        return cls(
-            id=str(record["id"]),
-            level=level,
-            relation=relation,
-            subject=subject,
-            subject_id=subject_id,
-            template_id=str(record.get("template_id", "")),
-            question=str(record["question"]),
-            answers=tuple(answers),
-            negatives=tuple(negatives),
-            t_ref=parse_time_cached(t_ref, 1) if t_ref else None,
-            neighbor_object=neighbor_object,
-            split=str(record.get("split", "train")),
-        )
+        # By position: a keyword call costs more, once per record.
+        return cls(question_id, level, relation, subject, subject_id, template_id, question, tuple(answers),
+                   tuple(negatives), parse_time_cached(t_ref, 1) if t_ref else None, neighbor_object, split)
+
+
+def _default_templates() -> TemplateTable:
+    # Imported here: reading a question file (eval, reward) needs no templates.
+    from .templates import load_templates
+
+    return load_templates()
 
 
 def _all_strings(items: list) -> bool:
@@ -144,20 +148,10 @@ def _render_l1(templates: TemplateTable, template, direction: str, t: TimePoint,
         t_text, answer = str(t.year), str(result.year)
     else:
         t_text, answer = format_time(t), format_time(result)
-    return Question(
-        id=f"l1-{split}-{sequence:06d}",
-        level="L1",
-        relation=None,
-        subject=None,
-        subject_id=None,
-        template_id=f"{template.id}_{direction}",
-        question=templates.render_l1(template, direction, x, y, t_text),
-        answers=(answer,),
-        negatives=(),
-        t_ref=t,
-        neighbor_object=None,
-        split=split,
-    )
+    return Question(id=f"l1-{split}-{sequence:06d}", level="L1", relation=None, subject=None, subject_id=None,
+                    template_id=f"{template.id}_{direction}",
+                    question=templates.render_l1(template, direction, x, y, t_text),
+                    answers=(answer,), negatives=(), t_ref=t, neighbor_object=None, split=split)
 
 
 def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
@@ -169,7 +163,7 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     templates draw a reference month. Offsets whose result would fall before
     year 1 are never emitted.
     """
-    templates = templates or load_templates()
+    templates = templates or _default_templates()
     start, end = time_range
     if end < start:
         raise ValueError(f"empty time range: {format_time(start)}..{format_time(end)}")
@@ -259,7 +253,7 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
         chunk = pool[cursor:cursor + size]
         cursor += size
         partitions[name] = [
-            replace(question, split=name, id=f"l1-{name}-{i:06d}")
+            question._replace(split=name, id=f"l1-{name}-{i:06d}")
             for i, question in enumerate(chunk)
         ]
     return partitions
@@ -287,20 +281,11 @@ def _l2_question(group: FactGroup, t_r: TimePoint, primary: str, primary_key: st
                  split: str, templates: TemplateTable) -> Question:
     valid, negatives = _objects_at(group, t_r)
     answers = [primary] + [obj for obj, key in valid if key != primary_key]
-    return Question(
-        id=question_id,
-        level="L2",
-        relation=group.relation,
-        subject=group.subject,
-        subject_id=group.subject_id,
-        template_id=f"{group.relation}_l2",
-        question=templates.render_l2(group.relation, group.subject, format_time(t_r)),
-        answers=tuple(answers),
-        negatives=tuple(negatives),
-        t_ref=t_r,
-        neighbor_object=None,
-        split=split,
-    )
+    return Question(id=question_id, level="L2", relation=group.relation, subject=group.subject,
+                    subject_id=group.subject_id, template_id=f"{group.relation}_l2",
+                    question=templates.render_l2(group.relation, group.subject, format_time(t_r)),
+                    answers=tuple(answers), negatives=tuple(negatives), t_ref=t_r, neighbor_object=None,
+                    split=split)
 
 
 def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
@@ -311,7 +296,7 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
     Answers list every object valid at the sampled month (the sampled fact's
     object first); negatives are the group's objects not valid then.
     """
-    templates = templates or load_templates()
+    templates = templates or _default_templates()
     rng = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}")
     questions = []
     for j, (fact, key) in enumerate(zip(group.facts, group.keys)):
@@ -330,7 +315,7 @@ def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
     The primary gold is the earliest-starting object valid at ``t_r``; there
     must be at least one.
     """
-    templates = templates or load_templates()
+    templates = templates or _default_templates()
     valid, _ = _objects_at(group, t_r)
     if not valid:
         raise ValueError(f"no object in the group is valid at {format_time(t_r)}")
@@ -347,7 +332,7 @@ def gen_l3(group: FactGroup, *, split: str = "train",
     and a direction is skipped when its pivot text also occurs earlier in the
     group, so every emitted question has exactly one defensible answer.
     """
-    templates = templates or load_templates()
+    templates = templates or _default_templates()
     facts, keys = group.facts, group.keys
     first_occurrence: dict[str, int] = {}
     for i, key in enumerate(keys):
@@ -362,20 +347,12 @@ def gen_l3(group: FactGroup, *, split: str = "train",
                 continue
             seen.add(key)
             negatives.append(fact.object)
-        return Question(
-            id=f"l3-{split}-{group.subject_id}-{group.relation}-{i}-{direction}",
-            level="L3",
-            relation=group.relation,
-            subject=group.subject,
-            subject_id=group.subject_id,
-            template_id=f"{group.relation}_l3_{direction}",
-            question=templates.render_l3(group.relation, direction, group.subject, pivot),
-            answers=(facts[gold_index].object,),
-            negatives=tuple(negatives),
-            t_ref=None,
-            neighbor_object=pivot,
-            split=split,
-        )
+        return Question(id=f"l3-{split}-{group.subject_id}-{group.relation}-{i}-{direction}", level="L3",
+                        relation=group.relation, subject=group.subject, subject_id=group.subject_id,
+                        template_id=f"{group.relation}_l3_{direction}",
+                        question=templates.render_l3(group.relation, direction, group.subject, pivot),
+                        answers=(facts[gold_index].object,), negatives=tuple(negatives), t_ref=None,
+                        neighbor_object=pivot, split=split)
 
     questions = []
     for i in range(len(facts) - 1):

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import re
 import string
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from collections import Counter, defaultdict
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .questions import Question
@@ -74,8 +73,7 @@ def extract_year(text: str) -> int | None:
     return int(match.group()) if match else None
 
 
-@dataclass(frozen=True, slots=True)
-class NumericScore:
+class NumericScore(NamedTuple):
     """Year-prediction scores for one item."""
 
     abs_err: int | None  # None when the prediction has no parseable year
@@ -98,24 +96,24 @@ def score_numeric(prediction: str, gold_year: int, ref_year: int) -> NumericScor
     return NumericScore(abs_err=abs(pred_year - gold_year), trend_correct=pred_side == gold_side, parsed=True)
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     id: str
     prediction: str
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Prediction":
-        prediction = record["prediction"]
+        prediction_id, prediction = record["id"], record["prediction"]
+        if not isinstance(prediction_id, str):
+            raise ValueError(f"id must be a string, got {type(prediction_id).__name__}")
         if not isinstance(prediction, str):
             raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
-        return cls(id=str(record["id"]), prediction=prediction)
+        return cls(prediction_id, prediction)
 
     def to_record(self) -> dict:
         return {"id": self.id, "prediction": self.prediction}
 
 
-@dataclass(frozen=True, slots=True)
-class RewardRecord:
+class RewardRecord(NamedTuple):
     """Per-prediction positive score, best negative score, and reward."""
 
     id: str
@@ -181,15 +179,12 @@ def reward_records(questions: Sequence["Question"], predictions: Iterable[Predic
             for question in questions]
 
 
-@dataclass
 class _Accumulator:
-    count: int = 0
-    em_sum: int = 0
-    f1_sum: float = 0.0
-    numeric_count: int = 0
-    parsed_count: int = 0
-    abs_err_sum: int = 0
-    trend_correct: int = 0
+    __slots__ = ("count", "em_sum", "f1_sum", "numeric_count", "parsed_count", "abs_err_sum", "trend_correct")
+
+    def __init__(self) -> None:
+        self.count = self.em_sum = self.numeric_count = self.parsed_count = self.abs_err_sum = 0
+        self.trend_correct, self.f1_sum = 0, 0.0
 
     def add(self, em: int, f1: float, numeric: NumericScore | None) -> None:
         self.count += 1
@@ -212,8 +207,7 @@ class _Accumulator:
                            unparseable_count=self.numeric_count - self.parsed_count)
 
 
-@dataclass(frozen=True, slots=True)
-class MetricBlock:
+class MetricBlock(NamedTuple):
     """Aggregated metrics for one bucket. em/f1/trend_acc are percentages."""
 
     em: float
@@ -225,23 +219,15 @@ class MetricBlock:
     unparseable_count: int
 
     def to_record(self) -> dict:
-        return {
-            "em": round(self.em, 4),
-            "f1": round(self.f1, 4),
-            "mae": round(self.mae, 4) if self.mae is not None else None,
-            "trend_acc": round(self.trend_acc, 4) if self.trend_acc is not None else None,
-            "count": self.count,
-            "numeric_count": self.numeric_count,
-            "unparseable_count": self.unparseable_count,
-        }
+        """Every field, rounded to 4 places (``round`` leaves the counts as they are)."""
+        return {name: value if value is None else round(value, 4) for name, value in self._asdict().items()}
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     overall: MetricBlock
-    per_period: dict[str, MetricBlock] = field(default_factory=dict)
-    per_relation: dict[str, MetricBlock] = field(default_factory=dict)
-    count: int = 0
+    per_period: dict[str, MetricBlock]
+    per_relation: dict[str, MetricBlock]
+    count: int
 
     def to_record(self) -> dict:
         return {
@@ -292,13 +278,13 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
     tokens = _Memo(normalize)
 
     overall = _Accumulator()
-    per_period: dict[str, _Accumulator] = {}
-    per_relation: dict[str, _Accumulator] = {}
+    per_period: defaultdict[str, _Accumulator] = defaultdict(_Accumulator)
+    per_relation: defaultdict[str, _Accumulator] = defaultdict(_Accumulator)
     for question in questions:
-        if question.id not in pred_map and missing_policy == "error":
-            raise ValueError(f"no prediction for question id {question.id!r}")
-        text = pred_map.get(question.id, "")
-        golds = question.answers
+        question_id, golds, t_ref = question.id, question.answers, question.t_ref  # each field read once
+        if question_id not in pred_map and missing_policy == "error":
+            raise ValueError(f"no prediction for question id {question_id!r}")
+        text = pred_map.get(question_id, "")
         pred_tokens = tokens[text]
         gold_tokens = [tokens[gold] for gold in golds]
         em = int(pred_tokens in gold_tokens)  # equal token lists are equal keys
@@ -306,14 +292,13 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
         f1 = 1.0 if em else max(_token_f1(pred_tokens, gold) for gold in gold_tokens)
         numeric = None
         gold_year = golds[0].strip()
-        if question.t_ref is not None and gold_year.isdigit() and len(golds) == 1:
-            if int(gold_year) != question.t_ref.year:
-                numeric = score_numeric(text, int(gold_year), question.t_ref.year)
+        if t_ref is not None and gold_year.isdigit() and len(golds) == 1:
+            if int(gold_year) != t_ref.year:
+                numeric = score_numeric(text, int(gold_year), t_ref.year)
         overall.add(em, f1, numeric)
-        p_label = period_label(question.t_ref.year, period_edges) if question.t_ref else "undated"
-        per_period.setdefault(p_label, _Accumulator()).add(em, f1, numeric)
-        r_label = question.relation or "none"
-        per_relation.setdefault(r_label, _Accumulator()).add(em, f1, numeric)
+        p_label = period_label(t_ref.year, period_edges) if t_ref else "undated"
+        per_period[p_label].add(em, f1, numeric)
+        per_relation[question.relation or "none"].add(em, f1, numeric)
 
     return EvalReport(
         overall=overall.block(),

@@ -11,18 +11,21 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
-DIRECTIONS = ("before", "after")
+from .timeline import DIRECTIONS
+
+# The prompt-format version: bump it when the prompt wording in contexts.py
+# changes. Artifacts record it with the template version (``render_version``),
+# so mixed datasets are detectable at evaluation time.
+RENDER_FORMAT = 1
 
 
 class TemplateError(ValueError):
     """The template file is malformed or a lookup failed."""
 
 
-@dataclass(frozen=True, slots=True)
-class RelativeTimeTemplate:
+class RelativeTimeTemplate(NamedTuple):
     """One family of relative-time questions (both directions)."""
 
     id: str
@@ -39,8 +42,7 @@ class RelativeTimeTemplate:
         return "<y>" in self.before
 
 
-@dataclass(frozen=True, slots=True)
-class RelationTemplates:
+class RelationTemplates(NamedTuple):
     """Templates and context phrase for one KB relation code."""
 
     code: str
@@ -51,8 +53,7 @@ class RelationTemplates:
     phrase: str
 
 
-@dataclass(frozen=True, slots=True)
-class L1Matcher:
+class L1Matcher(NamedTuple):
     """Compiled pattern that recovers (x, y, t) from a question surface form."""
 
     template_id: str  # e.g. "l1_year_after"
@@ -72,6 +73,11 @@ class TemplateTable:
         self.l1 = l1
         self.relations = relations
         self._matchers: list[L1Matcher] | None = None
+
+    @property
+    def render_version(self) -> str:
+        """The prompt-format and template versions, e.g. ``"1.t1"``."""
+        return f"{RENDER_FORMAT}.t{self.version}"
 
     @property
     def relation_codes(self) -> frozenset[str]:
@@ -111,22 +117,13 @@ class TemplateTable:
         matchers = []
         for tpl in self.l1:
             for direction in DIRECTIONS:
+                template_id = f"{tpl.id}_{direction}"
                 text = tpl.before if direction == "before" else tpl.after
-                matchers.append(L1Matcher(
-                    template_id=f"{tpl.id}_{direction}",
-                    granularity=tpl.granularity,
-                    direction=direction,
-                    pattern=_compile_l1_pattern(text),
-                ))
+                matchers.append(L1Matcher(template_id, tpl.granularity, direction, _compile_l1_pattern(text)))
                 collapsed = tpl.before_one if direction == "before" else tpl.after_one
                 if collapsed is not None:
-                    matchers.append(L1Matcher(
-                        template_id=f"{tpl.id}_{direction}",
-                        granularity=tpl.granularity,
-                        direction=direction,
-                        pattern=_compile_l1_pattern(collapsed),
-                        fixed_x=1,
-                    ))
+                    matchers.append(L1Matcher(template_id, tpl.granularity, direction,
+                                              _compile_l1_pattern(collapsed), fixed_x=1))
         self._matchers = matchers
         return matchers
 
@@ -155,6 +152,8 @@ def load_templates(path: str | None = None) -> TemplateTable:
     global _default_table
     if path is None:
         if _default_table is None:
+            from importlib import resources
+
             _default_table = _parse_table(
                 resources.files("chronoqa").joinpath("data/templates.json").read_text(encoding="utf-8"))
         return _default_table
@@ -168,26 +167,13 @@ def _parse_table(raw: str) -> TemplateTable:
     except json.JSONDecodeError as exc:
         raise TemplateError(f"template file is not valid JSON: {exc}") from exc
 
-    l1 = []
-    for entry in _require(data, "l1", "top level"):
-        l1.append(RelativeTimeTemplate(
-            id=str(_require(entry, "id", "l1 entry")),
-            granularity=str(_require(entry, "granularity", "l1 entry")),
-            before=str(_require(entry, "before", "l1 entry")),
-            after=str(_require(entry, "after", "l1 entry")),
-            before_one=entry.get("before_one"),
-            after_one=entry.get("after_one"),
-        ))
-    relations = {}
-    for code, entry in _require(data, "relations", "top level").items():
-        relations[code] = RelationTemplates(
-            code=code,
-            name=str(_require(entry, "name", code)),
-            l2=str(_require(entry, "l2", code)),
-            l3_before=str(_require(entry, "l3_before", code)),
-            l3_after=str(_require(entry, "l3_after", code)),
-            phrase=str(_require(entry, "phrase", code)),
-        )
+    required = RelativeTimeTemplate._fields[:4]  # then the optional one-year wordings
+    l1 = [RelativeTimeTemplate(*(str(_require(entry, name, "l1 entry")) for name in required),
+                               entry.get("before_one"), entry.get("after_one"))
+          for entry in _require(data, "l1", "top level")]
+    relations = {code: RelationTemplates(code, *(str(_require(entry, name, code))
+                                                 for name in RelationTemplates._fields[1:]))
+                 for code, entry in _require(data, "relations", "top level").items()}
     if not relations:
         raise TemplateError("template file defines no relations")
     return TemplateTable(version=int(data.get("version", 1)), l1=l1, relations=relations)

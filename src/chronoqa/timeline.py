@@ -12,8 +12,8 @@ input and resolved to a month chosen by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 MONTH_ABBREVS = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -27,6 +27,7 @@ MIN_YEAR = 1
 BEFORE = "before"
 SAME = "same"
 AFTER = "after"
+DIRECTIONS = (BEFORE, AFTER)
 
 
 class TimeParseError(ValueError):
@@ -37,29 +38,18 @@ class TimeRangeError(ValueError):
     """An operation produced a calendar point before year 1."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TimePoint:
-    """A calendar month: (year, month) with month in 1..12.
-
-    Ordering is chronological; field order (year, month) makes the derived
-    tuple comparison match the calendar order.
-    """
+class TimePoint(NamedTuple):
+    """A calendar month: (year, month) with month in 1..12. The tuple order
+    (year, month) is the chronological order."""
 
     year: int
     month: int
-
-    def __post_init__(self) -> None:
-        if self.year < MIN_YEAR:
-            raise TimeRangeError(f"year {self.year} is before the minimum supported year {MIN_YEAR}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be in 1..12, got {self.month}")
 
     def __str__(self) -> str:
         return format_time(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Offset:
+class Offset(NamedTuple):
     """A displacement of whole years and months in one direction.
 
     At least one of (years, months) must be nonzero; both are non-negative,
@@ -70,34 +60,53 @@ class Offset:
     months: int
     direction: str
 
-    def __post_init__(self) -> None:
-        if self.years < 0 or self.months < 0:
-            raise ValueError("offset years and months must be non-negative")
-        if (self.years, self.months) == (0, 0):
-            raise ValueError("offset must move by at least one month")
-        if self.direction not in (BEFORE, AFTER):
-            raise ValueError(f"direction must be 'before' or 'after', got {self.direction!r}")
-
     @property
     def total_months(self) -> int:
         return self.years * 12 + self.months
 
 
-@dataclass(frozen=True, slots=True)
-class TimeInterval:
+class TimeInterval(NamedTuple):
     """An inclusive validity range. Ongoing facts are closed at the KB
     snapshot month when they are ingested."""
 
     start: TimePoint
     end: TimePoint
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval start {self.start} is after end {self.end}")
-
     def contains(self, point: TimePoint) -> bool:
         """Inclusive at both bounds."""
         return self.start <= point <= self.end
+
+
+# The validating constructors, attached after each class is made: typing.NamedTuple
+# refuses a __new__ in the class body. ``_replace`` and ``_make`` do not validate.
+
+def _time_point(cls, year: int, month: int) -> TimePoint:
+    if year < MIN_YEAR:
+        raise TimeRangeError(f"year {year} is before the minimum supported year {MIN_YEAR}")
+    if not 1 <= month <= 12:
+        raise ValueError(f"month must be in 1..12, got {month}")
+    return tuple.__new__(cls, (year, month))
+
+
+def _offset(cls, years: int, months: int, direction: str) -> Offset:
+    if years < 0 or months < 0:
+        raise ValueError("offset years and months must be non-negative")
+    if years == 0 and months == 0:
+        raise ValueError("offset must move by at least one month")
+    if direction not in (BEFORE, AFTER):
+        raise ValueError(f"direction must be 'before' or 'after', got {direction!r}")
+    return tuple.__new__(cls, (years, months, direction))
+
+
+def _time_interval(cls, start: TimePoint, end: TimePoint) -> TimeInterval:
+    if end < start:
+        raise ValueError(f"interval start {start} is after end {end}")
+    return tuple.__new__(cls, (start, end))
+
+
+TimePoint.__new__, Offset.__new__, TimeInterval.__new__ = _time_point, _offset, _time_interval
+
+DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
 
 
 def month_index(t: TimePoint) -> int:

@@ -355,6 +355,34 @@ class TestFileBoundary:
         assert f"{predictions}:1: expected a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "reward"])
+    @pytest.mark.parametrize("question_id, prediction_id, bad_file, message", [
+        (None, None, "q", "id must be a string"),
+        (7, "7", "q", "id must be a string"),
+        ("q1", None, "p", "id must be a string, got NoneType"),
+    ], ids=["null-ids", "number-question-id", "null-prediction-id"])
+    def test_ids_are_checked_not_coerced(self, tmp_path, capsys, command, question_id, prediction_id,
+                                         bad_file, message):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1", question_id))])
+        predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": prediction_id, "prediction": "Mayor"})])
+        out = str(tmp_path / "out.jsonl")
+        assert run(command, "--questions", questions, "--predictions", predictions, "--out", out) == 2
+        path = questions if bad_file == "q" else predictions
+        assert f"{path}:1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"doc_id": "d1", "text": "Osaka 2019", "spans": [[0, 5.9, "entity"]]}, "span offsets must be integers"),
+        ({"doc_id": 5, "text": "Osaka 2019", "spans": [[0, 5, "entity"]]}, "doc_id and text must be strings"),
+    ], ids=["float-span-end", "number-doc_id"])
+    def test_mask_checks_document_types(self, tmp_path, capsys, doc, message):
+        docs = write_lines(tmp_path / "docs.jsonl", [json.dumps({"doc_id": "d0", "text": "Kyoto", "spans": []}),
+                                                    json.dumps(doc)])
+        assert run("mask", "--docs", docs, "--out", str(tmp_path / "out.jsonl")) == 2
+        err = capsys.readouterr().err
+        assert f"{docs}:2: " in err and message in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
     def test_prediction_ids_must_resolve_against_questions(self, tmp_path, capsys, command):
         questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
         predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "renamed", "prediction": "Mayor"})])

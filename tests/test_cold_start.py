@@ -1,0 +1,88 @@
+"""Import footprint: each subcommand, run in a fresh interpreter on small
+valid inputs, loads only the modules it runs. Nothing here is timed."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from chronoqa.cli import SUBCOMMANDS, main
+
+from conftest import synth_rows, write_facts
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Runs one subcommand, then prints its exit code and the modules it added
+# to those the interpreter had already loaded before importing chronoqa.
+SCRIPT = """
+import sys
+before = set(sys.modules)
+from chronoqa.cli import main
+code = main(sys.argv[1:])
+print(code)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+NOT_READ = ("chronoqa.contexts", "chronoqa.oracle", "chronoqa.facts")
+ARGVS = {
+    "gen-l1": ["gen-l1", "--count", "20", "--dev-count", "4", "--out-dir", "out"],
+    "gen-l1-future": ["gen-l1-future", "--count", "10", "--out-dir", "out"],
+    "gen-l2": ["gen-l2", "--facts", "facts.jsonl", "--out-dir", "out"],
+    "gen-l3": ["gen-l3", "--facts", "facts.jsonl", "--out-dir", "out"],
+    "render": ["render", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--setting", "reasonqa",
+               "--out", "r.jsonl"],
+    "mask": ["mask", "--docs", "docs.jsonl", "--out", "m.jsonl"],
+    "solve": ["solve", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--out", "p.jsonl"],
+    "solve-l1": ["solve", "--questions", "l1_train.jsonl", "--out", "p1.jsonl"],
+    "eval": ["eval", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "e.json"],
+    "reward": ["reward", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "w.jsonl"],
+    "stats": ["stats", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--out", "s.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cold_start")
+    write_facts(work / "facts.jsonl", synth_rows(6, relation="P39", facts_per_subject=(3, 5), seed=7))
+    doc = {"doc_id": "d1", "text": "Osaka in July 2019", "spans": [[0, 5, "entity"], [9, 18, "temporal"]]}
+    (work / "docs.jsonl").write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main(["gen-l1", "--count", "20", "--out-dir", "."]) == 0
+        assert main(["gen-l2", "--facts", "facts.jsonl", "--out-dir", "."]) == 0
+        assert main(["solve", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl",
+                     "--out", "preds.jsonl"]) == 0
+    finally:
+        os.chdir(cwd)
+    return work
+
+
+def loaded_modules(workdir, argv) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("CHRONOQA_SEED", None)
+    result = subprocess.run([sys.executable, "-c", SCRIPT, *argv], cwd=workdir, env=env,
+                            capture_output=True, text=True, timeout=120)
+    code, modules = result.stdout.splitlines()[-2:]
+    assert code == "0", result.stderr
+    return set(modules.split())
+
+
+def test_every_subcommand_is_covered():
+    assert {argv[0] for argv in ARGVS.values()} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", ARGVS)
+def test_subcommand_loads_only_what_it_runs(workdir, name):
+    modules = loaded_modules(workdir, ARGVS[name])
+    assert "chronoqa.cli" in modules
+    assert not modules & {"dataclasses", "inspect"}
+    if name in ("eval", "reward"):
+        assert not modules & set(NOT_READ)
+    if name.startswith("solve"):
+        assert "chronoqa.contexts" not in modules
+    if name == "solve-l1":  # no fact file, so no fact code
+        assert "chronoqa.facts" not in modules

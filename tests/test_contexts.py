@@ -149,6 +149,19 @@ class TestMaskSpans:
 
 
 class TestAnnotatedDocument:
+    @pytest.mark.parametrize("changes, message", [
+        ({"doc_id": 5}, "doc_id and text must be strings"),
+        ({"text": None}, "doc_id and text must be strings"),
+        ({"spans": [[0, 5.9, "entity"]]}, "span offsets must be integers, got (0, 5.9)"),
+        ({"spans": [[True, 5, "entity"]]}, "span offsets must be integers, got (True, 5)"),
+        ({"spans": [["0", 5, "entity"]]}, "span offsets must be integers, got ('0', 5)"),
+    ], ids=["number-doc_id", "null-text", "float-end", "bool-start", "string-start"])
+    def test_from_record_checks_types_instead_of_coercing(self, changes, message):
+        record = dict({"doc_id": "d1", "text": "Osaka in July 2019", "spans": [[0, 5, "entity"]]}, **changes)
+        with pytest.raises(ValueError) as info:
+            AnnotatedDocument.from_record(record)
+        assert message in str(info.value)
+
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
             AnnotatedDocument("d", "abcdef", ((0, 3, "entity"), (2, 5, "entity")))

@@ -2,7 +2,6 @@
 invariance, and rationale replay."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -161,16 +160,16 @@ class TestDispatch:
     def test_l2_requires_reference_time(self, yoshimura_group):
         q = gen_l2(yoshimura_group, seed=1)[0]
         with pytest.raises(OracleError, match="reference time"):
-            solve(replace(q, t_ref=None), index_groups([yoshimura_group]))
+            solve(q._replace(t_ref=None), index_groups([yoshimura_group]))
 
     def test_unknown_subject_raises(self, yoshimura_group):
         q = gen_l2(yoshimura_group, seed=1)[0]
-        broken = replace(q, subject="Nobody", subject_id="QX")
+        broken = q._replace(subject="Nobody", subject_id="QX")
         with pytest.raises(OracleError, match="no fact group"):
             solve(broken, index_groups([yoshimura_group]))
 
     def test_name_fallback_lookup(self, yoshimura_group):
         q = gen_l2(yoshimura_group, seed=1)[0]
-        nameless = replace(q, subject_id=None)
+        nameless = q._replace(subject_id=None)
         answer = solve(nameless, index_groups([yoshimura_group]))
         assert answer.answers[0] in q.answers

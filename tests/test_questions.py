@@ -72,6 +72,14 @@ class TestGenL1:
         with pytest.raises(ValueError, match="must be a non-empty list of strings"):
             Question.from_record(dict(record, **{field: value}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("id", 7), ("question", 7), ("template_id", None), ("split", ["train"]),
+    ])
+    def test_from_record_requires_text_fields_to_be_strings(self, field, value):
+        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        with pytest.raises(ValueError, match=f"^{field} must be a string$"):
+            Question.from_record(dict(record, **{field: value}))
+
     @pytest.mark.parametrize("value", [2019, ["Jul 2019"], False])
     def test_from_record_rejects_a_t_ref_that_is_not_text(self, value):
         record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()

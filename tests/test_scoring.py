@@ -192,6 +192,11 @@ class TestPredictionRecord:
         with pytest.raises(ValueError, match="prediction must be a string"):
             Prediction.from_record({"id": "a", "prediction": value})
 
+    @pytest.mark.parametrize("value", [None, 7, ["a"]])
+    def test_id_must_be_a_string(self, value):
+        with pytest.raises(ValueError, match="id must be a string"):
+            Prediction.from_record({"id": value, "prediction": "Mayor"})
+
 
 class TestEvaluate:
     def test_all_correct_is_100(self):
