@@ -38,44 +38,9 @@ class UsageError(Exception):
     pass
 
 
-def _lookup(module: str, name: str):
-    """``chronoqa.<module>.<name>``, importing the module on first use.
-    ``__import__`` is what an import statement calls, so ``-X importtime``
-    reports the import; ``importlib.import_module`` would hide it."""
-    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
-
-
-def _deferred(module: str, name: str):
-    """``chronoqa.<module>.<name>`` as a flag type that imports its module
-    only when the flag is given."""
-    return lambda text: _lookup(module, name)(text)
-
-
-class _Default:
-    """A flag default defined by another module, looked up once a parse
-    needs it, so building the parser imports no module."""
-
-    def __init__(self, module: str, name: str, as_text=None) -> None:
-        self.module, self.name, self.as_text = module, name, as_text
-
-    def value(self):
-        value = _lookup(self.module, self.name)
-        return value if self.as_text is None else self.as_text(value)
-
-    def __str__(self) -> str:  # for --help
-        return str(self.value())
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our exit codes
         raise UsageError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        for dest, value in vars(namespace).items():
-            if isinstance(value, _Default):
-                setattr(namespace, dest, value.value())
-        return namespace, extras
 
 
 def _default_seed() -> int:
@@ -87,7 +52,8 @@ def _default_seed() -> int:
 
 
 def _parse_point(text: str) -> TimePoint:
-    return _lookup("timeline", "parse_time")(text.strip())
+    from .timeline import parse_time
+    return parse_time(text.strip())
 
 
 def _parse_range(text: str) -> tuple[TimePoint, TimePoint]:
@@ -434,33 +400,75 @@ _OUT_DIR = _flag("--out-dir", required=True)
 
 
 def _fact_flags(required: bool = False) -> list:
+    from .timeline import DEFAULT_SNAPSHOT
     return [
         _flag("--facts", required=required, help="fact file (JSONL quintuplets)"),
-        _flag("--snapshot", type=_flag_type(_parse_point, keep_text=True),
-              default=_Default("timeline", "DEFAULT_SNAPSHOT", str),
+        _flag("--snapshot", type=_flag_type(_parse_point, keep_text=True), default=str(DEFAULT_SNAPSHOT),
               help="KB snapshot month closing ongoing facts (default: %(default)s)"),
         _flag("--strict", action="store_true", help="fail on the first malformed fact row"),
     ]
 
 
-_GROUP_LIMITS = [
-    _flag("--max-subjects", type=_COUNT, default=_Default("facts", "MAX_SUBJECTS_PER_RELATION"),
-          help="subject cap per relation (default: %(default)s)"),
-    _flag("--min-facts", type=_COUNT, default=_Default("facts", "MIN_FACTS_PER_GROUP"),
-          help="minimum facts per surviving group (default: %(default)s)"),
-]
+def _group_limits() -> list:
+    from .facts import MAX_SUBJECTS_PER_RELATION, MIN_FACTS_PER_GROUP
+    return [
+        _flag("--max-subjects", type=_COUNT, default=MAX_SUBJECTS_PER_RELATION,
+              help="subject cap per relation (default: %(default)s)"),
+        _flag("--min-facts", type=_COUNT, default=MIN_FACTS_PER_GROUP,
+              help="minimum facts per surviving group (default: %(default)s)"),
+    ]
 
-_GEN_GROUPED = [
-    _TEMPLATES, *_fact_flags(required=True), *_GROUP_LIMITS, _OUT_DIR,
-    _flag("--split-counts", type=_flag_type(_parse_split_spec, keep_text=True),
-          help="e.g. 'train:3000,dev:1000,test:1000'"),
-    _flag("--split-ratios", type=_flag_type(partial(_parse_split_spec, number=float), keep_text=True),
-          help="e.g. 'train:0.6,dev:0.2,test:0.2'"),
-]
 
-# name: (handler, help, flags); every subcommand also takes --seed
+def _gen_grouped_flags() -> list:
+    return [
+        _TEMPLATES, *_fact_flags(required=True), *_group_limits(), _OUT_DIR,
+        _flag("--split-counts", type=_flag_type(_parse_split_spec, keep_text=True),
+              help="e.g. 'train:3000,dev:1000,test:1000'"),
+        _flag("--split-ratios", type=_flag_type(partial(_parse_split_spec, number=float), keep_text=True),
+              help="e.g. 'train:0.6,dev:0.2,test:0.2'"),
+    ]
+
+
+def _render_flags() -> list:
+    from .contexts import canonical_setting
+    return [
+        _TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT,
+        _flag("--setting", type=_flag_type(canonical_setting), required=True, help="cbqa | obqa | reasonqa"),
+        _flag("--articles", help="JSONL of {subject_id, text} for OBQA"),
+    ]
+
+
+def _mask_flags() -> list:
+    from .contexts import DEFAULT_SENTINEL_PATTERN, sentinel_parts
+    return [
+        _flag("--docs", required=True), _OUT,
+        _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
+              help="fraction of spans to mask (default: %(default)s)"),
+        _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True),
+              default=DEFAULT_SENTINEL_PATTERN, help="sentinel format containing {k} (default: %(default)s)"),
+    ]
+
+
+def _eval_flags() -> list:
+    from .scoring import DEFAULT_PERIOD_EDGES
+    return [
+        _QUESTIONS, _PREDICTIONS,
+        _flag("--breakdown", choices=("period", "relation"), default="period"),
+        _flag("--period-edges", type=_flag_type(_parse_edges, keep_text=True),
+              default=",".join(map(str, DEFAULT_PERIOD_EDGES)),
+              help="bucket edges for the period breakdown (default: %(default)s)"),
+        _flag("--missing", choices=("zero", "error"), default="zero",
+              help="policy for questions without a prediction (default: %(default)s)"),
+        _flag("--force", action="store_true", help="evaluate despite a render version mismatch"),
+        _flag("--out", help="write the full report as JSON"),
+    ]
+
+
+# name: (handler, help, a callable returning the flags); every subcommand also
+# takes --seed. A callable imports the modules whose constants its flags take
+# as defaults, so build_parser calls only the chosen subcommand's.
 SUBCOMMANDS = {
-    "gen-l1": (cmd_gen_l1, "generate relative-time questions", [
+    "gen-l1": (cmd_gen_l1, "generate relative-time questions", lambda: [
         _TEMPLATES, _OUT_DIR,
         _flag("--count", type=_COUNT, required=True, help="train questions"),
         _flag("--dev-count", type=_COUNT, default=0),
@@ -469,61 +477,44 @@ SUBCOMMANDS = {
               help="sampling range for the reference time (default: %(default)s)"),
     ]),
     "gen-l1-future": (cmd_gen_l1_future, "generate the 2022-2040 future test set",
-                      [_TEMPLATES, _OUT_DIR, _flag("--count", type=_COUNT, required=True)]),
-    "gen-l2": (cmd_gen_grouped, "generate L2 questions from a fact file", _GEN_GROUPED),
-    "gen-l3": (cmd_gen_grouped, "generate L3 questions from a fact file", _GEN_GROUPED),
-    "render": (cmd_render, "render prompts for a setting", [
-        _TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT,
-        _flag("--setting", type=_flag_type(_deferred("contexts", "canonical_setting")), required=True,
-              help="cbqa | obqa | reasonqa"),
-        _flag("--articles", help="JSONL of {subject_id, text} for OBQA"),
-    ]),
-    "mask": (cmd_mask, "mask entity/temporal spans in annotated documents", [
-        _flag("--docs", required=True), _OUT,
-        _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
-              help="fraction of spans to mask (default: %(default)s)"),
-        _flag("--sentinel-pattern", type=_flag_type(_deferred("contexts", "sentinel_parts"), keep_text=True),
-              default=_Default("contexts", "DEFAULT_SENTINEL_PATTERN"),
-              help="sentinel format containing {k} (default: %(default)s)"),
-    ]),
+                      lambda: [_TEMPLATES, _OUT_DIR, _flag("--count", type=_COUNT, required=True)]),
+    "gen-l2": (cmd_gen_grouped, "generate L2 questions from a fact file", _gen_grouped_flags),
+    "gen-l3": (cmd_gen_grouped, "generate L3 questions from a fact file", _gen_grouped_flags),
+    "render": (cmd_render, "render prompts for a setting", _render_flags),
+    "mask": (cmd_mask, "mask entity/temporal spans in annotated documents", _mask_flags),
     "solve": (cmd_solve, "answer questions with the symbolic solver",
-              [_TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT]),
-    "eval": (cmd_eval, "score predictions against questions", [
-        _QUESTIONS, _PREDICTIONS,
-        _flag("--breakdown", choices=("period", "relation"), default="period"),
-        _flag("--period-edges", type=_flag_type(_parse_edges, keep_text=True),
-              default=_Default("scoring", "DEFAULT_PERIOD_EDGES", lambda edges: ",".join(map(str, edges))),
-              help="bucket edges for the period breakdown (default: %(default)s)"),
-        _flag("--missing", choices=("zero", "error"), default="zero",
-              help="policy for questions without a prediction (default: %(default)s)"),
-        _flag("--force", action="store_true", help="evaluate despite a render version mismatch"),
-        _flag("--out", help="write the full report as JSON"),
-    ]),
-    "reward": (cmd_reward, "compute per-prediction rewards", [_QUESTIONS, _PREDICTIONS, _OUT]),
-    "stats": (cmd_stats, "dataset statistics for fact and question files", [
-        _TEMPLATES, *_fact_flags(), *_GROUP_LIMITS,
+              lambda: [_TEMPLATES, *_fact_flags(), _QUESTIONS, _OUT]),
+    "eval": (cmd_eval, "score predictions against questions", _eval_flags),
+    "reward": (cmd_reward, "compute per-prediction rewards", lambda: [_QUESTIONS, _PREDICTIONS, _OUT]),
+    "stats": (cmd_stats, "dataset statistics for fact and question files", lambda: [
+        _TEMPLATES, *_fact_flags(), *_group_limits(),
         _flag("--questions", nargs="*"),
         _flag("--out", help="write stats as JSON"),
     ]),
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv: list[str]) -> _Parser:
+    """A parser that lists every subcommand but declares the flags of only
+    the one ``argv`` names: its first word not starting with ``-``."""
+    chosen = next((word for word in argv if not word.startswith("-")), None)
     parser = _Parser(prog="chronoqa", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"chronoqa {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
     for name, (func, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-        for names, kwargs in flags:
-            p.add_argument(*names, **kwargs)
-        p.set_defaults(func=func)
+        if name == chosen:
+            p.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+            for names, kwargs in flags():
+                p.add_argument(*names, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -2,9 +2,7 @@
 
 The solver works from structured facts only: L1 questions are parsed back
 into (reference time, offset) and answered by calendar arithmetic, L2 by an
-interval containment scan, and L3 by chronological adjacency. Every answer
-carries a machine-readable rationale that :func:`replay` re-executes, so a
-trace can be audited independently of the solver.
+interval containment scan, and L3 by chronological adjacency.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .timeline import (
     TimeParseError,
     TimeRangeError,
     format_time,
-    parse_time,
     parse_time_cached,
     shift,
 )
@@ -39,14 +36,13 @@ class OracleError(ValueError):
 
 
 class OracleAnswer(NamedTuple):
-    """Ranked answer texts plus the trace that produced them.
+    """Ranked answer texts.
 
     ``answers`` is empty when no fact satisfies the question ("no valid
     answer" is an explicit result, never a crash).
     """
 
     answers: tuple[str, ...]
-    rationale: dict
 
     @property
     def no_valid_answer(self) -> bool:
@@ -78,17 +74,7 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
             result = shift(t, Offset(years, months, matcher.direction))
         except (TimeParseError, TimeRangeError, ValueError) as exc:
             raise OracleError(f"malformed question {question.id!r}: {exc}") from exc
-        answer = str(result.year) if matcher.granularity == "year" else format_time(result)
-        rationale = {
-            "op": "shift",
-            "template_id": matcher.template_id,
-            "granularity": matcher.granularity,
-            "t": t_text,
-            "years": years,
-            "months": months,
-            "direction": matcher.direction,
-        }
-        return OracleAnswer((answer,), rationale)
+        return OracleAnswer((str(result.year) if matcher.granularity == "year" else format_time(result),))
     raise OracleError(f"question {question.id!r} matches no relative-time template: {question.question!r}")
 
 
@@ -98,28 +84,13 @@ def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
     The result does not depend on the order the group's facts arrive in:
     a :class:`FactGroup` sorts them on construction.
     """
-    checks = []
-    matched = []
     answers: list[str] = []
     seen: set[str] = set()
-    for i, (fact, key) in enumerate(zip(group.facts, group.keys)):
-        inside = fact.interval.contains(t_r)
-        checks.append({
-            "fact": i,
-            "object": fact.object,
-            "start": format_time(fact.interval.start),
-            "end": format_time(fact.interval.end),
-            "contains": inside,
-        })
-        if inside:
-            matched.append(i)
-            if key not in seen:
-                seen.add(key)
-                answers.append(fact.object)
-    rationale = {"op": "interval_scan", "t_r": format_time(t_r), "checks": checks, "matched": matched}
-    if not matched:
-        rationale["no_valid_answer"] = True
-    return OracleAnswer(tuple(answers), rationale)
+    for fact, key in zip(group.facts, group.keys):
+        if fact.interval.contains(t_r) and key not in seen:
+            seen.add(key)
+            answers.append(fact.object)
+    return OracleAnswer(tuple(answers))
 
 
 def solve_l3(group: FactGroup, neighbor_object: str, direction: str) -> OracleAnswer:
@@ -135,13 +106,9 @@ def solve_l3(group: FactGroup, neighbor_object: str, direction: str) -> OracleAn
     except ValueError:
         raise OracleError(f"pivot object {neighbor_object!r} does not occur in the group") from None
     answer_position = position + 1 if direction == AFTER else position - 1
-    rationale = {"op": "adjacent_fact", "pivot_index": position, "direction": direction}
     if 0 <= answer_position < len(group.facts):
-        rationale["answer_index"] = answer_position
-        return OracleAnswer((group.facts[answer_position].object,), rationale)
-    rationale["answer_index"] = None
-    rationale["no_valid_answer"] = True
-    return OracleAnswer((), rationale)
+        return OracleAnswer((group.facts[answer_position].object,))
+    return OracleAnswer(())
 
 
 class SubjectIndex(Generic[T]):
@@ -210,31 +177,3 @@ def solve(question: Question, groups: SubjectIndex[FactGroup] | None = None,
     if not question.neighbor_object:
         raise OracleError(f"L3 question {question.id!r} has no pivot object")
     return solve_l3(group, question.neighbor_object, _l3_direction(question))
-
-
-def replay(answer: OracleAnswer, group: FactGroup | None = None) -> tuple[str, ...]:
-    """Re-execute a rationale trace and return the answers it implies."""
-    trace = answer.rationale
-    op = trace.get("op")
-    if op == "shift":
-        if trace["granularity"] == "year":
-            t = TimePoint(int(trace["t"]), 1)
-        else:
-            t = parse_time(trace["t"])
-        result = shift(t, Offset(trace["years"], trace["months"], trace["direction"]))
-        return (str(result.year) if trace["granularity"] == "year" else format_time(result),)
-    if group is None:
-        raise OracleError(f"replaying a {op!r} trace requires the fact group")
-    if op == "interval_scan":
-        answers: list[str] = []
-        seen: set[str] = set()
-        for i in trace["matched"]:
-            key = group.keys[i]
-            if key not in seen:
-                seen.add(key)
-                answers.append(group.facts[i].object)
-        return tuple(answers)
-    if op == "adjacent_fact":
-        index = trace.get("answer_index")
-        return () if index is None else (group.facts[index].object,)
-    raise OracleError(f"unknown rationale op {op!r}")

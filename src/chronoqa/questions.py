@@ -112,7 +112,7 @@ class Question(NamedTuple):
             raise ValueError(f"{name} must be a string or null")
         # By position: a keyword call costs more, once per record.
         return cls(question_id, level, relation, subject, subject_id, template_id, question, tuple(answers),
-                   tuple(negatives), parse_time_cached(t_ref, 1) if t_ref else None, neighbor_object, split)
+                   tuple(negatives), None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split)
 
 
 def _default_templates() -> TemplateTable:

@@ -138,10 +138,18 @@ def _compile_l1_pattern(template_text: str) -> re.Pattern:
     return re.compile(rf"^{escaped}$")
 
 
-def _require(obj: dict, key: str, where: str) -> object:
-    if key not in obj:
-        raise TemplateError(f"template file: missing {key!r} in {where}")
-    return obj[key]
+def _texts(entry: object, where: str, path: str, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
+    """The fields ``names`` of one template entry, each a string, then the
+    fields ``optional``, each a string or null (or missing)."""
+    if not isinstance(entry, dict):
+        raise TemplateError(f"template file {path}: {where} must be an object, got {type(entry).__name__}")
+    for name in names + optional:
+        value = entry.get(name)
+        if not (isinstance(value, str) or (value is None and name in optional)):
+            got = f"got {type(value).__name__}" if name in entry else "it is missing"
+            raise TemplateError(f"template file {path}: {name!r} in {where} must be a string"
+                                f"{' or null' if name in optional else ''}, but {got}")
+    return [entry.get(name) for name in names + optional]
 
 
 _default_table: TemplateTable | None = None
@@ -154,26 +162,35 @@ def load_templates(path: str | None = None) -> TemplateTable:
         if _default_table is None:
             from importlib import resources
 
-            _default_table = _parse_table(
-                resources.files("chronoqa").joinpath("data/templates.json").read_text(encoding="utf-8"))
+            resource = resources.files("chronoqa").joinpath("data/templates.json")
+            _default_table = _parse_table(resource.read_text(encoding="utf-8"), str(resource))
         return _default_table
     with open(path, encoding="utf-8") as handle:
-        return _parse_table(handle.read())
+        return _parse_table(handle.read(), path)
 
 
-def _parse_table(raw: str) -> TemplateTable:
+def _parse_table(raw: str, path: str) -> TemplateTable:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise TemplateError(f"template file is not valid JSON: {exc}") from exc
+        raise TemplateError(f"template file {path} is not valid JSON: {exc}") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("l1"), list) and isinstance(data.get("relations"), dict)):
+        raise TemplateError(f"template file {path}: the top level must be an object with an 'l1' list "
+                            "and a 'relations' object")
+    version = data.get("version", 1)
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise TemplateError(f"template file {path}: 'version' must be an integer, got {version!r}")
 
-    required = RelativeTimeTemplate._fields[:4]  # then the optional one-year wordings
-    l1 = [RelativeTimeTemplate(*(str(_require(entry, name, "l1 entry")) for name in required),
-                               entry.get("before_one"), entry.get("after_one"))
-          for entry in _require(data, "l1", "top level")]
-    relations = {code: RelationTemplates(code, *(str(_require(entry, name, code))
-                                                 for name in RelationTemplates._fields[1:]))
-                 for code, entry in _require(data, "relations", "top level").items()}
+    l1 = []
+    for i, entry in enumerate(data["l1"], 1):
+        template = RelativeTimeTemplate(*_texts(entry, f"l1 entry {i}", path, RelativeTimeTemplate._fields[:4],
+                                                RelativeTimeTemplate._fields[4:]))
+        if template.granularity not in ("year", "month"):
+            raise TemplateError(f"template file {path}: 'granularity' in l1 entry {i} must be 'year' or "
+                                f"'month', got {template.granularity!r}")
+        l1.append(template)
+    relations = {code: RelationTemplates(code, *_texts(entry, code, path, RelationTemplates._fields[1:]))
+                 for code, entry in data["relations"].items()}
     if not relations:
-        raise TemplateError("template file defines no relations")
-    return TemplateTable(version=int(data.get("version", 1)), l1=l1, relations=relations)
+        raise TemplateError(f"template file {path} defines no relations")
+    return TemplateTable(version=version, l1=l1, relations=relations)

@@ -8,6 +8,7 @@ import pytest
 from chronoqa.cli import SUBCOMMANDS, build_parser, main
 from chronoqa.facts import build_groups, group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
+from chronoqa.templates import load_templates
 
 from conftest import YOSHIMURA_ROWS, synth_rows, write_facts
 
@@ -95,6 +96,34 @@ class TestExitCodes:
             run("--version")
         assert excinfo.value.code == 0
         assert "chronoqa" in capsys.readouterr().out
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run("--help")
+        assert excinfo.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in lines if line.startswith("    ") and line[4] != " "]
+        assert listed == list(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("gen-l1", ["Jan 1000:Dec 2022"]),
+        ("gen-l1-future", []),
+        ("gen-l2", ["Nov 2022", "2000", "3"]),
+        ("gen-l3", ["Nov 2022", "2000", "3"]),
+        ("render", ["Nov 2022"]),
+        ("mask", ["0.5", "<mask_{k}>"]),
+        ("solve", ["Nov 2022"]),
+        ("eval", ["1900,1920,1940,1960,1980,2000,2020,2040", "zero"]),
+        ("reward", []),
+        ("stats", ["Nov 2022", "2000", "3"]),
+    ])
+    def test_subcommand_help_shows_resolved_defaults(self, capsys, command, defaults):
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, "--help")
+        assert excinfo.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert out.startswith(f"usage: chronoqa {command} [-h] [--seed SEED]")
+        assert [default for default in defaults if f"(default: {default})" not in out] == []
 
 
 class TestGenL1Cli:
@@ -329,17 +358,28 @@ class TestFileBoundary:
         (json.dumps({"_meta": {"seed": 2}}), "a _meta header is only allowed on line 1"),
         (json.dumps(dict(l2_record("Q1", "q2"), answers="Mayor")), "answers must be a non-empty list of strings"),
         (json.dumps(dict(l2_record("Q1", "q2"), t_ref=2019)), "t_ref must be a time string or null"),
+        (json.dumps(dict(l2_record("Q1", "q2"), t_ref="")), "expected 'Mon YYYY' or 'YYYY', got ''"),
         (json.dumps(dict(l2_record("Q1", "q2"), neighbor_object=7)), "neighbor_object must be a string or null"),
         (json.dumps(l2_record(["Q1"], "q2")), "subject_id must be a string or null"),
         (json.dumps(dict(l2_record("Q1", "q2"), relation=["P39"])), "relation must be a string or null"),
         (json.dumps(dict(l2_record("Q1", "q2"), subject={"name": "Aiko Abe"})), "subject must be a string or null"),
-    ], ids=["mid-file-meta", "string-answers", "number-t_ref", "number-neighbor_object", "list-subject_id",
-            "list-relation", "object-subject"])
+    ], ids=["mid-file-meta", "string-answers", "number-t_ref", "blank-t_ref", "number-neighbor_object",
+            "list-subject_id", "list-relation", "object-subject"])
     def test_bad_question_line_is_named_by_path_and_line(self, tmp_path, capsys, bad_line, message):
         lines = [json.dumps({"_meta": {"seed": 1}}), json.dumps(l2_record("Q1")), "", bad_line]
         questions = write_lines(tmp_path / "q.jsonl", lines)
         assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
         assert f"{questions}:4: {message}" in capsys.readouterr().err
+
+    def test_mistyped_template_file_is_a_data_error_naming_the_file(self, tmp_path, capsys):
+        table = load_templates()
+        table = {"l1": [dict(tpl._asdict(), granularity="week") for tpl in table.l1],
+                 "relations": {code: rel._asdict() for code, rel in table.relations.items()}}
+        templates = write_lines(tmp_path / "t.json", [json.dumps(table)])
+        assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
+        err = capsys.readouterr().err
+        assert f"E_DATA] template file {templates}: 'granularity' in l1 entry 1 must be 'year' or 'month'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_list_article_subject_id_is_named_by_path_and_line(self, tmp_path, capsys):
         questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
@@ -438,7 +478,8 @@ class TestDeclaredFlags:
         assert set(argvs) == set(SUBCOMMANDS)
         unread = {}
         for command, argv in argvs.items():
-            args = build_parser().parse_args([command, "--seed", "1", *argv], namespace=ReadRecorder())
+            argv = [command, "--seed", "1", *argv]
+            args = build_parser(argv).parse_args(argv, namespace=ReadRecorder())
             declared = set(vars(args)) - {"_reads", "command", "func"}
             args._reads.clear()
             assert args.func(args) == 0, command

@@ -61,11 +61,14 @@ def workdir(tmp_path_factory):
     return work
 
 
-def loaded_modules(workdir, argv) -> set[str]:
+def python(cwd, *args) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("CHRONOQA_SEED", None)
-    result = subprocess.run([sys.executable, "-c", SCRIPT, *argv], cwd=workdir, env=env,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def loaded_modules(workdir, argv) -> set[str]:
+    result = python(workdir, "-c", SCRIPT, *argv)
     code, modules = result.stdout.splitlines()[-2:]
     assert code == "0", result.stderr
     return set(modules.split())
@@ -82,7 +85,20 @@ def test_subcommand_loads_only_what_it_runs(workdir, name):
     assert not modules & {"dataclasses", "inspect"}
     if name in ("eval", "reward"):
         assert not modules & set(NOT_READ)
+    if name in ("gen-l1", "gen-l1-future", "mask"):  # their flag defaults are read at parse time
+        assert not modules & {"chronoqa.scoring", "chronoqa.facts", "chronoqa.oracle"}
     if name.startswith("solve"):
         assert "chronoqa.contexts" not in modules
     if name == "solve-l1":  # no fact file, so no fact code
         assert "chronoqa.facts" not in modules
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["gen-l1", "--count", "5", "--out-dir", "out"], "wrote 5 questions to out/l1_train.jsonl\n"),
+    (["eval", "--help"], "usage: chronoqa eval [-h]"),
+], ids=["gen-l1", "eval-help"])
+def test_module_entry_point_reads_its_arguments(tmp_path, argv, stdout):
+    """``python -m chronoqa`` calls ``main()`` with no argv, as the console script does."""
+    result = python(tmp_path, "-m", "chronoqa", *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(stdout)

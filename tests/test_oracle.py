@@ -1,5 +1,5 @@
-"""Symbolic solver: fixture answers, brute-force equivalence, permutation
-invariance, and rationale replay."""
+"""Symbolic solver: fixture answers, brute-force equivalence and permutation
+invariance."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 
 from chronoqa import TimePoint, build_groups, gen_l1, gen_l2, gen_l3, ingest, solve, solve_l1, solve_l2, solve_l3
 from chronoqa.facts import FactGroup
-from chronoqa.oracle import OracleError, index_groups, replay
+from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
 from chronoqa.timeline import Offset, shift
 
@@ -50,10 +50,6 @@ class TestSolveL1:
         with pytest.raises(OracleError):
             solve_l1(l1_question("What is the year 10 years before 5?"))
 
-    def test_rationale_replays(self):
-        answer = solve_l1(l1_question("What is the time 7 months before Jan 2000?"))
-        assert replay(answer) == answer.answers
-
 
 class TestSolveL2:
     def test_yoshimura_reference_month(self, yoshimura_group, jul_2019):
@@ -63,7 +59,6 @@ class TestSolveL2:
         answer = solve_l2(yoshimura_group, TimePoint(1990, 1))
         assert answer.answers == ()
         assert answer.no_valid_answer
-        assert answer.rationale["no_valid_answer"] is True
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(55)
@@ -87,10 +82,6 @@ class TestSolveL2:
             random.Random(seed).shuffle(facts)
             shuffled = FactGroup(group.subject, group.subject_id, group.relation, tuple(facts))
             assert solve_l2(shuffled, group.facts[2].interval.start).answers == baseline.answers
-
-    def test_rationale_replays(self, yoshimura_group, jul_2019):
-        answer = solve_l2(yoshimura_group, jul_2019)
-        assert replay(answer, yoshimura_group) == answer.answers
 
 
 class TestSolveL3:
@@ -135,11 +126,6 @@ class TestSolveL3:
         group = make_group(rows)
         answer = solve_l3(group, rows[0]["object"], "after")
         assert answer.answers == (group.facts[1].object,)
-
-    def test_rationale_replays(self):
-        group = make_group(synth_rows(1, facts_per_subject=(5, 5), seed=94))
-        answer = solve_l3(group, group.facts[2].object, "after")
-        assert replay(answer, group) == answer.answers
 
 
 class TestDispatch:

@@ -1,6 +1,7 @@
 """Template table loading, placeholder rendering, and surface-form matchers."""
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,18 @@ from chronoqa.templates import TemplateError, load_templates
 @pytest.fixture(scope="module")
 def table():
     return load_templates()
+
+
+def custom_table() -> dict:
+    return {
+        "version": 7,
+        "l1": [{"id": "t", "granularity": "month",
+                "before": "How long before <t>? <y> month(s)",
+                "after": "How long after <t>? <y> month(s)"}],
+        "relations": {"P39": {"name": "position held", "l2": "who at <t>?",
+                              "l3_before": "who before <o_j>?", "l3_after": "who after <o_j>?",
+                              "phrase": "holds"}},
+    }
 
 
 def l1_template(table, template_id):
@@ -26,18 +39,31 @@ class TestLoading:
 
     def test_custom_file(self, tmp_path, table):
         path = tmp_path / "templates.json"
-        path.write_text(json.dumps({
-            "version": 7,
-            "l1": [{"id": "t", "granularity": "month",
-                    "before": "How long before <t>? <y> month(s)",
-                    "after": "How long after <t>? <y> month(s)"}],
-            "relations": {"P39": {"name": "position held", "l2": "who at <t>?",
-                                  "l3_before": "who before <o_j>?", "l3_after": "who after <o_j>?",
-                                  "phrase": "holds"}},
-        }), encoding="utf-8")
+        path.write_text(json.dumps(custom_table()), encoding="utf-8")
         custom = load_templates(str(path))
         assert custom.version == 7
         assert custom.relation_codes == frozenset({"P39"})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update(l1=["l1_year"]), "l1 entry 1 must be an object, got str"),
+        (lambda t: t["relations"].update(P39="position held"), "P39 must be an object, got str"),
+        (lambda t: t.update(relations=[]), "a 'relations' object"),
+        (lambda t: t["l1"][0].update(granularity="week"), "must be 'year' or 'month', got 'week'"),
+        (lambda t: t["l1"][0].update(before=5), "'before' in l1 entry 1 must be a string, but got int"),
+        (lambda t: t["l1"][0].update(after_one=["x"]), "'after_one' in l1 entry 1 must be a string or null"),
+        (lambda t: t["relations"]["P39"].update(l2=None), "'l2' in P39 must be a string, but got NoneType"),
+        (lambda t: t.update(version="2"), "'version' must be an integer, got '2'"),
+        (lambda t: t.update(version=1.5), "'version' must be an integer, got 1.5"),
+    ], ids=["string-l1-entry", "string-relation-entry", "list-relations", "week-granularity", "number-text",
+            "list-one-year-text", "null-relation-text", "string-version", "float-version"])
+    def test_wrong_types_are_rejected_naming_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "bad.json"
+        table = custom_table()
+        edit(table)
+        path.write_text(json.dumps(table), encoding="utf-8")
+        with pytest.raises(TemplateError, match=re.escape(message)) as excinfo:
+            load_templates(str(path))
+        assert str(path) in str(excinfo.value)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
