@@ -516,7 +516,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except UsageError:
+            if argv[0].startswith("-"):  # e.g. 'chronoqa --seed 3 gen-l1'
+                flag = argv[0].partition("=")[0]
+                raise UsageError(f"{flag} goes after the subcommand: chronoqa SUBCOMMAND {flag} ...") from None
+            raise
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (see --help)")
         if args.seed is None:

@@ -23,8 +23,9 @@ _decode = json.JSONDecoder().raw_decode
 T = TypeVar("T")
 
 
-def dumps(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+# One encoder for every line and header: ``json.dumps`` with any non-default
+# argument builds a new ``JSONEncoder`` per call.
+dumps = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 @contextmanager

@@ -52,9 +52,7 @@ class OracleAnswer(NamedTuple):
 def solve_l1(question: Question, templates: TemplateTable | None = None) -> OracleAnswer:
     """Answer a relative-time question from its surface form."""
     templates = templates or load_templates()
-    matchers = templates.l1_matchers()
-    candidates = [m for m in matchers if m.template_id == question.template_id] or matchers
-    for matcher in candidates:
+    for matcher in templates.l1_candidates(question.template_id):
         match = matcher.pattern.match(question.question)
         if match is None:
             continue

@@ -15,19 +15,20 @@ worker scheduling or group order.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .timeline import (
+    BEFORE,
     DIRECTIONS,
+    MIN_YEAR,
+    MONTH_ABBREVS,
     SAME,
-    Offset,
     TimePoint,
-    TimeRangeError,
     compare,
     format_time,
     month_index,
     parse_time_cached,
-    shift,
     time_from_month_index,
 )
 
@@ -39,6 +40,7 @@ LEVELS = ("L1", "L2", "L3")
 FUTURE_RANGE = (TimePoint(2022, 1), TimePoint(2040, 12))
 MAX_YEAR_OFFSET = 10
 MAX_MONTH_OFFSET = 11
+_FIRST_MONTH_INDEX = 12 * MIN_YEAR  # the month index of Jan of year 1
 _TEXT_FIELDS = ("id", "question", "template_id", "split")
 _OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
 _TEXT_OR_NULL = (str, type(None))
@@ -130,28 +132,53 @@ def _all_strings(items: list) -> bool:
     return True
 
 
-def _l1_combination_space(templates: TemplateTable, months: int, years: int) -> int:
+def _l1_families(templates: TemplateTable) -> list[tuple]:
+    """Per L1 template: (position, template, id, year granularity, uses
+    years, uses months)."""
+    return [(i, template, template.id, template.granularity == "year", template.uses_years(),
+             template.uses_months()) for i, template in enumerate(templates.l1)]
+
+
+def _l1_combination_space(families: list[tuple], months: int, years: int) -> int:
     space = 0
-    for template in templates.l1:
-        per_direction = (MAX_YEAR_OFFSET if template.uses_years() else 1) \
-            * (MAX_MONTH_OFFSET if template.uses_months() else 1)
-        slots = years if template.granularity == "year" else months
-        space += len(DIRECTIONS) * per_direction * slots
+    for _, _, _, by_year, uses_years, uses_months in families:
+        per_direction = (MAX_YEAR_OFFSET if uses_years else 1) * (MAX_MONTH_OFFSET if uses_months else 1)
+        space += len(DIRECTIONS) * per_direction * (years if by_year else months)
     return space
 
 
-def _render_l1(templates: TemplateTable, template, direction: str, t: TimePoint,
-               x: int, y: int, split: str, sequence: int) -> Question:
-    offset = Offset(x, y, direction)
-    result = shift(t, offset)
-    if template.granularity == "year":
-        t_text, answer = str(t.year), str(result.year)
-    else:
-        t_text, answer = format_time(t), format_time(result)
-    return Question(id=f"l1-{split}-{sequence:06d}", level="L1", relation=None, subject=None, subject_id=None,
-                    template_id=f"{template.id}_{direction}",
-                    question=templates.render_l1(template, direction, x, y, t_text),
-                    answers=(answer,), negatives=(), t_ref=t, neighbor_object=None, split=split)
+def _l1_renderer(templates: TemplateTable, split: str):
+    """A function ``(family, direction, t_index, x, y, sequence)`` that
+    returns the question, or None when the answer falls before year 1.
+
+    Times are month indices. Each (template, direction, x, y) is rendered
+    once, up to its ``<t>`` (which a loaded template holds exactly once);
+    every question then only fills in its reference time.
+    """
+    texts: dict[tuple, tuple[str, str, str]] = {}
+
+    def render(family: tuple, direction: str, t_index: int, x: int, y: int, sequence: int) -> Question | None:
+        shifted = 12 * x + y
+        answer_index = t_index - shifted if direction == BEFORE else t_index + shifted
+        if answer_index < _FIRST_MONTH_INDEX:
+            return None
+        position, template, template_id, by_year, _, _ = family
+        key = (position, direction, x, y)
+        parts = texts.get(key)
+        if parts is None:
+            head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
+            parts = texts[key] = (f"{template_id}_{direction}", head, tail)
+        year, month0 = divmod(t_index, 12)
+        if by_year:
+            t_text, answer = str(year), str(answer_index // 12)
+        else:
+            answer_year, answer_month0 = divmod(answer_index, 12)
+            t_text, answer = f"{MONTH_ABBREVS[month0]} {year}", f"{MONTH_ABBREVS[answer_month0]} {answer_year}"
+        template_direction_id, head, tail = parts
+        return Question(f"l1-{split}-{sequence:06d}", "L1", None, None, None, template_direction_id,
+                        head + t_text + tail, (answer,), (), TimePoint(year, month0 + 1), None, split)
+
+    return render
 
 
 def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
@@ -170,13 +197,15 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     index_lo, index_hi = month_index(start), month_index(end)
     months = index_hi - index_lo + 1
     years = end.year - start.year + 1
-    space = _l1_combination_space(templates, months, years)
+    families = _l1_families(templates)
+    space = _l1_combination_space(families, months, years)
     if count > space:
         raise CapacityError(f"requested {count} questions but the range holds only {space} unique combinations")
 
     rng = random.Random(f"{seed}|l1|{split}")
+    render = _l1_renderer(templates, split)
     if count > space // 2:
-        return _gen_l1_enumerated(templates, rng, index_lo, index_hi, start.year, end.year, count, split)
+        return _gen_l1_enumerated(families, render, rng, index_lo, index_hi, start.year, end.year, count)
 
     seen: set[tuple] = set()
     out: list[Question] = []
@@ -186,50 +215,39 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
         attempts += 1
         if attempts > budget:
             raise CapacityError("unique-question sampling stalled; too few valid combinations in range")
-        template = rng.choice(templates.l1)
+        family = rng.choice(families)
+        _, _, template_id, by_year, uses_years, uses_months = family
         direction = rng.choice(DIRECTIONS)
-        if template.granularity == "year":
-            t = TimePoint(rng.randint(start.year, end.year), 1)
-        else:
-            t = time_from_month_index(rng.randint(index_lo, index_hi))
-        x = rng.randint(1, MAX_YEAR_OFFSET) if template.uses_years() else 0
-        y = rng.randint(1, MAX_MONTH_OFFSET) if template.uses_months() else 0
-        key = (template.id, direction, month_index(t), x, y)
+        t_index = 12 * rng.randint(start.year, end.year) if by_year else rng.randint(index_lo, index_hi)
+        x = rng.randint(1, MAX_YEAR_OFFSET) if uses_years else 0
+        y = rng.randint(1, MAX_MONTH_OFFSET) if uses_months else 0
+        key = (template_id, direction, t_index, x, y)
         if key in seen:
             continue
         seen.add(key)
-        try:
-            out.append(_render_l1(templates, template, direction, t, x, y, split, len(out)))
-        except TimeRangeError:
-            continue  # result fell before year 1; the key stays burned
+        question = render(family, direction, t_index, x, y, len(out))
+        if question is not None:  # else the answer fell before year 1; the key stays burned
+            out.append(question)
     return out
 
 
-def _gen_l1_enumerated(templates: TemplateTable, rng: random.Random, index_lo: int, index_hi: int,
-                       year_lo: int, year_hi: int, count: int, split: str) -> list[Question]:
+def _gen_l1_enumerated(families: list[tuple], render, rng: random.Random, index_lo: int, index_hi: int,
+                       year_lo: int, year_hi: int, count: int) -> list[Question]:
     # Dense requests enumerate the whole space instead of rejection sampling.
-    combos = []
-    for template in templates.l1:
-        xs = range(1, MAX_YEAR_OFFSET + 1) if template.uses_years() else (0,)
-        ys = range(1, MAX_MONTH_OFFSET + 1) if template.uses_months() else (0,)
-        if template.granularity == "year":
-            slots = [TimePoint(year, 1) for year in range(year_lo, year_hi + 1)]
-        else:
-            slots = [time_from_month_index(i) for i in range(index_lo, index_hi + 1)]
-        for direction in DIRECTIONS:
-            for t in slots:
-                for x in xs:
-                    for y in ys:
-                        combos.append((template, direction, t, x, y))
+    combos: list[tuple] = []
+    for position, _, _, by_year, uses_years, uses_months in families:
+        xs = range(1, MAX_YEAR_OFFSET + 1) if uses_years else (0,)
+        ys = range(1, MAX_MONTH_OFFSET + 1) if uses_months else (0,)
+        slots = range(12 * year_lo, 12 * year_hi + 1, 12) if by_year else range(index_lo, index_hi + 1)
+        combos.extend(product((position,), DIRECTIONS, slots, xs, ys))
     rng.shuffle(combos)
     out: list[Question] = []
-    for template, direction, t, x, y in combos:
+    for position, direction, t_index, x, y in combos:
         if len(out) == count:
             break
-        try:
-            out.append(_render_l1(templates, template, direction, t, x, y, split, len(out)))
-        except TimeRangeError:
-            continue
+        question = render(families[position], direction, t_index, x, y, len(out))
+        if question is not None:
+            out.append(question)
     if len(out) < count:
         raise CapacityError(f"only {len(out)} of {count} requested questions are representable in range")
     return out
@@ -252,10 +270,9 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
     for name, size in counts.items():
         chunk = pool[cursor:cursor + size]
         cursor += size
-        partitions[name] = [
-            question._replace(split=name, id=f"l1-{name}-{i:06d}")
-            for i, question in enumerate(chunk)
-        ]
+        # By position: every field but the first (id) and the last (split) is kept.
+        partitions[name] = [Question(f"l1-{name}-{i:06d}", *question[1:-1], name)
+                            for i, question in enumerate(chunk)]
     return partitions
 
 

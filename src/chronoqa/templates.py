@@ -73,6 +73,7 @@ class TemplateTable:
         self.l1 = l1
         self.relations = relations
         self._matchers: list[L1Matcher] | None = None
+        self._matchers_by_id: dict[str, list[L1Matcher]] | None = None
 
     @property
     def render_version(self) -> str:
@@ -127,6 +128,16 @@ class TemplateTable:
         self._matchers = matchers
         return matchers
 
+    def l1_candidates(self, template_id: str) -> list[L1Matcher]:
+        """The matchers of one template id (e.g. ``"l1_year_after"``), or
+        every matcher when no template has that id."""
+        if self._matchers_by_id is None:
+            by_id: dict[str, list[L1Matcher]] = {}
+            for matcher in self.l1_matchers():
+                by_id.setdefault(matcher.template_id, []).append(matcher)
+            self._matchers_by_id = by_id
+        return self._matchers_by_id.get(template_id) or self.l1_matchers()
+
 
 def _compile_l1_pattern(template_text: str) -> re.Pattern:
     escaped = re.escape(template_text)
@@ -150,6 +161,33 @@ def _texts(entry: object, where: str, path: str, names: tuple[str, ...], optiona
             raise TemplateError(f"template file {path}: {name!r} in {where} must be a string"
                                 f"{' or null' if name in optional else ''}, but {got}")
     return [entry.get(name) for name in names + optional]
+
+
+def _check_placeholders(template: RelativeTimeTemplate, where: str, path: str) -> None:
+    """Each L1 text holds ``<t>`` once; ``before`` and ``after`` hold the same
+    offsets, ``<x>`` and/or ``<y>``, each once; the one-year texts hold none.
+    The generator fills ``<t>`` into text rendered up to it, and the solver's
+    patterns name each placeholder as a group."""
+    def fail(names: str, problem: str) -> None:
+        raise TemplateError(f"template file {path}: {names} in {where} {problem}")
+
+    for name in ("before", "after", "before_one", "after_one"):
+        text = getattr(template, name)
+        if text is None:
+            continue
+        if text.count("<t>") != 1:
+            fail(repr(name), f"must hold <t> exactly once, got {text!r}")
+        for placeholder in ("<x>", "<y>"):
+            if name.endswith("_one") and placeholder in text:
+                fail(repr(name), f"is the one-year wording and must not hold {placeholder}, got {text!r}")
+            if text.count(placeholder) > 1:
+                fail(repr(name), f"must hold {placeholder} at most once, got {text!r}")
+    offsets = [[p for p in ("<x>", "<y>") if p in text] for text in (template.before, template.after)]
+    if offsets[0] != offsets[1]:
+        fail("'before' and 'after'", f"must hold the same of <x> and <y>, got {template.before!r} and "
+             f"{template.after!r}")
+    if not offsets[0]:
+        fail("'before' and 'after'", f"must hold <x> or <y>, got {template.before!r}")
 
 
 _default_table: TemplateTable | None = None
@@ -188,6 +226,7 @@ def _parse_table(raw: str, path: str) -> TemplateTable:
         if template.granularity not in ("year", "month"):
             raise TemplateError(f"template file {path}: 'granularity' in l1 entry {i} must be 'year' or "
                                 f"'month', got {template.granularity!r}")
+        _check_placeholders(template, f"l1 entry {i}", path)
         l1.append(template)
     relations = {code: RelationTemplates(code, *_texts(entry, code, path, RelationTemplates._fields[1:]))
                  for code, entry in data["relations"].items()}

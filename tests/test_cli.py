@@ -91,6 +91,12 @@ class TestExitCodes:
         assert "E_USAGE" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["--seed", "3", "gen-l1", "--count", "5"], ["--seed=3", "gen-l1"],
+                                      ["--seed", "3"]], ids=["before-subcommand", "joined-value", "no-subcommand"])
+    def test_flag_before_the_subcommand_says_where_it_goes(self, capsys, argv):
+        assert run(*argv) == 1
+        assert "E_USAGE] --seed goes after the subcommand: chronoqa SUBCOMMAND --seed" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run("--version")
@@ -379,6 +385,19 @@ class TestFileBoundary:
         assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
         err = capsys.readouterr().err
         assert f"E_DATA] template file {templates}: 'granularity' in l1 entry 1 must be 'year' or 'month'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_l1_text_without_t_is_a_data_error_naming_the_file(self, tmp_path, capsys):
+        # Such questions ("What year is 6 years before?") were written, and
+        # solve then failed on them with a bare KeyError message.
+        table = load_templates()
+        table = {"l1": [tpl._asdict() for tpl in table.l1],
+                 "relations": {code: rel._asdict() for code, rel in table.relations.items()}}
+        table["l1"][0].update(before="What year is <x> years before?", after="What year is <x> years after?")
+        templates = write_lines(tmp_path / "t.json", [json.dumps(table)])
+        assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
+        err = capsys.readouterr().err
+        assert f"E_DATA] template file {templates}: 'before' in l1 entry 1 must hold <t> exactly once" in err
         assert not (tmp_path / "out").exists()
 
     def test_list_article_subject_id_is_named_by_path_and_line(self, tmp_path, capsys):

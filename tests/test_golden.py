@@ -40,6 +40,11 @@ GOLDEN = {
     "l1_future.jsonl": "5e8c3092dd64169ce68fefb9575e106bea98a54917fc0888a84adb932a1b38ec",
     "mask.jsonl": "0bd8a7d7bd1443cf2c6ea01900fc6b450a3f43cd8fdfe805040536d7877b9306",
     "stats.json": "1efb83bd3784193174dab631fe7efba43811858d394c2b6783ed7ad05fbcb149",
+    # gen-l1 near year 1: enumeration, and sampling into three splits
+    "l1_enumerated/l1_train.jsonl": "23388d12cd329afd7383bdfc2d3bdf69ac2df4dac493ed66b19af3471593d537",
+    "l1_early/l1_dev.jsonl": "21584d89c418cb2d9482b53df091320c12d69d2ce88d39757ef04b6113f80c8c",
+    "l1_early/l1_test.jsonl": "2a2d747fd44033c59e6b082d65e7d39f965b131b12f1a5067f4456ca5c0b55f2",
+    "l1_early/l1_train.jsonl": "6932303a6da480a962c8679300e9f84d677e8a0c500c81744a4aaef50963247d",
 }
 
 
@@ -115,6 +120,12 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
         ["gen-l1", "--out-dir", "out/l1_splits", "--count", "40", "--dev-count", "7", "--test-count", "5",
          "--seed", "11", "--range", "Jan 1890:Dec 2030"],
         ["gen-l1-future", "--out-dir", "out", "--count", "30", "--seed", "11"],
+        # Enumeration (1,583 of a 3,164 space) and sampling, both skipping
+        # results that fall before year 1.
+        ["gen-l1", "--out-dir", "out/l1_enumerated", "--count", "1583", "--seed", "11",
+         "--range", "Jan 1:Dec 1"],
+        ["gen-l1", "--out-dir", "out/l1_early", "--count", "300", "--dev-count", "30", "--test-count", "30",
+         "--seed", "11", "--range", "Jan 1:Dec 5"],
         ["mask", "--docs", "docs.jsonl", "--ratio", "0.5", "--seed", "11", "--out", "out/mask.jsonl"],
         ["stats", *fact_flags, "--max-subjects", "7", "--min-facts", "4",
          "--questions", "out/l2_train.jsonl", "out/l3_train.jsonl", "--out", "out/stats.json"],

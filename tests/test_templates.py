@@ -65,6 +65,39 @@ class TestLoading:
             load_templates(str(path))
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize("entry, edit, message", [
+        (1, {"before": "How long before? <y> month(s)"}, "'before' in l1 entry 1 must hold <t> exactly once"),
+        (1, {"after": "After <t>, <t>? <y> month(s)"}, "'after' in l1 entry 1 must hold <t> exactly once"),
+        (1, {"before": "How long before <t>? <y> month(s), <y>"},
+         "'before' in l1 entry 1 must hold <y> at most once"),
+        (2, {"after": "<x> or <x> year(s) after <t>?"}, "'after' in l1 entry 2 must hold <x> at most once"),
+        (1, {"after": "How long after <t>? <x> year(s)"},
+         "'before' and 'after' in l1 entry 1 must hold the same of <x> and <y>"),
+        (2, {"before": "<x> year(s) before <t>?", "after": "<x> year(s) and <y> month(s) after <t>?"},
+         "'before' and 'after' in l1 entry 2 must hold the same of <x> and <y>"),
+        (1, {"before": "Before <t>?", "after": "After <t>?"},
+         "'before' and 'after' in l1 entry 1 must hold <x> or <y>"),
+        (2, {"before_one": "The year before?"}, "'before_one' in l1 entry 2 must hold <t> exactly once"),
+        (2, {"after_one": "The year after <t>, <t>?"}, "'after_one' in l1 entry 2 must hold <t> exactly once"),
+        (2, {"after_one": "The <x> year after <t>?"},
+         "'after_one' in l1 entry 2 is the one-year wording and must not hold <x>"),
+        (2, {"before_one": "The year and <y> months before <t>?"},
+         "'before_one' in l1 entry 2 is the one-year wording and must not hold <y>"),
+    ], ids=["before-without-t", "after-with-two-t", "repeated-y", "repeated-x", "after-with-other-offset",
+            "before-with-fewer-offsets", "no-offset", "one-year-without-t", "one-year-with-two-t",
+            "one-year-with-x", "one-year-with-y"])
+    def test_l1_placeholders_are_checked_naming_the_file(self, tmp_path, entry, edit, message):
+        table = custom_table()
+        table["l1"].append({"id": "years", "granularity": "year", "before": "<x> year(s) before <t>?",
+                            "after": "<x> year(s) after <t>?", "before_one": "The year before <t>?",
+                            "after_one": "The year after <t>?"})
+        table["l1"][entry - 1].update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        with pytest.raises(TemplateError, match=re.escape(message)) as excinfo:
+            load_templates(str(path))
+        assert str(path) in str(excinfo.value)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "l1": [], "relations": {"P39": {"name": "x"}}}),
