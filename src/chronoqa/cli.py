@@ -20,7 +20,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .jsonl import load_jsonl, write_json, write_jsonl
+from .jsonl import dumps, load_jsonl, write_json, write_jsonl
 
 if TYPE_CHECKING:  # each handler imports the modules it runs
     from .facts import FactGroup
@@ -146,20 +146,22 @@ def _load_groups(args, templates, max_subjects: int = 1 << 60, min_facts: int = 
     return build_groups(store, args.seed, max_subjects_per_relation=max_subjects, min_facts=min_facts)
 
 
-def _write_records(path, records, meta: dict, noun: str) -> None:
-    count = write_jsonl(str(path), records, meta)
+def _write_records(path, records, meta: dict, noun: str, encode=dumps) -> None:
+    count = write_jsonl(str(path), records, meta, encode=encode)
     print(f"wrote {count} {noun} to {path}")
 
 
 def _write_questions(args, templates, config: dict, level: str, partitions: dict) -> None:
     """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``."""
     from pathlib import Path
+
+    from .questions import record_line
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _meta(args, templates.render_version, config)
     for split, questions in partitions.items():
         _write_records(out_dir / f"{level}_{split}.jsonl", (q.to_record() for q in questions), meta,
-                       "questions")
+                       "questions", record_line)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,7 @@ def cmd_mask(args) -> int:
 def cmd_solve(args) -> int:
     from .oracle import index_groups, solve
     from .questions import Question
+    from .scoring import prediction_line
     from .templates import load_templates
     templates = load_templates(args.templates)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
@@ -282,7 +285,7 @@ def cmd_solve(args) -> int:
         records.append({"id": question.id, "prediction": answer.answers[0] if answer.answers else ""})
     render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
-    _write_records(args.out, records, _meta(args, render_version, config), "predictions")
+    _write_records(args.out, records, _meta(args, render_version, config), "predictions", prediction_line)
     return EXIT_OK
 
 

@@ -27,6 +27,11 @@ T = TypeVar("T")
 # argument builds a new ``JSONEncoder`` per call.
 dumps = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
+# The string escaper ``dumps`` uses, quotes included. A line built from it in
+# sorted key order has the bytes ``dumps`` writes, without the key sort and
+# encoder set-up ``dumps`` repeats per call.
+quote = json.encoder.encode_basestring
+
 
 @contextmanager
 def _replacing(path: str) -> Iterator[IO[str]]:
@@ -42,14 +47,17 @@ def _replacing(path: str) -> Iterator[IO[str]]:
         raise
 
 
-def write_jsonl(path: str, records: Iterable[dict], meta: dict | None = None) -> int:
-    """Write records (plus an optional meta header); returns the record count."""
+def write_jsonl(path: str, records: Iterable[T], meta: dict | None = None,
+                encode: Callable[[T], str] = dumps) -> int:
+    """Write records (plus an optional meta header), one ``encode(record)``
+    line each; returns the record count. ``encode`` must write what ``dumps``
+    would: the header always goes through ``dumps``."""
     count = 0
     with _replacing(path) as handle:
         if meta is not None:
             handle.write(dumps({META_KEY: meta}) + "\n")
         for record in records:
-            handle.write(dumps(record) + "\n")
+            handle.write(encode(record) + "\n")
             count += 1
     return count
 
@@ -64,8 +72,32 @@ def read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError
     """Read (meta, rows) with one ``(line_no, row)`` pair per non-blank line.
 
     ``row`` is the decoded object, or a ValueError for invalid JSON, a value
-    that is not an object, or a ``_meta`` header anywhere but line 1.
+    that is not an object, a ``_meta`` header anywhere but line 1, or a
+    line-1 header whose value is not an object or whose ``render_version``
+    is not a string. Bytes that are not UTF-8 raise a ValueError naming the
+    first line that holds them.
     """
+    try:
+        return _read_rows(path)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc) from None
+
+
+def _utf8_error(path: str, error: UnicodeDecodeError) -> ValueError:
+    """``path:line`` of the first line that is not UTF-8, numbered as
+    text-mode reading numbers lines; ``error`` itself if none is left."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()  # at \n, \r and \r\n, as text mode splits
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ValueError(f"{path}:{line_no}: invalid UTF-8: {exc.reason} "
+                              f"(byte 0x{line[exc.start]:02x} at byte {exc.start + 1} of the line)")
+    return error  # the file changed after the first read
+
+
+def _read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError]]]:
     meta = None
     rows: list[tuple[int, dict | ValueError]] = []
     with open(path, encoding="utf-8") as handle:
@@ -84,10 +116,16 @@ def read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError
                 if not isinstance(row, dict):
                     row = ValueError(f"expected a JSON object, got {type(row).__name__}")
                 elif len(row) == 1 and META_KEY in row:
-                    if line_no == 1:
+                    if line_no != 1:
+                        row = ValueError(f"a {META_KEY} header is only allowed on line 1")
+                    elif not isinstance(row[META_KEY], dict):
+                        row = ValueError(f"the {META_KEY} header must be an object, "
+                                         f"got {type(row[META_KEY]).__name__}")
+                    elif not isinstance(row[META_KEY].get("render_version", ""), str):
+                        row = ValueError(f"{META_KEY}.render_version must be a string")
+                    else:
                         meta = row[META_KEY]
                         continue
-                    row = ValueError(f"a {META_KEY} header is only allowed on line 1")
             rows.append((line_no, row))
     return meta, rows
 

@@ -18,6 +18,7 @@ import random
 from itertools import product
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
+from .jsonl import quote
 from .timeline import (
     BEFORE,
     DIRECTIONS,
@@ -115,6 +116,21 @@ class Question(NamedTuple):
         # By position: a keyword call costs more, once per record.
         return cls(question_id, level, relation, subject, subject_id, template_id, question, tuple(answers),
                    tuple(negatives), None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split)
+
+
+def record_line(record: dict) -> str:
+    """``jsonl.dumps(record)`` for a ``Question.to_record()`` dict: its keys in
+    sorted order, each string through ``dumps``'s own escaper."""
+    neighbor, relation, subject = record["neighbor_object"], record["relation"], record["subject"]
+    subject_id, t_ref = record["subject_id"], record["t_ref"]
+    return (f'{{"answers": [{", ".join(map(quote, record["answers"]))}], "id": {quote(record["id"])}, '
+            f'"level": {quote(record["level"])}, "negatives": [{", ".join(map(quote, record["negatives"]))}], '
+            f'"neighbor_object": {"null" if neighbor is None else quote(neighbor)}, '
+            f'"question": {quote(record["question"])}, '
+            f'"relation": {"null" if relation is None else quote(relation)}, "split": {quote(record["split"])}, '
+            f'"subject": {"null" if subject is None else quote(subject)}, '
+            f'"subject_id": {"null" if subject_id is None else quote(subject_id)}, '
+            f'"t_ref": {"null" if t_ref is None else quote(t_ref)}, "template_id": {quote(record["template_id"])}}}')
 
 
 def _default_templates() -> TemplateTable:

@@ -18,6 +18,8 @@ import string
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .jsonl import quote
+
 if TYPE_CHECKING:
     from .questions import Question
 
@@ -111,6 +113,11 @@ class Prediction(NamedTuple):
 
     def to_record(self) -> dict:
         return {"id": self.id, "prediction": self.prediction}
+
+
+def prediction_line(record: dict) -> str:
+    """``jsonl.dumps(record)`` for an ``{"id", "prediction"}`` record."""
+    return f'{{"id": {quote(record["id"])}, "prediction": {quote(record["prediction"])}}}'
 
 
 class RewardRecord(NamedTuple):

@@ -377,6 +377,64 @@ class TestFileBoundary:
         assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
         assert f"{questions}:4: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, bad_file", [("solve", "q"), ("eval", "q"), ("eval", "p")])
+    @pytest.mark.parametrize("meta, message", [
+        (5, "the _meta header must be an object, got int"),
+        (["x"], "the _meta header must be an object, got list"),
+        ({"render_version": ["x"]}, "_meta.render_version must be a string"),
+        ({"render_version": None}, "_meta.render_version must be a string"),
+    ], ids=["number", "list", "list-render_version", "null-render_version"])
+    def test_bad_meta_header_is_named_by_path_and_line(self, tmp_path, capsys, command, bad_file, meta, message):
+        # A non-object header stopped solve and eval with E_INTERNAL; a list
+        # render_version was copied into solve's own header.
+        l1_record = {"id": "q1", "level": "L1", "template_id": "l1_year_before",
+                     "question": "What is the year 2 years before 2000?", "answers": ["1998"], "t_ref": "2000"}
+        questions = [json.dumps(l1_record)]
+        predictions = [json.dumps({"id": "q1", "prediction": "1998"})]
+        (questions if bad_file == "q" else predictions).insert(0, json.dumps({"_meta": meta}))
+        questions = write_lines(tmp_path / "q.jsonl", questions)
+        predictions = write_lines(tmp_path / "p.jsonl", predictions)
+        out = str(tmp_path / "out.jsonl")
+        argv = ["--out", out] if command == "solve" else ["--predictions", predictions]
+        assert run(command, "--questions", questions, *argv) == 2
+        path = questions if bad_file == "q" else predictions
+        assert f"[E_DATA] {path}:1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_non_object_meta_in_fact_file_is_a_malformed_row(self, tmp_path, capsys):
+        lines = [json.dumps({"_meta": 5})] + [json.dumps(row) for row in YOSHIMURA_ROWS]
+        facts = write_lines(tmp_path / "facts.jsonl", lines)
+        assert run("stats", "--facts", facts) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert warnings == [f"warning: {facts}: line 1: the _meta header must be an object, got int"]
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    def test_invalid_utf8_is_named_by_path_and_line(self, tmp_path, capsys, command):
+        # The message was the codec's alone: "'utf-8' codec can't decode
+        # byte 0xff in position 850", with neither file nor line.
+        lines = [json.dumps(row).encode() for row in YOSHIMURA_ROWS] if command == "stats" else [
+            json.dumps({"_meta": {"seed": 1}}).encode(), json.dumps(l2_record("Q1")).encode()]
+        lines.insert(2, b'{"subject": "Z\xfcrich \xff"}')
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "q1", "prediction": "Mayor"})])
+        argv = (["--facts", str(path)] if command == "stats"
+                else ["--questions", str(path), "--predictions", predictions])
+        assert run(command, *argv) == 2
+        assert (f"[E_DATA] {path}:3: invalid UTF-8: invalid start byte (byte 0xfc at byte 15 of the line)"
+                in capsys.readouterr().err)
+
+    def test_unwritable_question_text_leaves_no_file(self, tmp_path, capsys):
+        # A lone surrogate is a valid JSON string escape but cannot be
+        # written as UTF-8: the write fails after some lines went out.
+        rows = synth_rows(3, relation="P39", facts_per_subject=(3, 4), seed=5)
+        rows[-1]["object"] = "Mayor \ud800"
+        facts = write_facts(tmp_path / "facts.jsonl", rows)
+        out = tmp_path / "out"
+        assert run("gen-l2", "--facts", facts, "--out-dir", str(out)) == 2
+        assert "[E_DATA]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_mistyped_template_file_is_a_data_error_naming_the_file(self, tmp_path, capsys):
         table = load_templates()
         table = {"l1": [dict(tpl._asdict(), granularity="week") for tpl in table.l1],

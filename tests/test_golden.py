@@ -154,3 +154,42 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     digests = {path.relative_to(out).as_posix(): _digest(path) for path in out.rglob("*") if path.is_file()}
     assert digests == GOLDEN
+
+
+# Fact names that every JSON escape rule touches: quotes, backslashes,
+# control characters, U+007F, U+2028/2029, non-ASCII and astral text.
+_ESCAPED_NAMES = ['Ada "the Count" Lovelace', "C:\\Users\\admin", "Tab\there", "Zürich", "Line\u2028Sep",
+                  "Para\u2029Sep \x7f", "Bell\x07 and \x1f", "Emoji \U0001F600 Ω", "Back\\\"slash"]
+
+ESCAPED_GOLDEN = {
+    "l2_train.jsonl": "70904c2c273a95092d91834d69023b66b3b46e3e949233f223ac8cf3001bd94c",
+    "l3_train.jsonl": "bac0c3e49e29c5973f193ca98c9e05af951b4e9c6c0ee6b7a9950928651d6224",
+    "solve_l2.jsonl": "3fa31cdf516f518fa03797a3459e05b98ab97fcccf685fa4ca525d2dc1027a30",
+    "solve_l3.jsonl": "6b9b465648ae289fdb06637380fe21e2ceca6dcdb99baee8169fd01ed4748691",
+}
+
+
+def _escaped_facts():
+    rows = synth_rows(len(_ESCAPED_NAMES), relation="P39", facts_per_subject=(3, 5), seed=900,
+                      allow_overlap=True)
+    for row in rows:
+        index = int(row["subject_id"].rsplit("-", 1)[1])
+        name = _ESCAPED_NAMES[index]
+        row["subject"] = name
+        row["object"] = f"{row['object']} of {name}"
+    return rows
+
+
+def test_escape_heavy_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_facts(tmp_path / "facts.jsonl", _escaped_facts())
+    fact_flags = ["--facts", "facts.jsonl", "--seed", "13"]
+    for level in ("l2", "l3"):
+        assert main([f"gen-{level}", *fact_flags, "--out-dir", "out"]) == 0
+        assert main(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
+                     "--out", f"out/solve_{level}.jsonl"]) == 0
+    capsys.readouterr()
+
+    out = tmp_path / "out"
+    digests = {path.name: _digest(path) for path in out.iterdir()}
+    assert digests == ESCAPED_GOLDEN

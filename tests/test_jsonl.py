@@ -24,6 +24,34 @@ def test_bad_line_is_named_by_path_and_line(tmp_path, bad_line, message):
     assert str(excinfo.value) == f"{path}:4: {message}"
 
 
+@pytest.mark.parametrize("meta, message", [
+    (5, "the _meta header must be an object, got int"),
+    (None, "the _meta header must be an object, got NoneType"),
+    ({"render_version": 1}, "_meta.render_version must be a string"),
+], ids=["number", "null", "number-render_version"])
+def test_bad_line_one_header_is_a_bad_line(tmp_path, meta, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"_meta": meta}) + '\n{"a": 1}\n', encoding="utf-8")
+    meta, rows = read_rows(str(path))
+    assert meta is None and [line_no for line_no, _ in rows] == [1, 2] and str(rows[0][1]) == message
+    with pytest.raises(ValueError) as excinfo:
+        read_jsonl(str(path))
+    assert str(excinfo.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize("data, line_no, reason", [
+    (b'{"a": 1}\r{"b": 2}\r\n\n{"c": "\xe9"}\n', 4, "invalid continuation byte (byte 0xe9 at byte 8"),
+    (b'{"a": 1}\n\xff\n', 2, "invalid start byte (byte 0xff at byte 1"),
+    (b'{"a": 1}\n{"b": "\xe2\x82', 2, "unexpected end of data (byte 0xe2 at byte 8"),
+], ids=["after-cr-and-crlf", "invalid-start", "truncated-at-end"])
+def test_invalid_utf8_is_named_by_path_and_line(tmp_path, data, line_no, reason):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as excinfo:
+        read_rows(str(path))
+    assert str(excinfo.value) == f"{path}:{line_no}: invalid UTF-8: {reason} of the line)"
+
+
 def test_rows_decode_as_json_loads_does(tmp_path):
     lines = ['{"a": [1, 2.5e3, -0, null, true], "b": {"c": "\\u00e9\\n"}}', '\t{"d": "x"}  ',
              ' {"e": 1}\u3000', '{"f": NaN, "g": Infinity}', "{}\x0b", '{"h": "\\ud800"}',
