@@ -244,17 +244,17 @@ def cmd_render(args) -> int:
     groups = index_groups(_load_groups(args, templates)) if setting == "ReasonQA" else None
     articles = SubjectIndex("article", load_jsonl(args.articles, _article)[1]) if setting == "OBQA" else None
 
-    records = []
-    for question in questions:
-        group = groups.resolve(question, question.relation) if groups is not None else None
-        article = articles.resolve(question) if articles is not None else None
-        example = render(question, group, article, setting=setting, seed=args.seed, templates=templates)
-        records.append(example.to_record())
+    def examples():
+        for question in questions:
+            group = groups.resolve(question, question.relation) if groups is not None else None
+            article = articles.resolve(question) if articles is not None else None
+            example = render(question, group, article, setting=setting, seed=args.seed, templates=templates)
+            yield example._asdict()
 
     render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "setting": setting, "facts": args.facts,
               "articles": args.articles, "templates": args.templates}
-    _write_records(args.out, records, _meta(args, render_version, config), "rendered examples")
+    _write_records(args.out, examples(), _meta(args, render_version, config), "rendered examples")
     return EXIT_OK
 
 
@@ -274,18 +274,16 @@ def cmd_mask(args) -> int:
 def cmd_solve(args) -> int:
     from .oracle import index_groups, solve
     from .questions import Question
-    from .scoring import prediction_line
+    from .scoring import Prediction, prediction_line
     from .templates import load_templates
     templates = load_templates(args.templates)
     meta_in, questions = load_jsonl(args.questions, Question.from_record)
     groups = index_groups(_load_groups(args, templates)) if args.facts else None
-    records = []
-    for question in questions:
-        answer = solve(question, groups, templates)
-        records.append({"id": question.id, "prediction": answer.answers[0] if answer.answers else ""})
+    predictions = (Prediction(question.id, (solve(question, groups, templates).answers or ("",))[0])
+                   for question in questions)  # the first answer, or "" when there is none
     render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
-    _write_records(args.out, records, _meta(args, render_version, config), "predictions", prediction_line)
+    _write_records(args.out, predictions, _meta(args, render_version, config), "predictions", prediction_line)
     return EXIT_OK
 
 
@@ -333,7 +331,7 @@ def cmd_reward(args) -> int:
     records = reward_records(questions, predictions)
     config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")
-    count = write_jsonl(args.out, (r.to_record() for r in records), _meta(args, render_version, config))
+    count = write_jsonl(args.out, (r._asdict() for r in records), _meta(args, render_version, config))
     values = [r.reward for r in records]
     mean = sum(values) / len(values) if values else 0.0
     positive = sum(1 for v in values if v > 0)
@@ -448,7 +446,7 @@ def _mask_flags() -> list:
         _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
               help="fraction of spans to mask (default: %(default)s)"),
         _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True),
-              default=DEFAULT_SENTINEL_PATTERN, help="sentinel format containing {k} (default: %(default)s)"),
+              default=DEFAULT_SENTINEL_PATTERN, help="sentinel text containing {k} once (default: %(default)s)"),
     ]
 
 

@@ -14,9 +14,9 @@ document is exactly reconstructable.
 
 from __future__ import annotations
 
-import math
 import random
 import re
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .templates import TemplateTable, load_templates
@@ -40,9 +40,6 @@ class RenderedExample(NamedTuple):
     setting: str
     prompt: str
     target: str
-
-    def to_record(self) -> dict:
-        return {"id": self.id, "setting": self.setting, "prompt": self.prompt, "target": self.target}
 
 
 class AnnotatedDocument(NamedTuple):
@@ -118,21 +115,30 @@ def sentinel_parts(sentinel_pattern: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+@lru_cache(maxsize=64)
+def _decimal_ratio(ratio: float) -> tuple[int, int]:
+    """(numerator, denominator) of the decimal ``ratio`` prints as: 0.28 is 7/25."""
+    from fractions import Fraction  # only masking needs it
+    return Fraction(repr(ratio)).as_integer_ratio()
+
+
 def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
                sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> tuple[str, str]:
     """Mask ceil(ratio * span_count) spans; returns (masked_text, target).
 
-    Sentinels are numbered in document order; the target is the
-    concatenation of each sentinel followed by the span it replaced, so
-    :func:`unmask` recovers the original text exactly.
+    The product is exact for ``ratio`` as it prints. Each sentinel is the
+    pattern with ``{k}`` replaced by its rank in document order; the target
+    is each sentinel followed by the span it replaced, so :func:`unmask`
+    recovers the original text exactly.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
-    sentinel_parts(sentinel_pattern)
+    prefix, suffix = sentinel_parts(sentinel_pattern)
     if not doc.spans:
         raise ValueError(f"document {doc.doc_id!r} has no spans to mask")
     span_count = len(doc.spans)
-    masked_count = math.ceil(ratio * span_count)
+    numerator, denominator = _decimal_ratio(ratio)
+    masked_count = -(-numerator * span_count // denominator)  # the ceiling, in integers
     rng = random.Random(f"{seed}|mask|{doc.doc_id}")
     chosen = sorted(rng.sample(range(span_count), masked_count))
 
@@ -141,7 +147,7 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     cursor = 0
     for rank, span_index in enumerate(chosen):
         start, end, _ = doc.spans[span_index]
-        sentinel = sentinel_pattern.format(k=rank)
+        sentinel = f"{prefix}{rank}{suffix}"
         masked_pieces.append(doc.text[cursor:start])
         masked_pieces.append(sentinel)
         target_pieces.append(sentinel)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .jsonl import read_rows
@@ -135,9 +136,9 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     """Validate quintuplet rows into a store.
 
     ``rows`` yields dicts, or (line_number, row) pairs from
-    :func:`jsonl.read_rows`. Bad rows raise in strict mode, otherwise they
-    are skipped and reported. Rows identical in (subject_id, relation,
-    object, interval) are deduplicated.
+    :func:`jsonl.read_rows` after its header. Bad rows raise in strict mode,
+    otherwise they are skipped and reported. Rows identical in (subject_id,
+    relation, object, interval) are deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -146,10 +147,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     seen: set[tuple] = set()
     duplicates = 0
     for position, item in enumerate(rows, start=1):
-        if isinstance(item, tuple):
-            line, row = item
-        else:
-            line, row = position, item
+        line, row = item if isinstance(item, tuple) else (position, item)
         try:
             fact = _validate_row(row, relation_codes, snapshot)
         except ValueError as exc:
@@ -169,7 +167,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
 def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
                    relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
     """Ingest a JSONL fact file, reporting bad lines by number."""
-    _, rows = read_rows(path)
+    rows = filter(itemgetter(0), read_rows(path))  # a header comes as line 0
     return ingest(rows, snapshot=snapshot, relation_codes=relation_codes, strict=strict)
 
 

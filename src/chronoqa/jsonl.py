@@ -68,19 +68,47 @@ def write_json(path: str, payload: dict) -> None:
         handle.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
-def read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError]]]:
-    """Read (meta, rows) with one ``(line_no, row)`` pair per non-blank line.
+def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
+    """Yield ``(line_no, row)`` for each non-blank line as it is read; a
+    valid line-1 ``_meta`` header comes first, as ``(0, meta)``.
 
     ``row`` is the decoded object, or a ValueError for invalid JSON, a value
     that is not an object, a ``_meta`` header anywhere but line 1, or a
     line-1 header whose value is not an object or whose ``render_version``
     is not a string. Bytes that are not UTF-8 raise a ValueError naming the
-    first line that holds them.
+    first line that holds them. Text is decoded in chunks ahead of the lines
+    yielded, so that error may come before a bad line that precedes it.
     """
-    try:
-        return _read_rows(path)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(path, exc) from None
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    row, end = _decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
+                except json.JSONDecodeError as exc:
+                    detail = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff"
+                              else exc.msg)
+                    row = ValueError(f"invalid JSON: {detail}")
+                else:
+                    if not isinstance(row, dict):
+                        row = ValueError(f"expected a JSON object, got {type(row).__name__}")
+                    elif len(row) == 1 and META_KEY in row:
+                        if line_no != 1:
+                            row = ValueError(f"a {META_KEY} header is only allowed on line 1")
+                        elif not isinstance(row[META_KEY], dict):
+                            row = ValueError(f"the {META_KEY} header must be an object, "
+                                             f"got {type(row[META_KEY]).__name__}")
+                        elif not isinstance(row[META_KEY].get("render_version", ""), str):
+                            row = ValueError(f"{META_KEY}.render_version must be a string")
+                        else:
+                            line_no, row = 0, row[META_KEY]
+                yield line_no, row
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc) from None
 
 
 def _utf8_error(path: str, error: UnicodeDecodeError) -> ValueError:
@@ -97,45 +125,14 @@ def _utf8_error(path: str, error: UnicodeDecodeError) -> ValueError:
     return error  # the file changed after the first read
 
 
-def _read_rows(path: str) -> tuple[dict | None, list[tuple[int, dict | ValueError]]]:
-    meta = None
-    rows: list[tuple[int, dict | ValueError]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                row, end = _decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
-            except json.JSONDecodeError as exc:
-                detail = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff" else exc.msg
-                row = ValueError(f"invalid JSON: {detail}")
-            else:
-                if not isinstance(row, dict):
-                    row = ValueError(f"expected a JSON object, got {type(row).__name__}")
-                elif len(row) == 1 and META_KEY in row:
-                    if line_no != 1:
-                        row = ValueError(f"a {META_KEY} header is only allowed on line 1")
-                    elif not isinstance(row[META_KEY], dict):
-                        row = ValueError(f"the {META_KEY} header must be an object, "
-                                         f"got {type(row[META_KEY]).__name__}")
-                    elif not isinstance(row[META_KEY].get("render_version", ""), str):
-                        row = ValueError(f"{META_KEY}.render_version must be a string")
-                    else:
-                        meta = row[META_KEY]
-                        continue
-            rows.append((line_no, row))
-    return meta, rows
-
-
 def load_jsonl(path: str, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
     """Read (meta, items) with ``parse`` applied to every record; the first
     bad line or record raises a ValueError that starts with ``path:line``."""
-    meta, rows = read_rows(path)
-    items = []
-    for line_no, row in rows:
+    meta, items = None, []
+    for line_no, row in read_rows(path):
+        if not line_no:
+            meta = row
+            continue
         try:
             if isinstance(row, ValueError):
                 raise row

@@ -19,6 +19,7 @@ from .timeline import (
     TimeParseError,
     TimeRangeError,
     format_time,
+    is_year_text,
     parse_time_cached,
     shift,
 )
@@ -62,7 +63,7 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
         t_text = groups["t"]
         try:
             if matcher.granularity == "year":
-                if not t_text.isdigit():
+                if not is_year_text(t_text):
                     raise OracleError(f"expected a bare year, got {t_text!r}")
                 t = TimePoint(int(t_text), 1)
             else:

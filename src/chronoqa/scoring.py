@@ -19,6 +19,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .jsonl import quote
+from .timeline import is_year_text
 
 if TYPE_CHECKING:
     from .questions import Question
@@ -111,13 +112,10 @@ class Prediction(NamedTuple):
             raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
         return cls(prediction_id, prediction)
 
-    def to_record(self) -> dict:
-        return {"id": self.id, "prediction": self.prediction}
 
-
-def prediction_line(record: dict) -> str:
-    """``jsonl.dumps(record)`` for an ``{"id", "prediction"}`` record."""
-    return f'{{"id": {quote(record["id"])}, "prediction": {quote(record["prediction"])}}}'
+def prediction_line(prediction: Prediction) -> str:
+    """The line ``jsonl.dumps(prediction._asdict())`` writes."""
+    return f'{{"id": {quote(prediction.id)}, "prediction": {quote(prediction.prediction)}}}'
 
 
 class RewardRecord(NamedTuple):
@@ -127,9 +125,6 @@ class RewardRecord(NamedTuple):
     p: float
     n: float
     reward: float
-
-    def to_record(self) -> dict:
-        return {"id": self.id, "p": self.p, "n": self.n, "reward": self.reward}
 
 
 Scorer = Callable[[str, str], float]
@@ -299,9 +294,8 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
         f1 = 1.0 if em else max(_token_f1(pred_tokens, gold) for gold in gold_tokens)
         numeric = None
         gold_year = golds[0].strip()
-        if t_ref is not None and gold_year.isdigit() and len(golds) == 1:
-            if int(gold_year) != t_ref.year:
-                numeric = score_numeric(text, int(gold_year), t_ref.year)
+        if t_ref is not None and len(golds) == 1 and is_year_text(gold_year) and int(gold_year) != t_ref.year:
+            numeric = score_numeric(text, int(gold_year), t_ref.year)
         overall.add(em, f1, numeric)
         p_label = period_label(t_ref.year, period_edges) if t_ref else "undated"
         per_period[p_label].add(em, f1, numeric)

@@ -138,6 +138,11 @@ def compare(a: TimePoint, b: TimePoint) -> str:
     return SAME
 
 
+def is_year_text(text: str) -> bool:
+    """A year is ASCII digits; ``str.isdigit`` alone also takes ``²`` and ``２０１９``."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_time(text: str, bare_year_month: int = 1) -> TimePoint:
     """Parse ``"Jul 2019"`` or a bare ``"2019"``.
 
@@ -155,12 +160,9 @@ def parse_time(text: str, bare_year_month: int = 1) -> TimePoint:
             raise TimeParseError(f"unrecognized month token {month_token!r} in {text!r}")
     else:
         raise TimeParseError(f"expected 'Mon YYYY' or 'YYYY', got {text!r}")
-    if not year_token.isdigit():
+    if not is_year_text(year_token):
         raise TimeParseError(f"unrecognized year token {year_token!r} in {text!r}")
-    year = int(year_token)
-    if year < MIN_YEAR:
-        raise TimeRangeError(f"year {year} is before the minimum supported year {MIN_YEAR}")
-    return TimePoint(year, month)
+    return TimePoint(int(year_token), month)  # which raises TimeRangeError before year 1
 
 
 @lru_cache(maxsize=1 << 14)

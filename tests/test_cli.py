@@ -226,6 +226,16 @@ class TestSolveEvalPipeline:
         answers = {r["id"]: r["answers"][0] for r in q_records}
         assert all(answers[r["id"]] == r["prediction"] for r in p_records)
 
+    def test_non_ascii_digit_gold_is_scored_as_text(self, tmp_path):
+        # '²'.isdigit() is True, so eval took it for a year and int() raised.
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(dict(l2_record("Q1"), answers=["²"]))])
+        predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "q1", "prediction": "²"})])
+        report_path = tmp_path / "report.json"
+        assert run("eval", "--questions", questions, "--predictions", predictions,
+                   "--out", str(report_path)) == 0
+        overall = json.loads(report_path.read_text())["report"]["overall"]
+        assert overall["em"] == 100.0 and overall["mae"] is None and overall["numeric_count"] == 0
+
     def test_eval_refuses_render_version_mismatch(self, tmp_path, facts_file):
         assert run("gen-l2", "--facts", facts_file, "--out-dir", str(tmp_path), "--seed", "4") == 0
         questions = str(tmp_path / "l2_train.jsonl")
@@ -351,6 +361,21 @@ class TestFileBoundary:
         assert run("render", "--questions", questions, "--facts", namesake_facts,
                    "--setting", "reasonqa", "--out", out) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["solve"], ["render", "--setting", "reasonqa"]], ids=["solve", "render"])
+    def test_failure_while_writing_keeps_the_previous_out_file(self, tmp_path, facts_file, capsys, command):
+        # Output is written as each record is made, so the unknown subject on
+        # the last line fails after earlier records went to the temp file.
+        assert run("gen-l2", "--facts", facts_file, "--out-dir", str(tmp_path)) == 0
+        questions = tmp_path / "l2_train.jsonl"
+        with open(questions, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(l2_record("Q999", "q-last")) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"previous bytes\n")
+        assert run(*command, "--questions", str(questions), "--facts", facts_file, "--out", str(out)) == 2
+        assert "no fact group for subject_id 'Q999'" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_mid_file_meta_in_fact_file_is_one_warning(self, tmp_path, capsys):
         lines = [json.dumps(row) for row in YOSHIMURA_ROWS]

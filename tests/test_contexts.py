@@ -118,6 +118,24 @@ class TestMaskSpans:
         assert masked == "[[S0]] [[S1]]"
         assert unmask(masked, target, "[[S{k}]]") == "aa bb"
 
+    @pytest.mark.parametrize("pattern, first", [("<m{{x}}_{k}>", "<m{{x}}_0>"), ("<{k}|{x}>", "<0|{x}>")],
+                             ids=["doubled-braces", "other-field"])
+    def test_text_around_k_is_literal(self, pattern, first):
+        # str.format turned '{{x}}' into '{x}', which unmask then rejected,
+        # and raised KeyError on '{x}'.
+        doc = AnnotatedDocument("d", "aa bb", ((0, 2, "entity"), (3, 5, "entity")))
+        masked, target = mask_spans(doc, 1.0, seed=0, sentinel_pattern=pattern)
+        assert masked.startswith(first) and target.startswith(first)
+        assert unmask(masked, target, pattern) == "aa bb"
+
+    def test_masked_count_is_the_exact_ceiling(self):
+        # 0.28 * 25 is 7.000000000000001 in floats, which masked 8 spans.
+        for n in range(1, 41):
+            doc = AnnotatedDocument("d", "a " * n, tuple((2 * i, 2 * i + 1, "entity") for i in range(n)))
+            for r in range(1, 101):
+                masked, _ = mask_spans(doc, r / 100, seed=r)
+                assert masked.count("<mask_") == -(-r * n // 100), (r, n)
+
     def test_bad_sentinel_pattern_rejected(self):
         doc = AnnotatedDocument("d", "aa", ((0, 2, "entity"),))
         with pytest.raises(ValueError, match="sentinel"):

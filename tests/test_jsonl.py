@@ -32,8 +32,8 @@ def test_bad_line_is_named_by_path_and_line(tmp_path, bad_line, message):
 def test_bad_line_one_header_is_a_bad_line(tmp_path, meta, message):
     path = tmp_path / "data.jsonl"
     path.write_text(json.dumps({"_meta": meta}) + '\n{"a": 1}\n', encoding="utf-8")
-    meta, rows = read_rows(str(path))
-    assert meta is None and [line_no for line_no, _ in rows] == [1, 2] and str(rows[0][1]) == message
+    rows = list(read_rows(str(path)))
+    assert [line_no for line_no, _ in rows] == [1, 2] and str(rows[0][1]) == message
     with pytest.raises(ValueError) as excinfo:
         read_jsonl(str(path))
     assert str(excinfo.value) == f"{path}:1: {message}"
@@ -48,8 +48,14 @@ def test_invalid_utf8_is_named_by_path_and_line(tmp_path, data, line_no, reason)
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
     with pytest.raises(ValueError) as excinfo:
-        read_rows(str(path))
+        list(read_rows(str(path)))
     assert str(excinfo.value) == f"{path}:{line_no}: invalid UTF-8: {reason} of the line)"
+
+
+def test_line_one_header_comes_first_as_line_zero(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"_meta": {"seed": 1}}\n\n{"a": 1}\n', encoding="utf-8")
+    assert list(read_rows(str(path))) == [(0, {"seed": 1}), (3, {"a": 1})]
 
 
 def test_rows_decode_as_json_loads_does(tmp_path):
@@ -58,7 +64,7 @@ def test_rows_decode_as_json_loads_does(tmp_path):
              '{"i": 1}x', '{"j": 1}, ', '"text"', "[]", "1 2", '{"k": 1', "{'k': 1}", "\ufeff{}"]
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _, rows = read_rows(str(path))
+    rows = list(read_rows(str(path)))
     assert [line_no for line_no, _ in rows] == list(range(1, len(lines) + 1))
     for line, (_, row) in zip(lines, rows):
         try:

@@ -6,7 +6,7 @@ import pytest
 
 from chronoqa.jsonl import dumps
 from chronoqa.questions import gen_l1, gen_l2, gen_l3, record_line
-from chronoqa.scoring import prediction_line
+from chronoqa.scoring import Prediction, prediction_line
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimePoint
 
@@ -55,8 +55,8 @@ def test_hand_built_questions_encode_as_dumps(text):
     ("l1-train-000000", "Mar 1931"), ("q1", ""), (ESCAPES, ESCAPES), ('"', "\\"),
 ], ids=["plain", "empty-prediction", "every-escape", "quote-backslash"])
 def test_prediction_lines_encode_as_dumps(question_id, prediction):
-    record = {"id": question_id, "prediction": prediction}
-    assert prediction_line(record) == dumps(record)
+    prediction = Prediction(question_id, prediction)
+    assert prediction_line(prediction) == dumps(prediction._asdict())
 
 
 def test_fact_text_with_escapes_encodes_as_dumps():

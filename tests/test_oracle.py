@@ -46,6 +46,11 @@ class TestSolveL1:
         with pytest.raises(OracleError, match="template"):
             solve_l1(l1_question("Who was president in 1950?"))
 
+    @pytest.mark.parametrize("year", ["２０１１", "٢٠١١"], ids=["full-width", "arabic-indic"])
+    def test_non_ascii_year_is_an_error(self, year):
+        with pytest.raises(OracleError, match="bare year"):
+            solve_l1(l1_question(f"What is the year 2 years before {year}?"))
+
     def test_underflow_is_an_error(self):
         with pytest.raises(OracleError):
             solve_l1(l1_question("What is the year 10 years before 5?"))

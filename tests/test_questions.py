@@ -242,6 +242,18 @@ class TestGenL3:
         # the pair of identical neighbors contributes nothing
         assert len(questions) == 2
 
+    def test_pair_starting_in_the_same_month_skipped(self):
+        starts = ("Jan 2000", "Jan 2002", "Jan 2002", "Jan 2004")
+        ends = ("Dec 2001", "Jun 2002", "Dec 2003", "Dec 2005")
+        rows = [{"subject": "Aiko Abe", "subject_id": "Q1", "relation": "P39", "object": obj,
+                 "object_id": f"O{i}", "start": start, "end": end}
+                for i, (obj, start, end) in enumerate(zip(("Mayor", "Senator", "Governor", "Minister"),
+                                                          starts, ends))]
+        group = make_group(rows)
+        assert [f.object for f in group.facts] == ["Mayor", "Senator", "Governor", "Minister"]
+        # Senator and Governor both start in Jan 2002: neither is before the other.
+        assert [q.id.split("-", 4)[4] for q in gen_l3(group)] == ["0-after", "0-before", "2-after", "2-before"]
+
     def test_repeated_pivot_only_uses_first_occurrence(self):
         rows = synth_rows(1, facts_per_subject=(4, 4), seed=70)
         rows[2]["object"] = rows[0]["object"]  # objects: A B A C

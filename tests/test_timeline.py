@@ -112,6 +112,14 @@ class TestParseFormat:
         with pytest.raises(TimeParseError, match="20x0"):
             parse_time("Jul 20x0")
 
+    @pytest.mark.parametrize("text", ["Jul ２０１９", "２０１９", "Jul ١٩٩٩", "١٩٩٩", "Jul 2²"],
+                             ids=["full-width", "bare-full-width", "arabic-indic", "bare-arabic-indic",
+                                  "superscript"])
+    def test_year_must_be_ascii_digits(self, text):
+        # str.isdigit took these, and int() read the first four as years.
+        with pytest.raises(TimeParseError, match="unrecognized year token"):
+            parse_time(text)
+
     def test_bare_year_defaults(self):
         assert parse_time("2004") == TimePoint(2004, 1)
         assert parse_time("2004", bare_year_month=12) == TimePoint(2004, 12)
