@@ -160,7 +160,7 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
 def unmask(masked_text: str, target: str, sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> str:
     """Apply a masking target back onto the masked text."""
     prefix, suffix = sentinel_parts(sentinel_pattern)
-    pattern = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(suffix))
+    pattern = re.compile(re.escape(prefix) + r"([0-9]+)" + re.escape(suffix))
     parts = pattern.split(target)
     if parts and parts[0]:
         raise ValueError("target does not start with a sentinel")

@@ -73,19 +73,22 @@ class Question(NamedTuple):
     split: str
 
     def to_record(self) -> dict:
+        # One unpack: a NamedTuple field read is a generic attribute load on 3.11.
+        (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
+         neighbor_object, split) = self
         return {
-            "id": self.id,
-            "level": self.level,
-            "relation": self.relation,
-            "subject": self.subject,
-            "subject_id": self.subject_id,
-            "template_id": self.template_id,
-            "question": self.question,
-            "answers": list(self.answers),
-            "negatives": list(self.negatives),
-            "t_ref": format_time(self.t_ref) if self.t_ref else None,
-            "neighbor_object": self.neighbor_object,
-            "split": self.split,
+            "id": question_id,
+            "level": level,
+            "relation": relation,
+            "subject": subject,
+            "subject_id": subject_id,
+            "template_id": template_id,
+            "question": question,
+            "answers": list(answers),
+            "negatives": list(negatives),
+            "t_ref": format_time(t_ref) if t_ref else None,
+            "neighbor_object": neighbor_object,
+            "split": split,
         }
 
     @classmethod
@@ -148,6 +151,25 @@ def _all_strings(items: list) -> bool:
     return True
 
 
+def below(n: int, getrandbits) -> int:
+    """A draw in ``range(n)``, ``n > 0``, from a ``Random``'s ``getrandbits``:
+    the draws CPython 3.10-3.13 makes for ``randrange(n)``, so ``choice``,
+    ``randint`` and ``shuffle`` go through it too, under more calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)``: the same draws and swaps."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        j = below(i + 1, getrandbits)
+        items[i], items[j] = items[j], items[i]
+
+
 def _l1_families(templates: TemplateTable) -> list[tuple]:
     """Per L1 template: (position, template, id, year granularity, uses
     years, uses months)."""
@@ -169,9 +191,17 @@ def _l1_renderer(templates: TemplateTable, split: str):
 
     Times are month indices. Each (template, direction, x, y) is rendered
     once, up to its ``<t>`` (which a loaded template holds exactly once);
-    every question then only fills in its reference time.
+    every question then only fills in its reference time. Each month is
+    rendered once too, as (time point, year text, "Mon YYYY" text).
     """
     texts: dict[tuple, tuple[str, str, str]] = {}
+    months: dict[int, tuple[TimePoint, str, str]] = {}
+    prefix = f"l1-{split}-"  # ids are prefix + str(n).zfill(6): f"{n:06d}"'s text, built for less
+
+    def month(index: int) -> tuple[TimePoint, str, str]:
+        year, month0 = divmod(index, 12)
+        months[index] = entry = (TimePoint(year, month0 + 1), str(year), f"{MONTH_ABBREVS[month0]} {year}")
+        return entry
 
     def render(family: tuple, direction: str, t_index: int, x: int, y: int, sequence: int) -> Question | None:
         shifted = 12 * x + y
@@ -184,15 +214,15 @@ def _l1_renderer(templates: TemplateTable, split: str):
         if parts is None:
             head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
             parts = texts[key] = (f"{template_id}_{direction}", head, tail)
-        year, month0 = divmod(t_index, 12)
-        if by_year:
-            t_text, answer = str(year), str(answer_index // 12)
-        else:
-            answer_year, answer_month0 = divmod(answer_index, 12)
-            t_text, answer = f"{MONTH_ABBREVS[month0]} {year}", f"{MONTH_ABBREVS[answer_month0]} {answer_year}"
+        t_ref, t_year, t_month = months.get(t_index) or month(t_index)
+        _, answer_year, answer_month = months.get(answer_index) or month(answer_index)
         template_direction_id, head, tail = parts
-        return Question(f"l1-{split}-{sequence:06d}", "L1", None, None, None, template_direction_id,
-                        head + t_text + tail, (answer,), (), TimePoint(year, month0 + 1), None, split)
+        if by_year:
+            text, answer = head + t_year + tail, answer_year
+        else:
+            text, answer = head + t_month + tail, answer_month
+        return Question(prefix + str(sequence).zfill(6), "L1", None, None, None, template_direction_id, text,
+                        (answer,), (), t_ref, None, split)
 
     return render
 
@@ -223,6 +253,9 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     if count > space // 2:
         return _gen_l1_enumerated(families, render, rng, index_lo, index_hi, start.year, end.year, count)
 
+    # The draws of rng.choice(families), rng.choice(DIRECTIONS), then
+    # rng.randint over the years or months, and over each offset used.
+    getrandbits, family_count, direction_count = rng.getrandbits, len(families), len(DIRECTIONS)
     seen: set[tuple] = set()
     out: list[Question] = []
     attempts = 0
@@ -231,12 +264,12 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
         attempts += 1
         if attempts > budget:
             raise CapacityError("unique-question sampling stalled; too few valid combinations in range")
-        family = rng.choice(families)
+        family = families[below(family_count, getrandbits)]
         _, _, template_id, by_year, uses_years, uses_months = family
-        direction = rng.choice(DIRECTIONS)
-        t_index = 12 * rng.randint(start.year, end.year) if by_year else rng.randint(index_lo, index_hi)
-        x = rng.randint(1, MAX_YEAR_OFFSET) if uses_years else 0
-        y = rng.randint(1, MAX_MONTH_OFFSET) if uses_months else 0
+        direction = DIRECTIONS[below(direction_count, getrandbits)]
+        t_index = 12 * (start.year + below(years, getrandbits)) if by_year else index_lo + below(months, getrandbits)
+        x = 1 + below(MAX_YEAR_OFFSET, getrandbits) if uses_years else 0
+        y = 1 + below(MAX_MONTH_OFFSET, getrandbits) if uses_months else 0
         key = (template_id, direction, t_index, x, y)
         if key in seen:
             continue
@@ -256,7 +289,7 @@ def _gen_l1_enumerated(families: list[tuple], render, rng: random.Random, index_
         ys = range(1, MAX_MONTH_OFFSET + 1) if uses_months else (0,)
         slots = range(12 * year_lo, 12 * year_hi + 1, 12) if by_year else range(index_lo, index_hi + 1)
         combos.extend(product((position,), DIRECTIONS, slots, xs, ys))
-    rng.shuffle(combos)
+    _shuffle(combos, rng)
     out: list[Question] = []
     for position, direction, t_index, x, y in combos:
         if len(out) == count:
@@ -280,14 +313,15 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
     if total != len(questions):
         raise ValueError(f"split counts sum to {total} but the pool has {len(questions)} questions")
     pool = list(questions)
-    random.Random(f"{seed}|l1-partition").shuffle(pool)
+    _shuffle(pool, random.Random(f"{seed}|l1-partition"))
     partitions: dict[str, list[Question]] = {}
     cursor = 0
     for name, size in counts.items():
         chunk = pool[cursor:cursor + size]
         cursor += size
+        prefix = f"l1-{name}-"
         # By position: every field but the first (id) and the last (split) is kept.
-        partitions[name] = [Question(f"l1-{name}-{i:06d}", *question[1:-1], name)
+        partitions[name] = [Question(prefix + str(i).zfill(6), *question[1:-1], name)
                             for i, question in enumerate(chunk)]
     return partitions
 

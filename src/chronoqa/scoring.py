@@ -28,7 +28,7 @@ DEFAULT_PERIOD_EDGES = (1900, 1920, 1940, 1960, 1980, 2000, 2020, 2040)
 
 _ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-_YEAR_PATTERN = re.compile(r"\d+")
+_YEAR_PATTERN = re.compile(r"[0-9]+")
 
 
 def normalize(text: str) -> list[str]:
@@ -71,7 +71,8 @@ def score_f1(prediction: str, golds: Sequence[str]) -> float:
 
 
 def extract_year(text: str) -> int | None:
-    """First integer found in the text, or None."""
+    """The first run of ASCII digits in the text as an integer, or None; like
+    ``timeline.is_year_text``, other Unicode digits are not a year."""
     match = _YEAR_PATTERN.search(text)
     return int(match.group()) if match else None
 

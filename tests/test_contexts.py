@@ -118,6 +118,10 @@ class TestMaskSpans:
         assert masked == "[[S0]] [[S1]]"
         assert unmask(masked, target, "[[S{k}]]") == "aa bb"
 
+    def test_non_ascii_digits_are_not_a_sentinel(self):
+        # re's \d took <mask_\u0661> for <mask_1>.
+        assert unmask("x <mask_\u0661> y <mask_1>", "<mask_1>AA") == "x <mask_\u0661> y AA"
+
     @pytest.mark.parametrize("pattern, first", [("<m{{x}}_{k}>", "<m{{x}}_0>"), ("<{k}|{x}>", "<0|{x}>")],
                              ids=["doubled-braces", "other-field"])
     def test_text_around_k_is_literal(self, pattern, first):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from chronoqa.jsonl import read_jsonl, read_rows, write_jsonl
+from chronoqa.jsonl import dumps, read_jsonl, read_rows, write_jsonl
 
 
 @pytest.mark.parametrize("bad_line, message", [
@@ -91,3 +91,23 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
         write_jsonl(str(path), records(), {"seed": 2})
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_lines_are_written_in_blocks_as_one_per_record(tmp_path, count):
+    # Lines go out 1,024 at a time; the counts straddle the block edges.
+    path = tmp_path / "out.jsonl"
+    records = [{"i": i, "text": f"r\u00e9cord {i}"} for i in range(count)]
+    assert write_jsonl(str(path), iter(records), {"seed": 3}) == count
+    expected = "".join(dumps(row) + "\n" for row in [{"_meta": {"seed": 3}}, *records])
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_unencodable_record_leaves_no_file(tmp_path):
+    # A lone surrogate cannot be written as UTF-8; it sits in the second block.
+    path = tmp_path / "out.jsonl"
+    records = [{"i": i} for i in range(2049)]
+    records[1500] = {"i": "\ud800"}
+    with pytest.raises(UnicodeEncodeError):
+        write_jsonl(str(path), records, {"seed": 3})
+    assert os.listdir(tmp_path) == []

@@ -5,10 +5,12 @@ parser for L1, brute-force interval scans for L2, sort-and-index adjacency
 for L3) rather than the package's own arithmetic.
 """
 
+import random
+
 import pytest
 
 from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest, l2_question_at
-from chronoqa.questions import CapacityError, Question, partition_l1
+from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 
 from conftest import YOSHIMURA_ROWS, l1_oracle, make_group, synth_rows
 
@@ -102,6 +104,31 @@ class TestGenL1Future:
 
     def test_deterministic(self):
         assert gen_l1_future(400, seed=9) == gen_l1_future(400, seed=9)
+
+
+class TestDrawStream:
+    """``below`` and ``_shuffle`` draw what the ``random`` module of the
+    running interpreter draws, in the same order: the L1 files depend on it."""
+
+    # 1..300, and the widths the l1-time benchmark draws from.
+    WIDTHS = [*range(1, 301), 1023, 12276]
+
+    @pytest.mark.parametrize("seed", [0, 7, "3|l1|train"])
+    def test_below_is_randrange(self, seed):
+        ours, library = random.Random(seed), random.Random(seed)
+        getrandbits = ours.getrandbits
+        for n in self.WIDTHS:
+            assert [below(n, getrandbits) for _ in range(20)] == [library.randrange(n) for _ in range(20)], n
+        assert ours.getstate() == library.getstate()
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 60_116])
+    def test_shuffle_is_random_shuffle(self, length):
+        ours, library = list(range(length)), list(range(length))
+        ours_rng, library_rng = random.Random(f"{length}|shuffle"), random.Random(f"{length}|shuffle")
+        _shuffle(ours, ours_rng)
+        library_rng.shuffle(library)
+        assert ours == library
+        assert ours_rng.getstate() == library_rng.getstate()
 
 
 class TestPartitionL1:

@@ -116,6 +116,15 @@ class TestNumeric:
         assert extract_year("the year 1906") == 1906
         assert extract_year("no digits") is None
 
+    @pytest.mark.parametrize("text", ["\u0662\u0660\u0661\u0669", "\uff12\uff10\uff11\uff19"],
+                             ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_digits_are_not_a_year(self, text):
+        # re's \d took these for 2019: MAE 0 and trend-correct against gold 2019.
+        assert extract_year(text) is None
+        result = score_numeric(text, gold_year=2019, ref_year=2000)
+        assert result.abs_err is None and not result.trend_correct and not result.parsed
+        assert extract_year(f"{text} or 1999") == 1999
+
 
 # brute-force reimplementation of the reward semantics, with its own
 # normalizer, used to cross-check the package implementation
