@@ -235,7 +235,7 @@ def cmd_render(args) -> int:
         raise UsageError("--facts is required for the ReasonQA setting")
     if setting == "OBQA" and not args.articles:
         raise UsageError("--articles is required for the OBQA setting")
-    from .contexts import render
+    from .contexts import render, rendered_line
     from .oracle import SubjectIndex, index_groups
     from .questions import Question
     from .templates import load_templates
@@ -248,25 +248,24 @@ def cmd_render(args) -> int:
         for question in questions:
             group = groups.resolve(question, question.relation) if groups is not None else None
             article = articles.resolve(question) if articles is not None else None
-            example = render(question, group, article, setting=setting, seed=args.seed, templates=templates)
-            yield example._asdict()
+            yield render(question, group, article, setting=setting, seed=args.seed, templates=templates)
 
     render_version = (meta_in or {}).get("render_version", templates.render_version)
     config = {"questions": args.questions, "setting": setting, "facts": args.facts,
               "articles": args.articles, "templates": args.templates}
-    _write_records(args.out, examples(), _meta(args, render_version, config), "rendered examples")
+    _write_records(args.out, examples(), _meta(args, render_version, config), "rendered examples", rendered_line)
     return EXIT_OK
 
 
 def cmd_mask(args) -> int:
-    from .contexts import AnnotatedDocument, mask_corpus
+    from .contexts import AnnotatedDocument, mask_corpus, masked_line
     from .templates import RENDER_FORMAT
     _, docs = load_jsonl(args.docs, AnnotatedDocument.from_record)
     masked, diagnostics = mask_corpus(docs, args.ratio, args.seed, args.sentinel_pattern)
     for message in diagnostics:
         print(f"warning: {args.docs}: {message}", file=sys.stderr)
     config = {"docs": args.docs, "ratio": args.ratio, "sentinel_pattern": args.sentinel_pattern}
-    count = write_jsonl(args.out, masked, _meta(args, str(RENDER_FORMAT), config))
+    count = write_jsonl(args.out, masked, _meta(args, str(RENDER_FORMAT), config), masked_line)
     print(f"wrote {count} masked documents to {args.out} ({len(diagnostics)} skipped)")
     return EXIT_OK
 

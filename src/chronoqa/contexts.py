@@ -19,8 +19,9 @@ import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from .jsonl import quote
 from .templates import TemplateTable, load_templates
-from .timeline import format_time
+from .timeline import _shuffle, sample
 
 if TYPE_CHECKING:
     from .facts import FactGroup
@@ -40,6 +41,14 @@ class RenderedExample(NamedTuple):
     setting: str
     prompt: str
     target: str
+
+
+def rendered_line(example: RenderedExample) -> str:
+    """``jsonl.dumps(example._asdict())``: the keys in sorted order, each
+    string through ``dumps``'s own escaper."""
+    example_id, setting, prompt, target = example
+    return (f'{{"id": {quote(example_id)}, "prompt": {quote(prompt)}, "setting": {quote(setting)}, '
+            f'"target": {quote(target)}}}')
 
 
 class AnnotatedDocument(NamedTuple):
@@ -80,6 +89,8 @@ AnnotatedDocument.__new__ = _annotated_document
 
 
 def canonical_setting(name: str) -> str:
+    if name in SETTINGS:  # as the command line passes it to every render call
+        return name
     for setting in SETTINGS:
         if name.lower() == setting.lower():
             return setting
@@ -100,12 +111,11 @@ def render(question: Question, group: FactGroup | None = None, article: str | No
         if group is None:
             raise RenderError(f"question {question.id!r}: the structured-facts setting requires a fact group")
         templates = templates or load_templates()
-        lines = [f"{fact.object} from {format_time(fact.interval.start)} to {format_time(fact.interval.end)}."
-                 for fact in group.facts]
-        random.Random(f"{seed}|render|{question.id}").shuffle(lines)
+        lines = list(group.lines)  # a copy: the group's lines are shared by all its questions
+        _shuffle(lines, random.Random(f"{seed}|render|{question.id}"))
         header = f"{group.subject} {templates.relation(group.relation).phrase}:"
         prompt = "\n".join([question.question, header, *lines])
-    return RenderedExample(id=question.id, setting=setting, prompt=prompt, target=question.answers[0])
+    return RenderedExample(question.id, setting, prompt, question.answers[0])
 
 
 def sentinel_parts(sentinel_pattern: str) -> tuple[str, str]:
@@ -134,26 +144,24 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     if not 0 < ratio <= 1:
         raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
     prefix, suffix = sentinel_parts(sentinel_pattern)
-    if not doc.spans:
-        raise ValueError(f"document {doc.doc_id!r} has no spans to mask")
-    span_count = len(doc.spans)
+    doc_id, text, spans = doc
+    if not spans:
+        raise ValueError(f"document {doc_id!r} has no spans to mask")
+    span_count = len(spans)
     numerator, denominator = _decimal_ratio(ratio)
     masked_count = -(-numerator * span_count // denominator)  # the ceiling, in integers
-    rng = random.Random(f"{seed}|mask|{doc.doc_id}")
-    chosen = sorted(rng.sample(range(span_count), masked_count))
+    chosen = sorted(sample(span_count, masked_count, random.Random(f"{seed}|mask|{doc_id}").getrandbits))
 
     masked_pieces = []
     target_pieces = []
     cursor = 0
     for rank, span_index in enumerate(chosen):
-        start, end, _ = doc.spans[span_index]
+        start, end, _ = spans[span_index]
         sentinel = f"{prefix}{rank}{suffix}"
-        masked_pieces.append(doc.text[cursor:start])
-        masked_pieces.append(sentinel)
-        target_pieces.append(sentinel)
-        target_pieces.append(doc.text[start:end])
+        masked_pieces += (text[cursor:start], sentinel)
+        target_pieces += (sentinel, text[start:end])
         cursor = end
-    masked_pieces.append(doc.text[cursor:])
+    masked_pieces.append(text[cursor:])
     return "".join(masked_pieces), "".join(target_pieces)
 
 
@@ -168,15 +176,23 @@ def unmask(masked_text: str, target: str, sentinel_pattern: str = DEFAULT_SENTIN
     return pattern.sub(lambda match: spans[int(match.group(1))], masked_text)
 
 
+def masked_line(record: dict) -> str:
+    """``jsonl.dumps(record)`` for a :func:`mask_corpus` record: its keys in
+    sorted order, each string through ``dumps``'s own escaper."""
+    return (f'{{"doc_id": {quote(record["doc_id"])}, "input": {quote(record["input"])}, '
+            f'"target": {quote(record["target"])}}}')
+
+
 def mask_corpus(docs: Iterable[AnnotatedDocument], ratio: float, seed: int = 0,
                 sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> tuple[list[dict], list[str]]:
     """Mask a whole corpus; zero-span documents are skipped with a diagnostic."""
     records = []
     diagnostics = []
     for doc in docs:
-        if not doc.spans:
-            diagnostics.append(f"document {doc.doc_id!r} has no spans; skipped")
+        doc_id, _, spans = doc
+        if not spans:
+            diagnostics.append(f"document {doc_id!r} has no spans; skipped")
             continue
         masked, target = mask_spans(doc, ratio, seed, sentinel_pattern)
-        records.append({"doc_id": doc.doc_id, "input": masked, "target": target})
+        records.append({"doc_id": doc_id, "input": masked, "target": target})
     return records, diagnostics

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .jsonl import read_rows
 from .scoring import normalized_key
 from .templates import load_templates
-from .timeline import DEFAULT_SNAPSHOT, TimeInterval, TimePoint, parse_time_cached
+from .timeline import DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, parse_time_cached
 
 MAX_SUBJECTS_PER_RELATION = 2000
 MIN_FACTS_PER_GROUP = 3
@@ -55,6 +55,11 @@ class Fact(NamedTuple):
         return (start.year, start.month, end.year, end.month, self.object)
 
 
+# Fact.sort_key's order and ties, read in C: (interval, object) compares start
+# month, then end month, then object.
+_CHRONOLOGICAL = itemgetter(5, 3)
+
+
 class FactGroup:
     """All facts sharing (subject_id, relation), sorted by
     :meth:`Fact.sort_key` on construction whatever order they arrive in.
@@ -62,12 +67,13 @@ class FactGroup:
     Groups compare and hash by their four fields, so do not change a group
     once it is in use."""
 
-    __slots__ = ("subject", "subject_id", "relation", "facts", "_keys")
+    __slots__ = ("subject", "subject_id", "relation", "facts", "_keys", "_lines")
 
     def __init__(self, subject: str, subject_id: str, relation: str, facts: Iterable[Fact]) -> None:
         self.subject, self.subject_id, self.relation = subject, subject_id, relation
-        self.facts: tuple[Fact, ...] = tuple(sorted(facts, key=Fact.sort_key))
+        self.facts: tuple[Fact, ...] = tuple(sorted(facts, key=_CHRONOLOGICAL))
         self._keys: tuple[str, ...] | None = None
+        self._lines: tuple[str, ...] | None = None
 
     def _fields(self) -> tuple:
         return (self.subject, self.subject_id, self.relation, self.facts)
@@ -92,6 +98,17 @@ class FactGroup:
         if self._keys is None:
             self._keys = tuple(normalized_key(fact.object) for fact in self.facts)
         return self._keys
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """Each fact as a line of the structured-facts prompt, ``"<object>
+        from <start> to <end>."``, aligned with ``facts``; formatted on first
+        use, so a group's months are formatted once however many prompts
+        show it."""
+        if self._lines is None:
+            self._lines = tuple(f"{obj} from {format_time(start)} to {format_time(end)}."
+                                for _, _, _, obj, _, (start, end) in self.facts)
+        return self._lines
 
 
 class FactStore(NamedTuple):
@@ -155,7 +172,8 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
                 raise FactValidationError(f"line {line}: {exc}") from exc
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
-        key = (fact.subject_id, fact.relation, fact.sort_key())  # the same object over the same months
+        _, subject_id, relation, obj, _, (start, end) = fact
+        key = (subject_id, relation, start, end, obj)  # the same object over the same months
         if key in seen:
             duplicates += 1
             continue

@@ -24,9 +24,9 @@ from .timeline import (
     DIRECTIONS,
     MIN_YEAR,
     MONTH_ABBREVS,
-    SAME,
     TimePoint,
-    compare,
+    _shuffle,
+    below,
     format_time,
     month_index,
     parse_time_cached,
@@ -149,25 +149,6 @@ def _all_strings(items: list) -> bool:
         if not isinstance(item, str):
             return False
     return True
-
-
-def below(n: int, getrandbits) -> int:
-    """A draw in ``range(n)``, ``n > 0``, from a ``Random``'s ``getrandbits``:
-    the draws CPython 3.10-3.13 makes for ``randrange(n)``, so ``choice``,
-    ``randint`` and ``shuffle`` go through it too, under more calls."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _shuffle(items: list, rng: random.Random) -> None:
-    """``rng.shuffle(items)``: the same draws and swaps."""
-    getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, 0, -1):
-        j = below(i + 1, getrandbits)
-        items[i], items[j] = items[j], items[i]
 
 
 def _l1_families(templates: TemplateTable) -> list[tuple]:
@@ -326,33 +307,47 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
     return partitions
 
 
-def _objects_at(group: FactGroup, t_r: TimePoint) -> tuple[list[tuple[str, str]], list[str]]:
-    """(valid (object, key) pairs in chronological order, invalid objects),
-    deduplicated by the group's scoring keys. An object text valid anywhere
-    at ``t_r`` is never listed as invalid."""
+def _objects_at(rows: list[tuple[str, str, int, int]], t_index: int) -> tuple[list[tuple[str, str]], list[str]]:
+    """(valid (object, key) pairs in chronological order, invalid objects) at
+    month index ``t_index``, over a group's :func:`_l2_builder` rows,
+    deduplicated by scoring key. An object text valid anywhere then is never
+    listed as invalid."""
     valid: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for fact, key in zip(group.facts, group.keys):
-        if key not in seen and fact.interval.contains(t_r):
+    for obj, key, first, last in rows:
+        if key not in seen and first <= t_index <= last:
             seen.add(key)
-            valid.append((fact.object, key))
+            valid.append((obj, key))
     negatives: list[str] = []
-    for fact, key in zip(group.facts, group.keys):
+    for obj, key, _, _ in rows:
         if key not in seen:
             seen.add(key)
-            negatives.append(fact.object)
+            negatives.append(obj)
     return valid, negatives
 
 
-def _l2_question(group: FactGroup, t_r: TimePoint, primary: str, primary_key: str, question_id: str,
-                 split: str, templates: TemplateTable) -> Question:
-    valid, negatives = _objects_at(group, t_r)
-    answers = [primary] + [obj for obj, key in valid if key != primary_key]
-    return Question(id=question_id, level="L2", relation=group.relation, subject=group.subject,
-                    subject_id=group.subject_id, template_id=f"{group.relation}_l2",
-                    question=templates.render_l2(group.relation, group.subject, format_time(t_r)),
-                    answers=tuple(answers), negatives=tuple(negatives), t_ref=t_r, neighbor_object=None,
-                    split=split)
+def _l2_builder(group: FactGroup, split: str, templates: TemplateTable):
+    """The group's rows, (object, scoring key, first month index, last month
+    index) per fact in group order, and a function ``(t_index, primary,
+    primary_key, question_id)`` that builds its question at month index
+    ``t_index``. The rows and the template id and text are made once per
+    group."""
+    rows = [(fact.object, key, month_index(fact.interval.start), month_index(fact.interval.end))
+            for fact, key in zip(group.facts, group.keys)]
+    relation, subject, subject_id = group.relation, group.subject, group.subject_id
+    template_id = f"{relation}_l2"
+    # render_l2 fills <t> last, by replace, so filling "<t>" for it fills in
+    # the subject alone; each question then fills in its month.
+    text = templates.render_l2(relation, subject, "<t>")
+
+    def build(t_index: int, primary: str, primary_key: str, question_id: str) -> Question:
+        valid, negatives = _objects_at(rows, t_index)
+        answers = [primary] + [obj for obj, key in valid if key != primary_key]
+        t_r = time_from_month_index(t_index)
+        return Question(question_id, "L2", relation, subject, subject_id, template_id,
+                        text.replace("<t>", format_time(t_r)), tuple(answers), tuple(negatives), t_r, None, split)
+
+    return rows, build
 
 
 def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
@@ -364,15 +359,12 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
     object first); negatives are the group's objects not valid then.
     """
     templates = templates or _default_templates()
-    rng = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}")
-    questions = []
-    for j, (fact, key) in enumerate(zip(group.facts, group.keys)):
-        t_r = time_from_month_index(
-            rng.randint(month_index(fact.interval.start), month_index(fact.interval.end)))
-        questions.append(_l2_question(
-            group, t_r, fact.object, key,
-            f"l2-{split}-{group.subject_id}-{group.relation}-{j}", split, templates))
-    return questions
+    getrandbits = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}").getrandbits
+    rows, build = _l2_builder(group, split, templates)
+    prefix = f"l2-{split}-{group.subject_id}-{group.relation}-"
+    # The draws of rng.randint(first, last), one per fact in group order.
+    return [build(first + below(last - first + 1, getrandbits), obj, key, prefix + str(j))
+            for j, (obj, key, first, last) in enumerate(rows)]
 
 
 def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
@@ -383,11 +375,12 @@ def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
     must be at least one.
     """
     templates = templates or _default_templates()
-    valid, _ = _objects_at(group, t_r)
+    rows, build = _l2_builder(group, split, templates)
+    t_index = month_index(t_r)
+    valid, _ = _objects_at(rows, t_index)
     if not valid:
         raise ValueError(f"no object in the group is valid at {format_time(t_r)}")
-    question_id = f"l2-{split}-{group.subject_id}-{group.relation}-at-{month_index(t_r)}"
-    return _l2_question(group, t_r, *valid[0], question_id, split, templates)
+    return build(t_index, *valid[0], f"l2-{split}-{group.subject_id}-{group.relation}-at-{t_index}")
 
 
 def gen_l3(group: FactGroup, *, split: str = "train",
@@ -401,34 +394,37 @@ def gen_l3(group: FactGroup, *, split: str = "train",
     """
     templates = templates or _default_templates()
     facts, keys = group.facts, group.keys
+    relation, subject, subject_id = group.relation, group.subject, group.subject_id
+    objects = [fact.object for fact in facts]
+    starts = [fact.interval.start for fact in facts]
     first_occurrence: dict[str, int] = {}
     for i, key in enumerate(keys):
         first_occurrence.setdefault(key, i)
+    # Each key with its first object, in order of first occurrence: a
+    # question's negatives are these, less its gold's key.
+    firsts = [(key, objects[i]) for key, i in first_occurrence.items()]
+    prefix = f"l3-{split}-{subject_id}-{relation}-"
+    # render_l3 fills <o_j> last, by replace, so filling "<o_j>" for it fills
+    # in the subject alone; each question then fills in its pivot.
+    texts = {direction: (f"{relation}_l3_{direction}",
+                         templates.render_l3(relation, direction, subject, "<o_j>"))
+             for direction in DIRECTIONS}
 
     def build(i: int, direction: str, pivot: str, gold_index: int) -> Question:
         gold_key = keys[gold_index]
-        negatives: list[str] = []
-        seen: set[str] = set()
-        for fact, key in zip(facts, keys):
-            if key == gold_key or key in seen:
-                continue
-            seen.add(key)
-            negatives.append(fact.object)
-        return Question(id=f"l3-{split}-{group.subject_id}-{group.relation}-{i}-{direction}", level="L3",
-                        relation=group.relation, subject=group.subject, subject_id=group.subject_id,
-                        template_id=f"{group.relation}_l3_{direction}",
-                        question=templates.render_l3(group.relation, direction, group.subject, pivot),
-                        answers=(facts[gold_index].object,), negatives=tuple(negatives), t_ref=None,
-                        neighbor_object=pivot, split=split)
+        template_id, text = texts[direction]
+        return Question(f"{prefix}{i}-{direction}", "L3", relation, subject, subject_id, template_id,
+                        text.replace("<o_j>", pivot), (objects[gold_index],),
+                        tuple([obj for key, obj in firsts if key != gold_key]), None, pivot, split)
 
     questions = []
     for i in range(len(facts) - 1):
         if keys[i] == keys[i + 1]:
             continue
-        if compare(facts[i].interval.start, facts[i + 1].interval.start) == SAME:
+        if starts[i] == starts[i + 1]:
             continue
         if first_occurrence[keys[i]] == i:
-            questions.append(build(i, "after", facts[i].object, i + 1))
+            questions.append(build(i, "after", objects[i], i + 1))
         if first_occurrence[keys[i + 1]] == i + 1:
-            questions.append(build(i, "before", facts[i + 1].object, i))
+            questions.append(build(i, "before", objects[i + 1], i))
     return questions

@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 from .timeline import DIRECTIONS
 
-# The prompt-format version: bump it when the prompt wording in contexts.py
-# changes. Artifacts record it with the template version (``render_version``),
-# so mixed datasets are detectable at evaluation time.
+# The prompt-format version: bump it when the prompt wording in contexts.py or
+# the fact lines of ``facts.FactGroup.lines`` change. Artifacts record it with
+# the template version (``render_version``), so mixed datasets are detectable
+# at evaluation time.
 RENDER_FORMAT = 1
 
 
@@ -146,7 +147,9 @@ def _compile_l1_pattern(template_text: str) -> re.Pattern:
     escaped = escaped.replace("<x>", r"(?P<x>\d+)")
     escaped = escaped.replace("<y>", r"(?P<y>\d+)")
     escaped = escaped.replace("<t>", r"(?P<t>.+)")
-    return re.compile(rf"^{escaped}$")
+    # An offset is ASCII digits, as a year is: without re.ASCII, \d takes any
+    # decimal digit. (A [0-9] class would match the same, but compiles slower.)
+    return re.compile(rf"^{escaped}$", re.ASCII)
 
 
 def _texts(entry: object, where: str, path: str, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:

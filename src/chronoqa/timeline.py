@@ -8,12 +8,20 @@ Months are the finest unit; there is no day or timezone handling.
 The canonical textual form is ``"Jul 2019"`` (3-letter English month
 abbreviation, year without leading zeros). A bare ``"2019"`` is accepted on
 input and resolved to a month chosen by the caller.
+
+The module also holds the seeded draws that question generation, rendering
+and masking share (:func:`below`, :func:`sample`), so masking needs no
+question code.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from math import ceil, log
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    import random
 
 MONTH_ABBREVS = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -181,3 +189,53 @@ def parse_time_cached(text: str, bare_year_month: int) -> TimePoint:
 def format_time(t: TimePoint) -> str:
     """Canonical textual form, e.g. ``"Jul 2019"``."""
     return f"{MONTH_ABBREVS[t.month - 1]} {t.year}"
+
+
+# Seeded draws. Generated files depend on every draw, so these make exactly the
+# ``getrandbits`` calls CPython 3.10-3.13's ``random.Random`` makes for the same
+# request, without its per-call argument handling.
+
+def below(n: int, getrandbits) -> int:
+    """A draw in ``range(n)``, ``n > 0``, from a ``Random``'s ``getrandbits``:
+    the draws CPython 3.10-3.13 makes for ``randrange(n)``, so ``choice``,
+    ``randint`` and ``shuffle`` go through it too, under more calls."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)``: the same draws and swaps."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        j = below(i + 1, getrandbits)
+        items[i], items[j] = items[j], items[i]
+
+
+def sample(n: int, k: int, getrandbits) -> list[int]:
+    """``Random.sample(range(n), k)``, ``0 <= k <= n``: the same draws and the
+    same picks in the same order. Like CPython 3.10-3.13, it tracks the
+    unpicked indices in a list while that is smaller than a set of ``k``
+    picks, and redraws a repeated pick otherwise."""
+    setsize = 21  # the size of a small set minus that of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # the table size of a big set
+    if n <= setsize:
+        pool = list(range(n))
+        picks = []
+        for remaining in range(n, n - k, -1):
+            j = below(remaining, getrandbits)
+            picks.append(pool[j])
+            pool[j] = pool[remaining - 1]  # the last unpicked index fills the vacancy
+        return picks
+    picks = []
+    picked: set[int] = set()
+    for _ in range(k):
+        j = below(n, getrandbits)
+        while j in picked:
+            j = below(n, getrandbits)
+        picked.add(j)
+        picks.append(j)
+    return picks

@@ -9,7 +9,8 @@ from chronoqa import AnnotatedDocument, gen_l2, mask_spans, render, unmask
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
 from chronoqa.questions import l2_question_at
-from chronoqa.timeline import TimePoint
+from chronoqa.templates import load_templates
+from chronoqa.timeline import TimePoint, format_time
 
 from conftest import YOSHIMURA_ROWS, make_group, random_doc, synth_rows
 
@@ -65,6 +66,22 @@ class TestRender:
         q = l2_question_at(yoshimura_group, jul_2019)
         assert render(q, yoshimura_group, setting="reasonqa", seed=7) == \
             render(q, yoshimura_group, setting="reasonqa", seed=7)
+
+    def test_group_lines_are_formatted_once_and_shuffled_per_question(self):
+        group = make_group(synth_rows(1, facts_per_subject=(7, 7), seed=202, allow_overlap=True))
+        templates = load_templates()
+        fresh = [f"{fact.object} from {format_time(fact.interval.start)} to {format_time(fact.interval.end)}."
+                 for fact in group.facts]
+        header = f"{group.subject} {templates.relation(group.relation).phrase}:"
+        questions = gen_l2(group, seed=5)
+        assert len(questions) == 7
+        for q in questions + questions[:2]:  # the first two again, after the rest
+            lines = list(fresh)
+            random.Random(f"3|render|{q.id}").shuffle(lines)
+            expected = "\n".join([q.question, header, *lines])
+            assert render(q, group, setting="reasonqa", seed=3, templates=templates).prompt == expected
+            assert render(q, group, setting="reasonqa", seed=3, templates=templates).prompt == expected
+        assert group.lines == tuple(fresh)  # never shuffled in place
 
     def test_open_ended_fact_renders_snapshot(self):
         rows = [dict(r) for r in YOSHIMURA_ROWS]

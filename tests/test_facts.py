@@ -1,5 +1,6 @@
 """Ingestion, grouping, the subject cap, and subject-disjoint splits."""
 
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
 from chronoqa.facts import Fact, FactGroup, FactValidationError, group_stats
 from chronoqa.scoring import normalized_key
+from chronoqa.timeline import parse_time
 
 from conftest import make_group, synth_rows
 
@@ -267,6 +269,33 @@ class TestFactGroup:
             assert shuffled.facts == tuple(sorted(facts, key=Fact.sort_key))
             assert shuffled.keys == tuple(normalized_key(fact.object) for fact in shuffled.facts)
             assert shuffled == group
+
+    def test_ties_sort_and_deduplicate_as_sort_key(self):
+        # Bare years resolve to Jan (start) and Dec (end), so "2000" ties
+        # "Jan 2000" and "2001" ties "Dec 2001": the same start with different
+        # ends, and the same interval with different objects, many times over.
+        rows = [dict(MESSI_ROW, subject_id=subject_id, object=obj, object_id=f"O{i}", start=start, end=end)
+                for i, (subject_id, obj, start, end) in enumerate(itertools.product(
+                    ("QM1", "QM2"), ("B", "A", "a", "B!"), ("2000", "Feb 2000", "Jan 2000"),
+                    ("Dec 2001", "Jun 2000", "2001")))]
+        distinct = {(row["subject_id"], row["object"], parse_time(row["start"], 1), parse_time(row["end"], 12))
+                    for row in rows}
+        for seed in range(4):
+            shuffled = list(rows)
+            random.Random(seed).shuffle(shuffled)
+            store = ingest(shuffled)
+            assert store.duplicates_dropped == len(rows) - len(distinct) == 40
+            groups = build_groups(store, seed=0)
+            assert [group.subject_id for group in groups] == ["QM1", "QM2"]
+            for group in groups:
+                kept = [fact for fact in store.facts if fact.subject_id == group.subject_id]
+                assert group.facts == tuple(sorted(kept, key=Fact.sort_key))
+        # Facts equal in sort key (here, apart from object_id) keep their input order.
+        facts = list(ingest(rows[:12]).facts)
+        twins = [fact._replace(object_id=f"{fact.object_id}-twin") for fact in facts]
+        mixed = [fact for pair in zip(twins, facts) for fact in pair]
+        random.Random(5).shuffle(mixed)
+        assert FactGroup("Lionel Messi", "QM1", "P54", mixed).facts == tuple(sorted(mixed, key=Fact.sort_key))
 
     def test_subject_name_comes_from_the_earliest_fact(self):
         rows = synth_rows(1, facts_per_subject=(4, 4), seed=13)

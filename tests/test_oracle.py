@@ -51,6 +51,18 @@ class TestSolveL1:
         with pytest.raises(OracleError, match="bare year"):
             solve_l1(l1_question(f"What is the year 2 years before {year}?"))
 
+    @pytest.mark.parametrize("text", [
+        "What is the time ٥ months before Jun 1990?",
+        "What is the time ５ years before Jun 1990?",
+        "What is the time 1 year and ٣ months after Jun 1990?",
+        "What is the year ٢ years before 2011?",
+    ], ids=["arabic-indic-months", "full-width-years", "arabic-indic-months-after-years",
+            "arabic-indic-year-offset"])
+    def test_non_ascii_offset_is_an_error(self, text):
+        # re's \d takes any decimal digit; an offset, like a year, is ASCII digits.
+        with pytest.raises(OracleError, match="template"):
+            solve_l1(l1_question(text))
+
     def test_underflow_is_an_error(self):
         with pytest.raises(OracleError):
             solve_l1(l1_question("What is the year 10 years before 5?"))

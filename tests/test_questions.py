@@ -11,6 +11,8 @@ import pytest
 
 from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest, l2_question_at
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
+from chronoqa.templates import load_templates
+from chronoqa.timeline import format_time
 
 from conftest import YOSHIMURA_ROWS, l1_oracle, make_group, synth_rows
 
@@ -216,6 +218,23 @@ BUDGEN_ROWS = [
 
 
 class TestGenL3:
+    def test_texts_with_placeholders_match_the_template_table(self):
+        # gen_l2 and gen_l3 fill the subject in once per group; a subject or
+        # object that holds a placeholder still gets what the table writes.
+        rows = synth_rows(1, facts_per_subject=(5, 5), seed=23, allow_overlap=True)
+        for row in rows:
+            row["subject"] = "<t> <o_j> <subject>"
+            row["object"] = f"{row['object']} <t> <o_j>"
+        group = make_group(rows)
+        templates = load_templates()
+        for q in gen_l2(group, seed=3):
+            assert q.question == templates.render_l2(group.relation, group.subject, format_time(q.t_ref))
+        questions = gen_l3(group)
+        assert len(questions) == 8
+        for q in questions:
+            direction = q.template_id.rsplit("_", 1)[1]
+            assert q.question == templates.render_l3(group.relation, direction, group.subject, q.neighbor_object)
+
     def test_budgen_before_question(self):
         group = make_group(BUDGEN_ROWS)
         questions = {q.question: q for q in gen_l3(group)}

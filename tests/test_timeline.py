@@ -14,6 +14,7 @@ from chronoqa.timeline import (
     compare,
     format_time,
     parse_time,
+    sample,
     shift,
 )
 
@@ -163,3 +164,30 @@ class TestTypes:
     def test_interval_rejects_inverted(self):
         with pytest.raises(ValueError):
             TimeInterval(TimePoint(2020, 1), TimePoint(2019, 12))
+
+
+class TestSample:
+    """``sample`` draws and picks what ``Random.sample(range(n), k)`` of the
+    running interpreter does: the masked documents depend on it."""
+
+    @pytest.mark.parametrize("seed", [0, 7, "3|mask|d1"])
+    def test_every_k_up_to_n_is_random_sample(self, seed):
+        ours, library = random.Random(seed), random.Random(seed)
+        getrandbits = ours.getrandbits
+        for n in range(1, 201):
+            for k in range(1, n + 1):
+                assert sample(n, k, getrandbits) == library.sample(range(n), k), (n, k)
+        assert ours.getstate() == library.getstate()
+
+    @pytest.mark.parametrize("n, k", [(21, 5), (22, 5), (85, 6), (86, 6), (200, 21), (200, 22), (200, 200)],
+                             ids=["pool-small-k", "set-small-k", "pool-k6", "set-k6", "set-k21", "pool-k22",
+                                  "pool-all"])
+    def test_both_branches_at_their_edges(self, n, k):
+        # The list of unpicked indices is used while n <= 21, or for k > 5
+        # while n <= 21 + 4 ** ceil(log4(3k)): 85 for k = 6, 277 for k = 22.
+        for seed in range(20):
+            ours, library = random.Random(seed), random.Random(seed)
+            picks = sample(n, k, ours.getrandbits)
+            assert picks == library.sample(range(n), k)
+            assert len(set(picks)) == k and all(0 <= pick < n for pick in picks)
+            assert ours.getstate() == library.getstate()
