@@ -324,13 +324,13 @@ def cmd_eval(args) -> int:
 
 def cmd_reward(args) -> int:
     from .questions import Question
-    from .scoring import Prediction, reward_records
+    from .scoring import Prediction, reward_line, reward_records
     meta_q, questions = load_jsonl(args.questions, Question.from_record)
     _, predictions = load_jsonl(args.predictions, Prediction.from_record)
     records = reward_records(questions, predictions)
     config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")
-    count = write_jsonl(args.out, (r._asdict() for r in records), _meta(args, render_version, config))
+    count = write_jsonl(args.out, records, _meta(args, render_version, config), reward_line)
     values = [r.reward for r in records]
     mean = sum(values) / len(values) if values else 0.0
     positive = sum(1 for v in values if v > 0)

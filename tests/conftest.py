@@ -12,6 +12,11 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest
 from chronoqa.timeline import format_time, time_from_month_index
 
+# Every character class the escaper treats differently: quote, backslash,
+# the C0 controls, DEL, the JavaScript line separators, non-ASCII, astral,
+# and a lone surrogate (a str that cannot be written as UTF-8).
+ESCAPES = "".join(map(chr, range(0x20))) + '"\\/\x7f   Zürich 東京 \U0001F600 \ud800'
+
 MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 MONTH_NUM = {name: i + 1 for i, name in enumerate(MONTHS)}
 

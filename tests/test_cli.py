@@ -253,6 +253,23 @@ class TestSolveEvalPipeline:
         assert run("eval", "--questions", questions, "--predictions", predictions, "--force") == 0
 
 
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_answer_without_scoring_tokens_is_a_data_error(self, tmp_path, capsys, command):
+        # "..." normalizes to no tokens, so a missing prediction used to match it: eval reported
+        # EM 25.00 for no predictions, and reward gave +1 to that question and -1 to the other three.
+        rows = [dict(YOSHIMURA_ROWS[0], object=obj, object_id=f"O{i}", start=f"Jan {2000 + 4 * i}",
+                     end=f"Dec {2003 + 4 * i}") for i, obj in enumerate(["Mayor", "...", "Governor", "Senator"])]
+        facts = write_facts(tmp_path / "facts.jsonl", rows)
+        assert run("gen-l2", "--facts", facts, "--out-dir", str(tmp_path), "--seed", "1") == 0
+        predictions = write_lines(tmp_path / "p.jsonl", [])
+        out = tmp_path / "out.jsonl"
+        assert run(command, "--questions", str(tmp_path / "l2_train.jsonl"), "--predictions", predictions,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "E_DATA" in err and "question 'l2-train-QY1-P39-" in err and "'...' has no scoring tokens" in err
+        assert not out.exists()
+
+
 class TestRenderCli:
     def test_reasonqa_render_and_multiset_across_seeds(self, tmp_path, facts_file):
         assert run("gen-l2", "--facts", facts_file, "--out-dir", str(tmp_path), "--seed", "4") == 0

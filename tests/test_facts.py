@@ -9,7 +9,7 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
 from chronoqa.facts import Fact, FactGroup, FactValidationError, group_stats
 from chronoqa.scoring import normalized_key
-from chronoqa.timeline import parse_time
+from chronoqa.timeline import TimeInterval, parse_time
 
 from conftest import make_group, synth_rows
 
@@ -165,6 +165,75 @@ class TestIngestPin:
         with pytest.raises(FactValidationError) as excinfo:
             load_fact_file(path, strict=True)
         assert str(excinfo.value) == "line 3: unrecognized month token 'Jull' in 'Jull 2019'"
+
+
+FIELD_ORDER = ("subject", "subject_id", "relation", "object", "object_id", "start")
+BAD_VALUES = [None, 7, 0, True, False, ["x"], {"a": "b"}, 2.5, "", " ", "\t\n", "\u3000"]
+MISSING = object()
+
+
+def _first_bad_field(row):
+    for field in FIELD_ORDER:
+        value = row.get(field)
+        if not isinstance(value, str) or not value.strip():
+            return field
+    return None
+
+
+class Text(str):
+    """A str subclass, as a caller that builds rows in code may pass."""
+
+
+class TestRowChecks:
+    """The message names the first bad field in the order above, whatever
+    else is wrong with the row; str subclasses are accepted."""
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"subject_id": 7, "object": None}, "subject_id"),
+        ({"object_id": "   ", "start": []}, "object_id"),
+        ({"relation": True}, "relation"),
+        ({"start": "\t\n"}, "start"),
+        ({"subject": ["x"], "subject_id": ""}, "subject"),
+        ({"object": MISSING, "start": 5}, "object"),
+        ({"relation": MISSING, "subject": "P54"}, "relation"),
+    ], ids=["int-then-none", "blank-then-list", "bool", "whitespace", "list-then-empty", "missing-then-int",
+            "missing"])
+    def test_first_bad_field_is_named(self, changes, field):
+        row = {k: v for k, v in dict(MESSI_ROW, **changes).items() if v is not MISSING}
+        store = ingest([row])
+        assert not store.facts
+        assert store.diagnostics[0].message == f"missing or empty field {field!r}"
+
+    def test_first_bad_field_is_named_on_random_rows(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            row = dict(MESSI_ROW)
+            for field in rng.sample(FIELD_ORDER, rng.randint(1, 4)):
+                value = rng.choice(BAD_VALUES + [MISSING])
+                if value is MISSING:
+                    del row[field]
+                else:
+                    row[field] = value
+            store = ingest([row])
+            assert [d.message for d in store.diagnostics] == [f"missing or empty field {_first_bad_field(row)!r}"]
+
+    def test_str_subclass_fields_are_accepted(self):
+        row = {key: Text(value) for key, value in MESSI_ROW.items()}
+        store = ingest([row, dict(row, end=None)])
+        assert not store.diagnostics
+        assert [fact[:5] for fact in store.facts] == [tuple(MESSI_ROW[f] for f in FIELD_ORDER[:5])] * 2
+
+    def test_ingested_facts_are_the_validating_constructors_values(self):
+        rows = synth_rows(40, facts_per_subject=(3, 8), seed=23, allow_overlap=True)
+        rows += [dict(row, end=None) for row in rows[::7]]
+        rows += [dict(MESSI_ROW, start=month, end=month) for month in ("2004", "Jan 2004", "Dec 2004")]
+        store = ingest(rows, snapshot=TimePoint(2030, 1))
+        assert len(store.facts) + store.duplicates_dropped == len(rows) and not store.diagnostics
+        for fact in store.facts:
+            start, end = fact.interval
+            assert start <= end
+            assert type(fact) is Fact and type(fact.interval) is TimeInterval
+            assert fact == Fact(*fact[:5], TimeInterval(start, end))
 
 
 class TestBuildGroups:

@@ -10,16 +10,11 @@ import pytest
 from chronoqa.contexts import AnnotatedDocument, RenderedExample, mask_corpus, masked_line, render, rendered_line
 from chronoqa.jsonl import dumps
 from chronoqa.questions import gen_l1, gen_l2, gen_l3, record_line
-from chronoqa.scoring import Prediction, prediction_line
+from chronoqa.scoring import Prediction, RewardRecord, prediction_line, reward_line, reward_records, score_f1
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimePoint
 
-from conftest import make_group, random_doc, synth_rows
-
-# Every character class the escaper treats differently: quote, backslash,
-# the C0 controls, DEL, the JavaScript line separators, non-ASCII, astral,
-# and a lone surrogate (a str that cannot be written as UTF-8).
-ESCAPES = "".join(map(chr, range(0x20))) + '"\\/\x7f   Zürich 東京 \U0001F600 \ud800'
+from conftest import ESCAPES, make_group, random_doc, synth_rows
 
 
 def _generated_records():
@@ -64,6 +59,41 @@ def test_hand_built_questions_encode_as_dumps(text):
 def test_prediction_lines_encode_as_dumps(question_id, prediction):
     prediction = Prediction(question_id, prediction)
     assert prediction_line(prediction) == dumps(prediction._asdict())
+
+
+def _reward_mix(questions):
+    """Per question a gold, a negative, a token prefix of the gold, or no prediction."""
+    predictions = []
+    for i, question in enumerate(questions):
+        gold = question.answers[0]
+        choice = (gold, question.negatives[0] if question.negatives else "", gold.split()[0], None)[i % 4]
+        if choice is not None:
+            predictions.append(Prediction(question.id, choice))
+    return predictions
+
+
+def test_reward_lines_encode_as_dumps():
+    templates = load_templates()
+    exact, graded = [], []
+    for group in (make_group(11), make_group(12), _escaped_group()):  # each group's ids are unique
+        questions = gen_l2(group, 3, templates=templates) + gen_l3(group, templates=templates)
+        predictions = _reward_mix(questions)
+        exact += reward_records(questions, predictions)
+        graded += reward_records(questions, predictions, scorer=lambda pred, ref: score_f1(pred, [ref]))
+    assert {record.reward for record in exact} == {-1.0, 0.0, 1.0}
+    assert any(0 < abs(record.reward) < 1 for record in graded)  # F1 floats, both signs
+    assert any(record.reward < 0 for record in graded)
+    for record in exact + graded:
+        assert reward_line(record) == dumps(record._asdict())
+
+
+@HAND_BUILT
+def test_hand_built_reward_lines_encode_as_dumps(text):
+    scores = [(1.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.0, 0.0, 0.0), (0.1 + 0.2, 1e-7, 0.1 + 0.2),
+              (1e-7, 2 / 3, -2 / 3), (-0.0, 0.0, -0.0), (4 / 7, 1e22, -1e22)]
+    for p, n, value in scores:
+        record = RewardRecord(text, p, n, value)
+        assert reward_line(record) == dumps(record._asdict())
 
 
 def test_fact_text_with_escapes_encodes_as_dumps():

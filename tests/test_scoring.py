@@ -2,7 +2,9 @@
 brute-force reimplementation, and report aggregation properties."""
 
 import random
+import re
 import string
+from collections import Counter
 
 import pytest
 
@@ -22,9 +24,28 @@ from chronoqa import (
     score_numeric,
 )
 from chronoqa.questions import Question
-from chronoqa.scoring import EvalReport, MetricBlock, extract_year, period_label, reward_records
+from chronoqa.scoring import EvalReport, MetricBlock, _token_f1, extract_year, period_label, reward_records
 
-from conftest import synth_rows
+from conftest import ESCAPES, synth_rows
+
+# The normalization rule written with a str.translate deletion table; the
+# package must give the same tokens for any text.
+_PUNCT = str.maketrans("", "", string.punctuation)
+
+
+def translate_normalize(text):
+    return [t for t in text.lower().translate(_PUNCT).split() if t not in ("a", "an", "the")]
+
+
+def counter_f1(pred_tokens, gold_tokens):
+    """Token F1 with the overlap counted by ``Counter`` intersection."""
+    if not pred_tokens or not gold_tokens:
+        return float(pred_tokens == gold_tokens)
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    if overlap == 0:
+        return 0.0
+    precision, recall = overlap / len(pred_tokens), overlap / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
 
 
 class TestNormalize:
@@ -39,6 +60,27 @@ class TestNormalize:
 
     def test_whitespace_collapse(self):
         assert normalize("  a  An THE  x ") == ["x"]
+
+    def test_matches_the_translate_rule_on_every_ascii_code_point(self):
+        for code in range(0x80):
+            for text in (chr(code), f"The{chr(code)}a x{chr(code)}Y", chr(code) * 3 + " an"):
+                assert normalize(text) == translate_normalize(text)
+        every = "".join(map(chr, range(0x80)))
+        assert normalize(every) == translate_normalize(every)
+
+    @pytest.mark.parametrize("text", [
+        ESCAPES, "İstanbul İ", "STRAẞE Straße ß", "ﬁnance ﬁ", "ΣΑΣ ς", "x\u0130.y", "word—dash «quote» ¡hola!",
+    ], ids=["escapes", "dotted-capital-i", "sharp-s", "ligature", "sigma", "i-in-word", "non-ascii-punctuation"])
+    def test_matches_the_translate_rule(self, text):
+        assert normalize(text) == translate_normalize(text)
+
+    def test_matches_the_translate_rule_on_random_texts(self):
+        rng = random.Random(21)
+        pieces = [*string.printable, "a", "An", "THE", "the.", "İ", "ß", "ﬁ", "Σ", "\u2028", "\xa0", "東京", "\U0001F600",
+                  "\ud800", "Osaka", "2019"]
+        for _ in range(3000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 30)))
+            assert normalize(text) == translate_normalize(text)
 
 
 class TestEm:
@@ -87,6 +129,17 @@ class TestF1:
             em, f1 = score_em(pred, golds), score_f1(pred, golds)
             assert 0 <= em <= f1 <= 1
 
+    def test_token_f1_equals_the_counter_rule_exactly(self):
+        rng = random.Random(5)
+        vocabulary = ["osaka", "mayor", "of", "2019", "x"]
+        cases = [([], []), ([], ["x"]), (["x"], [])]
+        for _ in range(5000):
+            cases.append(tuple(rng.choices(vocabulary[:rng.randint(1, 5)], k=rng.randint(0, 8)) for _ in "pg"))
+        for pred, gold in cases:
+            before = (list(pred), list(gold))
+            assert _token_f1(pred, gold) == counter_f1(pred, gold)
+            assert (pred, gold) == before  # the inputs are memoized token lists: never changed
+
 
 class TestNumeric:
     def test_exact_year(self):
@@ -128,11 +181,8 @@ class TestNumeric:
 
 # brute-force reimplementation of the reward semantics, with its own
 # normalizer, used to cross-check the package implementation
-_PUNCT = str.maketrans("", "", string.punctuation)
-
-
 def bf_norm(text):
-    return " ".join(t for t in text.lower().translate(_PUNCT).split() if t not in ("a", "an", "the"))
+    return " ".join(translate_normalize(text))
 
 
 def bf_reward(pred, gold, negatives):
@@ -325,6 +375,33 @@ class TestRewardRecords:
             reward_records(questions, predictions)
         with pytest.raises(ValueError, match=message):
             evaluate(questions, predictions)
+
+
+class TestAnswersWithoutScoringTokens:
+    """A gold or negative that normalizes to no tokens would match an empty
+    or missing prediction, so it is a data error that names the question."""
+
+    EMPTY = ["...", "The", " a, an! ", "?"]
+
+    @pytest.mark.parametrize("empty", EMPTY)
+    def test_evaluate_refuses_a_gold(self, empty):
+        questions = [_question("q1", ["Mayor"]), _question("q2", ["Governor", empty])]
+        with pytest.raises(ValueError, match=f"question 'q2': gold {re.escape(repr(empty))} has no scoring tokens"):
+            evaluate(questions, [Prediction("q1", "Mayor")])
+
+    @pytest.mark.parametrize("empty", EMPTY)
+    def test_reward_records_refuse_a_gold(self, empty):
+        questions = [_question("q1", ["Mayor"], ["Senator"]), _question("q2", [empty], ["Senator"])]
+        with pytest.raises(ValueError, match=f"question 'q2': gold {re.escape(repr(empty))} has no scoring tokens"):
+            reward_records(questions, [])
+
+    @pytest.mark.parametrize("empty", EMPTY)
+    def test_reward_records_refuse_a_negative(self, empty):
+        questions = [_question("q1", ["Mayor"], ["Senator", empty])]
+        with pytest.raises(ValueError, match=f"question 'q1': negative {re.escape(repr(empty))} has no scoring tokens"):
+            reward_records(questions, [Prediction("q1", "Mayor")])
+        with pytest.raises(ValueError, match="has no scoring tokens"):
+            reward("Mayor", "Mayor", ["Senator", empty])
 
 
 def _labelled_mix(seed: int):
