@@ -14,14 +14,13 @@ from .templates import TemplateTable, load_templates
 from .timeline import (
     AFTER,
     BEFORE,
-    Offset,
+    MIN_YEAR,
+    MONTH_ABBREVS,
     TimePoint,
     TimeParseError,
     TimeRangeError,
-    format_time,
     is_year_text,
     parse_time_cached,
-    shift,
 )
 
 if TYPE_CHECKING:
@@ -51,29 +50,40 @@ class OracleAnswer(NamedTuple):
 
 
 def solve_l1(question: Question, templates: TemplateTable | None = None) -> OracleAnswer:
-    """Answer a relative-time question from its surface form."""
+    """Answer a relative-time question from its surface form.
+
+    The answer is the reference month's index, ``12 * year + month - 1``,
+    moved by the offset. A zero offset and an answer before year 1 fail with
+    the messages of ``timeline.Offset`` and ``timeline.shift``."""
     templates = templates or load_templates()
-    for matcher in templates.l1_candidates(question.template_id):
-        match = matcher.pattern.match(question.question)
+    for _, granularity, direction, pattern, fixed_x in templates.l1_candidates(question.template_id):
+        match = pattern.match(question.question)
         if match is None:
             continue
         groups = match.groupdict()
-        years = int(groups["x"]) if "x" in groups else (matcher.fixed_x or 0)
+        years = int(groups["x"]) if "x" in groups else (fixed_x or 0)
         months = int(groups["y"]) if "y" in groups else 0
         t_text = groups["t"]
         try:
-            if matcher.granularity == "year":
+            if granularity == "year":
                 if not is_year_text(t_text):
                     raise OracleError(f"expected a bare year, got {t_text!r}")
-                t = TimePoint(int(t_text), 1)
+                year, month = TimePoint(int(t_text), 1)
             else:
                 if len(t_text.split()) != 2:
                     raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
-                t = parse_time_cached(t_text, 1)
-            result = shift(t, Offset(years, months, matcher.direction))
+                year, month = parse_time_cached(t_text, 1)
+            shifted = 12 * years + months
+            if not shifted:
+                raise ValueError("offset must move by at least one month")
+            index = 12 * year + month - 1
+            index = index - shifted if direction == BEFORE else index + shifted
+            if index < 12 * MIN_YEAR:
+                raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
         except (TimeParseError, TimeRangeError, ValueError) as exc:
             raise OracleError(f"malformed question {question.id!r}: {exc}") from exc
-        return OracleAnswer((str(result.year) if matcher.granularity == "year" else format_time(result),))
+        year, month0 = divmod(index, 12)
+        return OracleAnswer((str(year) if granularity == "year" else f"{MONTH_ABBREVS[month0]} {year}",))
     raise OracleError(f"question {question.id!r} matches no relative-time template: {question.question!r}")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .jsonl import quote
@@ -45,6 +46,9 @@ _FIRST_MONTH_INDEX = 12 * MIN_YEAR  # the month index of Jan of year 1
 _TEXT_FIELDS = ("id", "question", "template_id", "split")
 _OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
 _TEXT_OR_NULL = (str, type(None))
+# A record's values in Question's field order.
+_RECORD_FIELDS = itemgetter("id", "level", "relation", "subject", "subject_id", "template_id", "question", "answers",
+                            "negatives", "t_ref", "neighbor_object", "split")
 
 
 class CapacityError(ValueError):
@@ -93,6 +97,29 @@ class Question(NamedTuple):
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Question":
+        # A record as this tool writes it: every key, each value of the type
+        # JSON decodes, checked in one expression. Anything else, a missing
+        # key or a str subclass say, takes the per-field checks.
+        try:
+            fields = _RECORD_FIELDS(record)
+        except KeyError:
+            return cls._from_other_record(record)
+        (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
+         neighbor_object, split) = fields
+        if (level in LEVELS and type(question_id) is str and type(question) is str and type(template_id) is str
+                and type(split) is str and type(answers) is list and answers and type(negatives) is list
+                and type(t_ref) in _TEXT_OR_NULL and type(relation) in _TEXT_OR_NULL
+                and type(subject) in _TEXT_OR_NULL and type(subject_id) in _TEXT_OR_NULL
+                and type(neighbor_object) in _TEXT_OR_NULL and _all_strings(answers) and _all_strings(negatives)):
+            return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
+                                       tuple(answers), tuple(negatives),
+                                       None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object,
+                                       split))
+        return cls._from_other_record(record)
+
+    @classmethod
+    def _from_other_record(cls, record: Mapping) -> "Question":
+        """:meth:`from_record` field by field, naming the first bad field."""
         level = record["level"]
         if level not in LEVELS:
             raise ValueError(f"unknown question level {level!r}")
@@ -172,8 +199,10 @@ def _l1_renderer(templates: TemplateTable, split: str):
 
     Times are month indices. Each (template, direction, x, y) is rendered
     once, up to its ``<t>`` (which a loaded template holds exactly once);
-    every question then only fills in its reference time. Each month is
-    rendered once too, as (time point, year text, "Mon YYYY" text).
+    every question then only fills in its reference time. Each reference
+    month is rendered once too, as (time point, year text, "Mon YYYY" text);
+    an answer month not among them is formatted directly, not memoized: in a
+    wide range most answer months never come again.
     """
     texts: dict[tuple, tuple[str, str, str]] = {}
     months: dict[int, tuple[TimePoint, str, str]] = {}
@@ -196,14 +225,17 @@ def _l1_renderer(templates: TemplateTable, split: str):
             head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
             parts = texts[key] = (f"{template_id}_{direction}", head, tail)
         t_ref, t_year, t_month = months.get(t_index) or month(t_index)
-        _, answer_year, answer_month = months.get(answer_index) or month(answer_index)
         template_direction_id, head, tail = parts
+        known = months.get(answer_index)
         if by_year:
-            text, answer = head + t_year + tail, answer_year
+            text, answer = head + t_year + tail, known[1] if known else str(answer_index // 12)
+        elif known:
+            text, answer = head + t_month + tail, known[2]
         else:
-            text, answer = head + t_month + tail, answer_month
-        return Question(prefix + str(sequence).zfill(6), "L1", None, None, None, template_direction_id, text,
-                        (answer,), (), t_ref, None, split)
+            answer_year, answer_month0 = divmod(answer_index, 12)
+            text, answer = head + t_month + tail, f"{MONTH_ABBREVS[answer_month0]} {answer_year}"
+        return tuple.__new__(Question, (prefix + str(sequence).zfill(6), "L1", None, None, None,
+                                        template_direction_id, text, (answer,), (), t_ref, None, split))
 
     return render
 
@@ -301,8 +333,8 @@ def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int
         chunk = pool[cursor:cursor + size]
         cursor += size
         prefix = f"l1-{name}-"
-        # By position: every field but the first (id) and the last (split) is kept.
-        partitions[name] = [Question(prefix + str(i).zfill(6), *question[1:-1], name)
+        # Every field but the first (id) and the last (split) is kept.
+        partitions[name] = [tuple.__new__(Question, (prefix + str(i).zfill(6), *question[1:-1], name))
                             for i, question in enumerate(chunk)]
     return partitions
 

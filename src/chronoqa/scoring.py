@@ -105,10 +105,10 @@ def score_numeric(prediction: str, gold_year: int, ref_year: int) -> NumericScor
         raise ValueError("gold year must differ from the reference year")
     pred_year = extract_year(prediction)
     if pred_year is None:
-        return NumericScore(abs_err=None, trend_correct=False, parsed=False)
+        return NumericScore(None, False, False)
     gold_side = 1 if gold_year > ref_year else -1
     pred_side = (pred_year > ref_year) - (pred_year < ref_year)
-    return NumericScore(abs_err=abs(pred_year - gold_year), trend_correct=pred_side == gold_side, parsed=True)
+    return NumericScore(abs(pred_year - gold_year), pred_side == gold_side, True)
 
 
 class Prediction(NamedTuple):
@@ -216,11 +216,12 @@ class _Accumulator:
         self.em_sum += em
         self.f1_sum += f1
         if numeric is not None:
+            abs_err, trend_correct, parsed = numeric
             self.numeric_count += 1
-            if numeric.parsed:
+            if parsed:
                 self.parsed_count += 1
-                self.abs_err_sum += numeric.abs_err or 0
-            self.trend_correct += int(numeric.trend_correct)
+                self.abs_err_sum += abs_err or 0
+            self.trend_correct += int(trend_correct)
 
     def block(self) -> "MetricBlock":
         em = 100.0 * self.em_sum / self.count if self.count else 0.0
@@ -302,31 +303,34 @@ def evaluate(questions: Sequence["Question"], predictions: Iterable[Prediction],
         raise ValueError(f"unknown missing-prediction policy {missing_policy!r}")
     pred_map = _prediction_map(questions, predictions)
     tokens = _Memo(normalize)
+    tokens_of = tokens.__getitem__
     periods = _Memo(lambda year: period_label(year, period_edges))  # label by reference year
 
     overall = _Accumulator()
     per_period: defaultdict[str, _Accumulator] = defaultdict(_Accumulator)
     per_relation: defaultdict[str, _Accumulator] = defaultdict(_Accumulator)
-    for question in questions:
-        question_id, golds, t_ref = question.id, question.answers, question.t_ref  # each field read once
+    for question_id, _, relation, _, _, _, _, golds, _, t_ref, _, _ in questions:  # each field read once
         if question_id not in pred_map and missing_policy == "error":
             raise ValueError(f"no prediction for question id {question_id!r}")
         text = pred_map.get(question_id, "")
         pred_tokens = tokens[text]
-        gold_tokens = [tokens[gold] for gold in golds]
+        gold_tokens = list(map(tokens_of, golds))
         if [] in gold_tokens:  # an empty prediction would match it
             raise ValueError(f"question {question_id!r}: gold {golds[gold_tokens.index([])]!r} "
                              "has no scoring tokens")
         em = int(pred_tokens in gold_tokens)  # equal token lists are equal keys
         # An exact match has token F1 exactly 1.0, the most any gold can give.
         f1 = 1.0 if em else max(_token_f1(pred_tokens, gold) for gold in gold_tokens)
-        numeric = None
-        gold_year = golds[0].strip()
-        if t_ref is not None and len(golds) == 1 and is_year_text(gold_year) and int(gold_year) != t_ref.year:
-            numeric = score_numeric(text, int(gold_year), t_ref.year)
+        numeric, period = None, "undated"
+        if t_ref is not None:
+            ref_year, _ = t_ref
+            period = periods[ref_year]
+            gold_year = golds[0].strip()
+            if len(golds) == 1 and is_year_text(gold_year) and int(gold_year) != ref_year:
+                numeric = score_numeric(text, int(gold_year), ref_year)
         overall.add(em, f1, numeric)
-        per_period[periods[t_ref.year] if t_ref else "undated"].add(em, f1, numeric)
-        per_relation[question.relation or "none"].add(em, f1, numeric)
+        per_period[period].add(em, f1, numeric)
+        per_relation[relation or "none"].add(em, f1, numeric)
 
     return EvalReport(
         overall=overall.block(),

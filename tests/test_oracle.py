@@ -9,7 +9,8 @@ from chronoqa import TimePoint, build_groups, gen_l1, gen_l2, gen_l3, ingest, so
 from chronoqa.facts import FactGroup
 from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
-from chronoqa.timeline import Offset, shift
+from chronoqa.templates import load_templates
+from chronoqa.timeline import Offset, TimeParseError, TimeRangeError, format_time, is_year_text, parse_time, shift
 
 from conftest import make_group, synth_rows
 
@@ -66,6 +67,71 @@ class TestSolveL1:
     def test_underflow_is_an_error(self):
         with pytest.raises(OracleError):
             solve_l1(l1_question("What is the year 10 years before 5?"))
+
+
+def shift_solve_l1(question: Question, templates) -> tuple[str, ...]:
+    """``solve_l1``'s answers by ``Offset``, ``shift`` and ``format_time``:
+    the reference for its month-index arithmetic."""
+    for matcher in templates.l1_candidates(question.template_id):
+        match = matcher.pattern.match(question.question)
+        if match is None:
+            continue
+        groups = match.groupdict()
+        years = int(groups["x"]) if "x" in groups else (matcher.fixed_x or 0)
+        months = int(groups["y"]) if "y" in groups else 0
+        t_text = groups["t"]
+        try:
+            if matcher.granularity == "year":
+                if not is_year_text(t_text):
+                    raise OracleError(f"expected a bare year, got {t_text!r}")
+                t = TimePoint(int(t_text), 1)
+            else:
+                if len(t_text.split()) != 2:
+                    raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
+                t = parse_time(t_text, 1)
+            result = shift(t, Offset(years, months, matcher.direction))
+        except (TimeParseError, TimeRangeError, ValueError) as exc:
+            raise OracleError(f"malformed question {question.id!r}: {exc}") from exc
+        return (str(result.year) if matcher.granularity == "year" else format_time(result),)
+    raise OracleError(f"question {question.id!r} matches no relative-time template: {question.question!r}")
+
+
+def outcome(solver, *args):
+    try:
+        return solver(*args)
+    except OracleError as exc:
+        return f"OracleError: {exc}"
+
+
+class TestSolveL1AgainstShift:
+    """Every L1 wording, both directions, x in 0..10 and y in 0..11, at Jan
+    and Dec of years 0, 1, 2, 10, 2022 and 9999, each reference time as a
+    month and as a bare year: the same answer or the same error message."""
+
+    def test_same_answer_or_message(self):
+        templates = load_templates()
+        texts = set()
+        for template in templates.l1:
+            for direction in ("before", "after"):
+                template_id = f"{template.id}_{direction}"
+                for year in (0, 1, 2, 10, 2022, 9999):
+                    for t_text in (f"Jan {year}", f"Dec {year}", str(year)):
+                        for x in range(11):
+                            for y in range(12):
+                                text = templates.render_l1(template, direction, x, y, t_text)
+                                texts.add((template_id, text))
+        outcomes = {"answer": 0, "error": 0}
+        for i, (template_id, text) in enumerate(sorted(texts)):
+            question = l1_question(text, template_id)._replace(id=f"q{i}")
+            expected = outcome(shift_solve_l1, question, templates)
+            assert outcome(lambda q: solve_l1(q, templates).answers, question) == expected, text
+            outcomes["error" if isinstance(expected, str) else "answer"] += 1
+        assert outcomes == {"answer": 2565, "error": 3447}
+        messages = {outcome(shift_solve_l1, l1_question(text), templates).split(": ", 2)[-1]
+                    for text in ("What is the time 0 years before Jan 2022?", "What is the year 2 years before 1?",
+                                 "What is the year before 0?", "What is the time 3 months before Feb 1?")}
+        assert messages == {"offset must move by at least one month", "month index -12 falls before year 1",
+                            "year 0 is before the minimum supported year 1", "month index 10 falls before year 1"}
 
 
 class TestSolveL2:

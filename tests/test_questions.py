@@ -12,7 +12,7 @@ import pytest
 from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest, l2_question_at
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 from chronoqa.templates import load_templates
-from chronoqa.timeline import format_time
+from chronoqa.timeline import TimeParseError, format_time
 
 from conftest import YOSHIMURA_ROWS, l1_oracle, make_group, synth_rows
 
@@ -89,6 +89,78 @@ class TestGenL1:
         record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
         with pytest.raises(ValueError, match="t_ref must be a time string or null"):
             Question.from_record(dict(record, t_ref=value))
+
+
+class Text(str):
+    """A str subclass: accepted wherever a string is, by the per-field checks."""
+
+
+_MISSING = object()
+_MUTATIONS = [None, 7, True, 1.5, ["x"], [Text("x")], [7], {"x": "y"}, "", Text("x"), Text("Jul 2019"), "L2",
+              _MISSING]
+
+
+def _from_record_outcome(parse, record):
+    try:
+        question = parse(record)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return question, tuple(map(type, question))  # a str subclass stays one
+
+
+class TestFromRecordFastPath:
+    """``Question.from_record`` against its per-field checks
+    (``Question._from_other_record``), kept as the reference: generated L1,
+    L2 and L3 records and seeded mutations of each field give an equal
+    question or the same error."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        group_rows = synth_rows(12, relation="P39", seed=4, allow_overlap=True)
+        groups = build_groups(ingest(group_rows), seed=4)
+        questions = (gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 60, seed=4)
+                     + gen_l1_future(20, seed=4)
+                     + [q for group in groups for q in gen_l2(group, seed=4)][:60]
+                     + [q for group in groups for q in gen_l3(group)][:60])
+        assert {q.level for q in questions} == {"L1", "L2", "L3"}
+        return [q.to_record() for q in questions]
+
+    def test_written_records_take_the_fast_path(self, records, monkeypatch):
+        expected = [Question._from_other_record(record) for record in records]
+
+        def refuse(record):
+            raise AssertionError(f"per-field path taken for {record['id']}")
+
+        monkeypatch.setattr(Question, "_from_other_record", refuse)
+        assert [Question.from_record(record) for record in records] == expected
+
+    def test_each_field_mutated(self, records):
+        seen = set()
+        for record in records:
+            for field in record:
+                for value in _MUTATIONS:
+                    mutated = dict(record)
+                    if value is _MISSING:
+                        del mutated[field]
+                    else:
+                        mutated[field] = value
+                    expected = _from_record_outcome(Question._from_other_record, mutated)
+                    assert _from_record_outcome(Question.from_record, mutated) == expected, (field, value)
+                    seen.add(expected[0] if isinstance(expected[0], type) else Question)
+        assert seen == {Question, KeyError, ValueError, TimeParseError}
+
+    def test_seeded_mutations_of_several_fields(self, records):
+        rng = random.Random(15)
+        for _ in range(3000):
+            mutated = dict(rng.choice(records))
+            for field in rng.sample(sorted(mutated), rng.randint(1, 3)):
+                value = rng.choice(_MUTATIONS)
+                if value is _MISSING:
+                    del mutated[field]
+                else:
+                    mutated[field] = value
+            expected = _from_record_outcome(Question._from_other_record, mutated)
+            assert _from_record_outcome(Question.from_record, mutated) == expected, mutated
 
 
 class TestGenL1Future:

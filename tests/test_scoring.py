@@ -430,9 +430,12 @@ def _labelled_mix(seed: int):
 def _expected_block(items) -> MetricBlock:
     numeric = [n for _, _, n in items if n is not None]
     parsed = [n for n in numeric if n.parsed]
+    f1_sum = 0.0
+    for _, f1, _ in items:  # in question order: sum() compensates float additions from Python 3.12 on
+        f1_sum += f1
     return MetricBlock(
         em=100.0 * sum(em for em, _, _ in items) / len(items),
-        f1=100.0 * sum(f1 for _, f1, _ in items) / len(items),
+        f1=100.0 * f1_sum / len(items),
         mae=sum(n.abs_err for n in parsed) / len(parsed) if parsed else None,
         trend_acc=100.0 * sum(n.trend_correct for n in numeric) / len(numeric) if numeric else None,
         count=len(items),
