@@ -14,12 +14,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "contexts": ("AnnotatedDocument", "RenderedExample", "mask_spans", "render", "unmask"),
     "facts": ("Fact", "FactGroup", "FactStore", "build_groups", "ingest", "load_fact_file", "split_subjects"),
+    "metrics": ("EvalReport", "evaluate", "score_em", "score_f1", "score_numeric"),
     "oracle": ("OracleAnswer", "solve", "solve_l1", "solve_l2", "solve_l3"),
-    "questions": ("Question", "gen_l1", "gen_l1_future", "gen_l2", "gen_l3", "l2_question_at"),
-    "scoring": ("EvalReport", "Prediction", "RewardRecord", "evaluate", "normalize",
-                "reward", "score_em", "score_f1", "score_numeric"),
+    "questions": ("gen_l1", "gen_l1_future", "gen_l2", "gen_l3", "l2_question_at"),
+    "records": ("Question",),
+    "rewards": ("RewardRecord", "reward"),
+    "scoring": ("Prediction", "normalize"),
     "templates": ("TemplateTable", "load_templates"),
-    "timeline": ("Offset", "TimeInterval", "TimePoint", "compare", "format_time", "parse_time", "shift"),
+    "timeline": ("TimeInterval", "TimePoint", "compare", "format_time", "parse_time"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -25,7 +25,7 @@ from .timeline import _shuffle, sample
 
 if TYPE_CHECKING:
     from .facts import FactGroup
-    from .questions import Question
+    from .records import Question
 
 SETTINGS = ("CBQA", "OBQA", "ReasonQA")
 SPAN_KINDS = ("entity", "temporal")

@@ -25,7 +25,7 @@ from .timeline import (
 
 if TYPE_CHECKING:
     from .facts import FactGroup
-    from .questions import Question
+    from .records import Question
 
 
 T = TypeVar("T")
@@ -53,8 +53,8 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
     """Answer a relative-time question from its surface form.
 
     The answer is the reference month's index, ``12 * year + month - 1``,
-    moved by the offset. A zero offset and an answer before year 1 fail with
-    the messages of ``timeline.Offset`` and ``timeline.shift``."""
+    moved by the offset. A zero offset and an answer before year 1 are
+    errors."""
     templates = templates or load_templates()
     for _, granularity, direction, pattern, fixed_x in templates.l1_candidates(question.template_id):
         match = pattern.match(question.question)

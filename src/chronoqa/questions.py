@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping
 
-from .jsonl import quote
+from .records import Question
+from .templates import load_templates
 from .timeline import (
     BEFORE,
     DIRECTIONS,
@@ -30,7 +30,6 @@ from .timeline import (
     below,
     format_time,
     month_index,
-    parse_time_cached,
     time_from_month_index,
 )
 
@@ -38,144 +37,14 @@ if TYPE_CHECKING:
     from .facts import FactGroup
     from .templates import TemplateTable
 
-LEVELS = ("L1", "L2", "L3")
 FUTURE_RANGE = (TimePoint(2022, 1), TimePoint(2040, 12))
 MAX_YEAR_OFFSET = 10
 MAX_MONTH_OFFSET = 11
 _FIRST_MONTH_INDEX = 12 * MIN_YEAR  # the month index of Jan of year 1
-_TEXT_FIELDS = ("id", "question", "template_id", "split")
-_OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
-_TEXT_OR_NULL = (str, type(None))
-# A record's values in Question's field order.
-_RECORD_FIELDS = itemgetter("id", "level", "relation", "subject", "subject_id", "template_id", "question", "answers",
-                            "negatives", "t_ref", "neighbor_object", "split")
 
 
 class CapacityError(ValueError):
     """More unique questions were requested than the range can yield."""
-
-
-class Question(NamedTuple):
-    """One generated QA record.
-
-    ``answers`` holds every currently correct object (the primary gold
-    first); ``negatives`` holds the temporally wrong objects of the same
-    group. The two sets are disjoint under scoring normalization.
-    """
-
-    id: str
-    level: str
-    relation: str | None
-    subject: str | None
-    subject_id: str | None
-    template_id: str
-    question: str
-    answers: tuple[str, ...]
-    negatives: tuple[str, ...]
-    t_ref: TimePoint | None
-    neighbor_object: str | None
-    split: str
-
-    def to_record(self) -> dict:
-        # One unpack: a NamedTuple field read is a generic attribute load on 3.11.
-        (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
-         neighbor_object, split) = self
-        return {
-            "id": question_id,
-            "level": level,
-            "relation": relation,
-            "subject": subject,
-            "subject_id": subject_id,
-            "template_id": template_id,
-            "question": question,
-            "answers": list(answers),
-            "negatives": list(negatives),
-            "t_ref": format_time(t_ref) if t_ref else None,
-            "neighbor_object": neighbor_object,
-            "split": split,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "Question":
-        # A record as this tool writes it: every key, each value of the type
-        # JSON decodes, checked in one expression. Anything else, a missing
-        # key or a str subclass say, takes the per-field checks.
-        try:
-            fields = _RECORD_FIELDS(record)
-        except KeyError:
-            return cls._from_other_record(record)
-        (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
-         neighbor_object, split) = fields
-        if (level in LEVELS and type(question_id) is str and type(question) is str and type(template_id) is str
-                and type(split) is str and type(answers) is list and answers and type(negatives) is list
-                and type(t_ref) in _TEXT_OR_NULL and type(relation) in _TEXT_OR_NULL
-                and type(subject) in _TEXT_OR_NULL and type(subject_id) in _TEXT_OR_NULL
-                and type(neighbor_object) in _TEXT_OR_NULL and _all_strings(answers) and _all_strings(negatives)):
-            return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
-                                       tuple(answers), tuple(negatives),
-                                       None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object,
-                                       split))
-        return cls._from_other_record(record)
-
-    @classmethod
-    def _from_other_record(cls, record: Mapping) -> "Question":
-        """:meth:`from_record` field by field, naming the first bad field."""
-        level = record["level"]
-        if level not in LEVELS:
-            raise ValueError(f"unknown question level {level!r}")
-        texts = (record["id"], record["question"], record.get("template_id", ""), record.get("split", "train"))
-        question_id, question, template_id, split = texts
-        if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
-                and isinstance(split, str)):
-            name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
-            raise ValueError(f"{name} must be a string")
-        answers, negatives = record["answers"], record.get("negatives", [])
-        if not (isinstance(answers, list) and answers and isinstance(negatives, list)
-                and _all_strings(answers) and _all_strings(negatives)):
-            raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
-        t_ref = record.get("t_ref")
-        if t_ref is not None and not isinstance(t_ref, str):
-            raise ValueError("t_ref must be a time string or null")
-        relation, subject = record.get("relation"), record.get("subject")
-        subject_id, neighbor_object = record.get("subject_id"), record.get("neighbor_object")
-        if not (isinstance(relation, _TEXT_OR_NULL) and isinstance(subject, _TEXT_OR_NULL)
-                and isinstance(subject_id, _TEXT_OR_NULL) and isinstance(neighbor_object, _TEXT_OR_NULL)):
-            name = next(name for name in _OPTIONAL_TEXT_FIELDS
-                        if not isinstance(record.get(name), _TEXT_OR_NULL))
-            raise ValueError(f"{name} must be a string or null")
-        # By position: a keyword call costs more, once per record.
-        return cls(question_id, level, relation, subject, subject_id, template_id, question, tuple(answers),
-                   tuple(negatives), None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split)
-
-
-def record_line(record: dict) -> str:
-    """``jsonl.dumps(record)`` for a ``Question.to_record()`` dict: its keys in
-    sorted order, each string through ``dumps``'s own escaper."""
-    neighbor, relation, subject = record["neighbor_object"], record["relation"], record["subject"]
-    subject_id, t_ref = record["subject_id"], record["t_ref"]
-    return (f'{{"answers": [{", ".join(map(quote, record["answers"]))}], "id": {quote(record["id"])}, '
-            f'"level": {quote(record["level"])}, "negatives": [{", ".join(map(quote, record["negatives"]))}], '
-            f'"neighbor_object": {"null" if neighbor is None else quote(neighbor)}, '
-            f'"question": {quote(record["question"])}, '
-            f'"relation": {"null" if relation is None else quote(relation)}, "split": {quote(record["split"])}, '
-            f'"subject": {"null" if subject is None else quote(subject)}, '
-            f'"subject_id": {"null" if subject_id is None else quote(subject_id)}, '
-            f'"t_ref": {"null" if t_ref is None else quote(t_ref)}, "template_id": {quote(record["template_id"])}}}')
-
-
-def _default_templates() -> TemplateTable:
-    # Imported here: reading a question file (eval, reward) needs no templates.
-    from .templates import load_templates
-
-    return load_templates()
-
-
-def _all_strings(items: list) -> bool:
-    # A plain loop: about three times cheaper than all() over a generator.
-    for item in items:
-        if not isinstance(item, str):
-            return False
-    return True
 
 
 def _l1_families(templates: TemplateTable) -> list[tuple]:
@@ -249,7 +118,7 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     templates draw a reference month. Offsets whose result would fall before
     year 1 are never emitted.
     """
-    templates = templates or _default_templates()
+    templates = templates or load_templates()
     start, end = time_range
     if end < start:
         raise ValueError(f"empty time range: {format_time(start)}..{format_time(end)}")
@@ -390,7 +259,7 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
     Answers list every object valid at the sampled month (the sampled fact's
     object first); negatives are the group's objects not valid then.
     """
-    templates = templates or _default_templates()
+    templates = templates or load_templates()
     getrandbits = random.Random(f"{seed}|l2|{group.subject_id}|{group.relation}").getrandbits
     rows, build = _l2_builder(group, split, templates)
     prefix = f"l2-{split}-{group.subject_id}-{group.relation}-"
@@ -406,7 +275,7 @@ def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
     The primary gold is the earliest-starting object valid at ``t_r``; there
     must be at least one.
     """
-    templates = templates or _default_templates()
+    templates = templates or load_templates()
     rows, build = _l2_builder(group, split, templates)
     t_index = month_index(t_r)
     valid, _ = _objects_at(rows, t_index)
@@ -424,7 +293,7 @@ def gen_l3(group: FactGroup, *, split: str = "train",
     and a direction is skipped when its pivot text also occurs earlier in the
     group, so every emitted question has exactly one defensible answer.
     """
-    templates = templates or _default_templates()
+    templates = templates or load_templates()
     facts, keys = group.facts, group.keys
     relation, subject, subject_id = group.relation, group.subject, group.subject_id
     objects = [fact.object for fact in facts]

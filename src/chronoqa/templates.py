@@ -152,87 +152,32 @@ def _compile_l1_pattern(template_text: str) -> re.Pattern:
     return re.compile(rf"^{escaped}$", re.ASCII)
 
 
-def _texts(entry: object, where: str, path: str, names: tuple[str, ...], optional: tuple[str, ...] = ()) -> list:
-    """The fields ``names`` of one template entry, each a string, then the
-    fields ``optional``, each a string or null (or missing)."""
-    if not isinstance(entry, dict):
-        raise TemplateError(f"template file {path}: {where} must be an object, got {type(entry).__name__}")
-    for name in names + optional:
-        value = entry.get(name)
-        if not (isinstance(value, str) or (value is None and name in optional)):
-            got = f"got {type(value).__name__}" if name in entry else "it is missing"
-            raise TemplateError(f"template file {path}: {name!r} in {where} must be a string"
-                                f"{' or null' if name in optional else ''}, but {got}")
-    return [entry.get(name) for name in names + optional]
-
-
-def _check_placeholders(template: RelativeTimeTemplate, where: str, path: str) -> None:
-    """Each L1 text holds ``<t>`` once; ``before`` and ``after`` hold the same
-    offsets, ``<x>`` and/or ``<y>``, each once; the one-year texts hold none.
-    The generator fills ``<t>`` into text rendered up to it, and the solver's
-    patterns name each placeholder as a group."""
-    def fail(names: str, problem: str) -> None:
-        raise TemplateError(f"template file {path}: {names} in {where} {problem}")
-
-    for name in ("before", "after", "before_one", "after_one"):
-        text = getattr(template, name)
-        if text is None:
-            continue
-        if text.count("<t>") != 1:
-            fail(repr(name), f"must hold <t> exactly once, got {text!r}")
-        for placeholder in ("<x>", "<y>"):
-            if name.endswith("_one") and placeholder in text:
-                fail(repr(name), f"is the one-year wording and must not hold {placeholder}, got {text!r}")
-            if text.count(placeholder) > 1:
-                fail(repr(name), f"must hold {placeholder} at most once, got {text!r}")
-    offsets = [[p for p in ("<x>", "<y>") if p in text] for text in (template.before, template.after)]
-    if offsets[0] != offsets[1]:
-        fail("'before' and 'after'", f"must hold the same of <x> and <y>, got {template.before!r} and "
-             f"{template.after!r}")
-    if not offsets[0]:
-        fail("'before' and 'after'", f"must hold <x> or <y>, got {template.before!r}")
-
-
 _default_table: TemplateTable | None = None
 
 
 def load_templates(path: str | None = None) -> TemplateTable:
-    """Load a template table; ``None`` loads the packaged defaults (cached)."""
+    """Load a template table; ``None`` loads the packaged defaults (cached).
+
+    A custom file is checked field by field, every failure named; the
+    packaged file is this tool's own, and a test puts it through the same
+    checks, so loading it runs none of them."""
     global _default_table
     if path is None:
         if _default_table is None:
             from importlib import resources
 
             resource = resources.files("chronoqa").joinpath("data/templates.json")
-            _default_table = _parse_table(resource.read_text(encoding="utf-8"), str(resource))
+            _default_table = _table(json.loads(resource.read_text(encoding="utf-8")))
         return _default_table
+    from .checks import checked_templates
+
     with open(path, encoding="utf-8") as handle:
-        return _parse_table(handle.read(), path)
+        return _table(checked_templates(handle.read(), path))
 
 
-def _parse_table(raw: str, path: str) -> TemplateTable:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise TemplateError(f"template file {path} is not valid JSON: {exc}") from exc
-    if not (isinstance(data, dict) and isinstance(data.get("l1"), list) and isinstance(data.get("relations"), dict)):
-        raise TemplateError(f"template file {path}: the top level must be an object with an 'l1' list "
-                            "and a 'relations' object")
-    version = data.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise TemplateError(f"template file {path}: 'version' must be an integer, got {version!r}")
-
-    l1 = []
-    for i, entry in enumerate(data["l1"], 1):
-        template = RelativeTimeTemplate(*_texts(entry, f"l1 entry {i}", path, RelativeTimeTemplate._fields[:4],
-                                                RelativeTimeTemplate._fields[4:]))
-        if template.granularity not in ("year", "month"):
-            raise TemplateError(f"template file {path}: 'granularity' in l1 entry {i} must be 'year' or "
-                                f"'month', got {template.granularity!r}")
-        _check_placeholders(template, f"l1 entry {i}", path)
-        l1.append(template)
-    relations = {code: RelationTemplates(code, *_texts(entry, code, path, RelationTemplates._fields[1:]))
+def _table(data: dict) -> TemplateTable:
+    """The table of a template file's decoded, checked data."""
+    l1 = [RelativeTimeTemplate(*map(entry.get, RelativeTimeTemplate._fields)) for entry in data["l1"]]
+    relations = {code: RelationTemplates(code, *map(entry.get, RelationTemplates._fields[1:]))
                  for code, entry in data["relations"].items()}
-    if not relations:
-        raise TemplateError(f"template file {path} defines no relations")
-    return TemplateTable(version=version, l1=l1, relations=relations)
+    return TemplateTable(version=data.get("version", 1), l1=l1, relations=relations)

@@ -1,9 +1,9 @@
 """Month-granularity calendar arithmetic.
 
-Everything in this toolkit that touches time goes through the three value
-types defined here: a calendar month (:class:`TimePoint`), a validity range
-(:class:`TimeInterval`), and a relative displacement (:class:`Offset`).
-Months are the finest unit; there is no day or timezone handling.
+Everything in this toolkit that touches time goes through the two value
+types defined here: a calendar month (:class:`TimePoint`) and a validity
+range (:class:`TimeInterval`). Months are the finest unit; there is no day
+or timezone handling.
 
 The canonical textual form is ``"Jul 2019"`` (3-letter English month
 abbreviation, year without leading zeros). A bare ``"2019"`` is accepted on
@@ -57,22 +57,6 @@ class TimePoint(NamedTuple):
         return format_time(self)
 
 
-class Offset(NamedTuple):
-    """A displacement of whole years and months in one direction.
-
-    At least one of (years, months) must be nonzero; both are non-negative,
-    with the sign carried by ``direction``.
-    """
-
-    years: int
-    months: int
-    direction: str
-
-    @property
-    def total_months(self) -> int:
-        return self.years * 12 + self.months
-
-
 class TimeInterval(NamedTuple):
     """An inclusive validity range. Ongoing facts are closed at the KB
     snapshot month when they are ingested."""
@@ -96,23 +80,13 @@ def _time_point(cls, year: int, month: int) -> TimePoint:
     return tuple.__new__(cls, (year, month))
 
 
-def _offset(cls, years: int, months: int, direction: str) -> Offset:
-    if years < 0 or months < 0:
-        raise ValueError("offset years and months must be non-negative")
-    if years == 0 and months == 0:
-        raise ValueError("offset must move by at least one month")
-    if direction not in (BEFORE, AFTER):
-        raise ValueError(f"direction must be 'before' or 'after', got {direction!r}")
-    return tuple.__new__(cls, (years, months, direction))
-
-
 def _time_interval(cls, start: TimePoint, end: TimePoint) -> TimeInterval:
     if end < start:
         raise ValueError(f"interval start {start} is after end {end}")
     return tuple.__new__(cls, (start, end))
 
 
-TimePoint.__new__, Offset.__new__, TimeInterval.__new__ = _time_point, _offset, _time_interval
+TimePoint.__new__, TimeInterval.__new__ = _time_point, _time_interval
 
 DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
 
@@ -127,14 +101,6 @@ def time_from_month_index(index: int) -> TimePoint:
     if year < MIN_YEAR:
         raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
     return TimePoint(year, month0 + 1)
-
-
-def shift(t: TimePoint, offset: Offset) -> TimePoint:
-    """The calendar month exactly ``offset`` away from ``t``."""
-    delta = offset.total_months
-    if offset.direction == BEFORE:
-        delta = -delta
-    return time_from_month_index(month_index(t) + delta)
 
 
 def compare(a: TimePoint, b: TimePoint) -> str:

@@ -1,16 +1,17 @@
 """Shared builders for synthetic fact data, plus the independent
-relative-time oracle used to re-verify generated answers."""
+relative-time oracles used to re-verify generated and solved answers."""
 
 from __future__ import annotations
 
 import json
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 
 from chronoqa import TimePoint, build_groups, ingest
-from chronoqa.timeline import format_time, time_from_month_index
+from chronoqa.timeline import format_time, month_index, time_from_month_index
 
 # Every character class the escaper treats differently: quote, backslash,
 # the C0 controls, DEL, the JavaScript line separators, non-ASCII, astral,
@@ -55,6 +56,46 @@ def l1_oracle(question_text: str):
         index = index + delta if direction == "after" else index - delta
         return f"{MONTHS[index % 12]} {index // 12}", (x, y, direction, year * 12 + MONTH_NUM[mon] - 1)
     raise AssertionError(f"unrecognized question: {question_text!r}")
+
+
+class Offset(NamedTuple):
+    """A displacement of whole years and months in one direction.
+
+    At least one of (years, months) must be nonzero; both are non-negative,
+    with the sign carried by ``direction``. With :func:`shift` it is the
+    reference for ``oracle.solve_l1``'s month-index arithmetic, down to its
+    error messages.
+    """
+
+    years: int
+    months: int
+    direction: str
+
+    @property
+    def total_months(self) -> int:
+        return self.years * 12 + self.months
+
+
+def _offset(cls, years: int, months: int, direction: str) -> Offset:
+    # The validating constructor; typing.NamedTuple refuses one in the class body.
+    if years < 0 or months < 0:
+        raise ValueError("offset years and months must be non-negative")
+    if years == 0 and months == 0:
+        raise ValueError("offset must move by at least one month")
+    if direction not in ("before", "after"):
+        raise ValueError(f"direction must be 'before' or 'after', got {direction!r}")
+    return tuple.__new__(cls, (years, months, direction))
+
+
+Offset.__new__ = _offset
+
+
+def shift(t: TimePoint, offset: Offset) -> TimePoint:
+    """The calendar month exactly ``offset`` away from ``t``."""
+    delta = offset.total_months
+    if offset.direction == "before":
+        delta = -delta
+    return time_from_month_index(month_index(t) + delta)
 
 
 def month_text(index: int) -> str:

@@ -13,6 +13,8 @@ import pytest
 
 from chronoqa import __version__
 
+from conftest import synth_rows, write_facts
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
@@ -103,6 +105,36 @@ def test_closed_stdout_unbuffered_is_a_data_error(tmp_path):
     finally:
         os.close(write_end)
     assert result == (2, b"", b"chronoqa: error [E_DATA] [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "report.json"],
+    ["stats", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--out", "report.json"],
+], ids=["eval", "stats"])
+def test_full_stdout_still_writes_the_out_file(tmp_path, argv):
+    """``eval`` and ``stats`` write ``--out`` before they print: when stdout
+    fails, the run is still a data error, but its file is the one a normal
+    run writes."""
+    write_facts(tmp_path / "facts.jsonl", synth_rows(6, relation="P39", facts_per_subject=(3, 5), seed=7))
+    assert run(tmp_path, "-m", "chronoqa", "gen-l2", "--facts", "facts.jsonl", "--out-dir", ".")[0] == 0
+    assert run(tmp_path, "-m", "chronoqa", "solve", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl",
+               "--out", "preds.jsonl")[0] == 0
+    assert run(tmp_path, "-m", "chronoqa", *argv)[0] == 0
+    expected = (tmp_path / "report.json").read_bytes()
+    (tmp_path / "report.json").unlink()
+    with open("/dev/full", "wb") as full:
+        code, _, stderr = run(tmp_path, "-m", "chronoqa", *argv, stdout=full.fileno(), unbuffered=True)
+    assert (code, stderr) == (2, b"chronoqa: error [E_DATA] [Errno 28] No space left on device\n")
+    assert (tmp_path / "report.json").read_bytes() == expected
+
+
+def test_cli_module_runs_the_package_entry_point(tmp_path):
+    """``python -m chronoqa.cli`` is ``python -m chronoqa``: a usage error
+    that a subcommand's own module raises is still a usage error."""
+    argv = ["gen-l2", "--facts", "facts.jsonl", "--out-dir", "out", "--split-counts", "train:1",
+            "--split-ratios", "train:1"]
+    assert run(tmp_path, "-m", "chronoqa.cli", *argv) == (
+        1, b"", b"chronoqa: error [E_USAGE] give at most one of --split-counts and --split-ratios\n")
 
 
 def test_profiler_still_writes_its_output(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 from chronoqa.contexts import AnnotatedDocument, RenderedExample, mask_corpus, masked_line, render, rendered_line
 from chronoqa.jsonl import dumps
-from chronoqa.questions import gen_l1, gen_l2, gen_l3, record_line
+from chronoqa.questions import gen_l1, gen_l2, gen_l3
+from chronoqa.records import record_line
 from chronoqa.scoring import Prediction, RewardRecord, prediction_line, reward_line, reward_records, score_f1
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimePoint

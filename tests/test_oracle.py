@@ -10,9 +10,9 @@ from chronoqa.facts import FactGroup
 from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
 from chronoqa.templates import load_templates
-from chronoqa.timeline import Offset, TimeParseError, TimeRangeError, format_time, is_year_text, parse_time, shift
+from chronoqa.timeline import TimeParseError, TimeRangeError, format_time, is_year_text, parse_time
 
-from conftest import make_group, synth_rows
+from conftest import Offset, make_group, shift, synth_rows
 
 
 def l1_question(text: str, template_id: str = "") -> Question:

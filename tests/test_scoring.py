@@ -24,7 +24,8 @@ from chronoqa import (
     score_numeric,
 )
 from chronoqa.questions import Question
-from chronoqa.scoring import EvalReport, MetricBlock, _token_f1, extract_year, period_label, reward_records
+from chronoqa.scoring import (EvalReport, MetricBlock, _strip_punctuation, _token_f1, extract_year, period_label,
+                              reward_records)
 
 from conftest import ESCAPES, synth_rows
 
@@ -60,6 +61,14 @@ class TestNormalize:
 
     def test_whitespace_collapse(self):
         assert normalize("  a  An THE  x ") == ["x"]
+
+    def test_punctuation_class_is_string_punctuation(self):
+        """``scoring`` writes the marks out rather than import ``string``; its
+        class must delete exactly ``string.punctuation``, on every code point."""
+        reference = re.compile("[" + re.escape(string.punctuation) + "]").sub
+        every = "".join(map(chr, range(0x110000)))
+        assert _strip_punctuation("", every) == reference("", every)
+        assert len(every) - len(_strip_punctuation("", every)) == len(string.punctuation) == 32
 
     def test_matches_the_translate_rule_on_every_ascii_code_point(self):
         for code in range(0x80):

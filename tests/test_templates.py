@@ -2,9 +2,11 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from chronoqa import templates as templates_module
 from chronoqa.templates import TemplateError, load_templates
 
 
@@ -36,6 +38,13 @@ class TestLoading:
         assert table.relation_codes == frozenset(
             {"P54", "P39", "P108", "P102", "P286", "P69", "P488", "P6", "P35", "P127"})
         assert len(table.l1) == 4
+
+    def test_packaged_file_passes_the_custom_file_checks(self, table):
+        """The packaged table loads without the checks a custom file takes, so
+        it must pass them, and give the same table through them."""
+        path = Path(templates_module.__file__).parent / "data" / "templates.json"
+        checked = load_templates(str(path))
+        assert (checked.version, checked.l1, checked.relations) == (table.version, table.l1, table.relations)
 
     def test_custom_file(self, tmp_path, table):
         path = tmp_path / "templates.json"

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from chronoqa.timeline import (
-    Offset,
     TimeInterval,
     TimeParseError,
     TimePoint,
@@ -15,8 +14,9 @@ from chronoqa.timeline import (
     format_time,
     parse_time,
     sample,
-    shift,
 )
+
+from conftest import Offset, shift
 
 
 def oracle_index(year: int, month: int) -> int:

@@ -9,7 +9,9 @@ from chronoqa.contexts import AnnotatedDocument
 from chronoqa.facts import Fact, FactGroup
 from chronoqa.questions import Question
 from chronoqa.scoring import Prediction, RewardRecord
-from chronoqa.timeline import Offset, TimeInterval, TimePoint, TimeRangeError
+from chronoqa.timeline import TimeInterval, TimePoint, TimeRangeError
+
+from conftest import Offset
 
 JAN, JUL = TimePoint(2019, 1), TimePoint(2019, 7)
 
