@@ -6,13 +6,19 @@ seed, and a hash of the effective config, so artifacts are traceable and
 runs are reproducible byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 data validation, 3 internal.
+
+The one file a run keeps for later runs is the fact-file cache,
+``<facts>.chronoqa-cache`` beside a regular fact file (see
+``facts.load_fact_file``). It holds what ingesting that file produced,
+under a key made from the file's bytes and every setting ingest reads, so
+a run prints and writes the same with or without it: deleting it changes
+nothing but time.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -20,6 +26,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .jsonl import write_jsonl
+
+try:  # CPython's own SHA-256; hashlib would load OpenSSL in every process
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .facts import FactGroup
@@ -76,7 +90,7 @@ def _flag_type(parse, keep_text: bool = False):
 
 
 def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+    return sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _meta(args, render_version: str, config: dict) -> dict:
@@ -174,15 +188,23 @@ SUBCOMMANDS = {
 }
 
 
+# --help shows the docstring up to the cache note, which is for readers of the code
+_DESCRIPTION = __doc__ and __doc__.partition("\nThe one file a run keeps")[0]  # None under -OO
+
+
 def build_parser(argv: list[str]) -> _Parser:
-    """A parser that lists every subcommand but declares the flags of only
-    the one ``argv`` names: its first word not starting with ``-``."""
+    """A parser that declares the flags of only the subcommand ``argv``
+    names: its first word not starting with ``-``. When that is ``argv``'s
+    first word, the parser holds that subcommand alone; otherwise (help,
+    version, a flag first, no or an unknown subcommand) it lists them all."""
     chosen = next((word for word in argv if not word.startswith("-")), None)
-    parser = _Parser(prog="chronoqa", description=__doc__,
+    parser = _Parser(prog="chronoqa", description=_DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"chronoqa {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    for name, (module, help_text) in SUBCOMMANDS.items():
+    alone = argv[:1] == [chosen] and chosen in SUBCOMMANDS  # nothing can need another subcommand's parser
+    for name in [chosen] if alone else SUBCOMMANDS:
+        module, help_text = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == chosen:
             # __import__ rather than importlib.import_module, so -X importtime reports it

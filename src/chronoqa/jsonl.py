@@ -7,6 +7,7 @@ the run that produced them; it is legal on line 1 only. Writes are atomic.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -36,7 +37,7 @@ quote = json.encoder.encode_basestring
 
 
 @contextmanager
-def _replacing(path: str) -> Iterator[IO[str]]:
+def replacing(path: str) -> Iterator[IO[str]]:
     """A handle on a temp file that replaces ``path`` only if the block completes."""
     temp = f"{path}.{os.getpid()}.tmp"
     handle = open(temp, "w", encoding="utf-8", newline="\n")
@@ -56,7 +57,7 @@ def write_jsonl(path: str, records: Iterable[T], meta: dict | None = None,
     would: the header always goes through ``dumps``."""
     count = 0
     lines = map(encode, records)
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         if meta is not None:
             handle.write(dumps({META_KEY: meta}) + "\n")
         # One write call per block of lines, not one per line; the bytes are the same.
@@ -69,7 +70,7 @@ def write_jsonl(path: str, records: Iterable[T], meta: dict | None = None,
 
 def write_json(path: str, payload: dict) -> None:
     """Write one indented JSON document (a report)."""
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         handle.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
@@ -84,7 +85,18 @@ def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
     first line that holds them. Text is decoded in chunks ahead of the lines
     yielded, so that error may come before a bad line that precedes it.
     """
-    with open(path, encoding="utf-8") as handle:
+    return _rows(path, open(path, encoding="utf-8"))
+
+
+def decode_rows(path: str, data: bytes) -> Iterator[tuple[int, dict | ValueError]]:
+    """:func:`read_rows` over ``data``, the bytes already read from the file
+    at ``path``: the same rows, line numbers and messages, with no second
+    read of the file."""
+    return _rows(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), data)
+
+
+def _rows(path: str, handle: IO[str], data: bytes | None = None) -> Iterator[tuple[int, dict | ValueError]]:
+    with handle:
         try:
             for line_no, line in enumerate(handle, start=1):
                 text = line.strip()
@@ -113,14 +125,17 @@ def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
                             line_no, row = 0, row[META_KEY]
                 yield line_no, row
         except UnicodeDecodeError as exc:
-            raise _utf8_error(path, exc) from None
+            raise _utf8_error(path, exc, data) from None
 
 
-def _utf8_error(path: str, error: UnicodeDecodeError) -> ValueError:
+def _utf8_error(path: str, error: UnicodeDecodeError, data: bytes | None = None) -> ValueError:
     """``path:line`` of the first line that is not UTF-8, numbered as
-    text-mode reading numbers lines; ``error`` itself if none is left."""
-    with open(path, "rb") as handle:
-        lines = handle.read().splitlines()  # at \n, \r and \r\n, as text mode splits
+    text-mode reading numbers lines; ``error`` itself if none is left.
+    ``data`` is the file's bytes, read again if not given."""
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    lines = data.splitlines()  # at \n, \r and \r\n, as text mode splits
     for line_no, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")

@@ -111,6 +111,14 @@ class TestExitCodes:
         listed = [line.split()[0] for line in lines if line.startswith("    ") and line[4] != " "]
         assert listed == list(SUBCOMMANDS)
 
+    @pytest.mark.parametrize("argv, alone", [
+        (["eval", "--help"], True), (["gen-l2", "--facts", "f.jsonl"], True), (["--help", "eval"], False),
+        (["--seed", "3", "eval"], False), (["frobnicate"], False), ([], False),
+    ])
+    def test_a_subcommand_named_first_gets_a_parser_of_its_own(self, argv, alone):
+        (subparsers,) = [a for a in build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(subparsers.choices) == ([argv[0]] if alone else list(SUBCOMMANDS))
+
     @pytest.mark.parametrize("command, defaults", [
         ("gen-l1", ["Jan 1000:Dec 2022"]),
         ("gen-l1-future", []),
