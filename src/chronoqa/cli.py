@@ -7,12 +7,12 @@ runs are reproducible byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 data validation, 3 internal.
 
-The one file a run keeps for later runs is the fact-file cache,
-``<facts>.chronoqa-cache`` beside a regular fact file (see
-``facts.load_fact_file``). It holds what ingesting that file produced,
-under a key made from the file's bytes and every setting ingest reads, so
-a run prints and writes the same with or without it: deleting it changes
-nothing but time.
+The files a run keeps for later runs are the input caches,
+``<file>.chronoqa-cache`` beside each regular fact, question or prediction
+file it reads (see ``jsonl.load_cached``). Each holds what loading that
+file produced, under a key made from the file's bytes and every setting
+the load reads, so a run prints and writes the same with or without them:
+deleting one changes nothing but time.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ SUBCOMMANDS = {
 
 
 # --help shows the docstring up to the cache note, which is for readers of the code
-_DESCRIPTION = __doc__ and __doc__.partition("\nThe one file a run keeps")[0]  # None under -OO
+_DESCRIPTION = __doc__ and __doc__.partition("\nThe files a run keeps")[0]  # None under -OO
 
 
 def build_parser(argv: list[str]) -> _Parser:

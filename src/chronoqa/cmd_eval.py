@@ -40,10 +40,10 @@ FLAGS = [
 def run(args) -> int:
     from .jsonl import load_jsonl, write_json
     from .metrics import evaluate
-    from .records import Question
-    from .scoring import Prediction
-    meta_q, questions = load_jsonl(args.questions, Question.from_record)
-    meta_p, predictions = load_jsonl(args.predictions, Prediction.from_record)
+    from .records import QUESTION_COLUMNS, Question
+    from .scoring import PREDICTION_COLUMNS, Prediction
+    meta_q, questions = load_jsonl(args.questions, Question.from_record, QUESTION_COLUMNS)
+    meta_p, predictions = load_jsonl(args.predictions, Prediction.from_record, PREDICTION_COLUMNS)
     version_q = (meta_q or {}).get("render_version")
     version_p = (meta_p or {}).get("render_version")
     if version_q and version_p and version_q != version_p and not args.force:

@@ -31,10 +31,10 @@ def run(args) -> int:
     from .contexts import render, rendered_line
     from .jsonl import load_jsonl
     from .oracle import SubjectIndex, index_groups
-    from .records import Question
+    from .records import QUESTION_COLUMNS, Question
     from .templates import load_templates
     templates = load_templates(args.templates)
-    meta_in, questions = load_jsonl(args.questions, Question.from_record)
+    meta_in, questions = load_jsonl(args.questions, Question.from_record, QUESTION_COLUMNS)
     groups = index_groups(_load_groups(args, templates)) if setting == "ReasonQA" else None
     articles = SubjectIndex("article", load_jsonl(args.articles, _article)[1]) if setting == "OBQA" else None
 

@@ -8,11 +8,11 @@ FLAGS = [_QUESTIONS, _PREDICTIONS, _OUT]
 
 def run(args) -> int:
     from .jsonl import load_jsonl, write_jsonl
-    from .records import Question
+    from .records import QUESTION_COLUMNS, Question
     from .rewards import reward_line, reward_records
-    from .scoring import Prediction
-    meta_q, questions = load_jsonl(args.questions, Question.from_record)
-    _, predictions = load_jsonl(args.predictions, Prediction.from_record)
+    from .scoring import PREDICTION_COLUMNS, Prediction
+    meta_q, questions = load_jsonl(args.questions, Question.from_record, QUESTION_COLUMNS)
+    _, predictions = load_jsonl(args.predictions, Prediction.from_record, PREDICTION_COLUMNS)
     records = reward_records(questions, predictions)
     config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")

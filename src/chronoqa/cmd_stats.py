@@ -11,7 +11,7 @@ FLAGS = [
 
 def run(args) -> int:
     from .jsonl import load_jsonl, write_json
-    from .records import Question
+    from .records import QUESTION_COLUMNS, Question
     payload: dict = {}
     lines: list[str] = []  # printed once --out is written, so a failed print cannot lose it
     if args.facts:
@@ -27,7 +27,7 @@ def run(args) -> int:
             lines.append(f"  {relation:<6} groups {entry['groups']:>6}  facts {entry['facts']:>7}")
     question_stats: dict = {}
     for path in args.questions or []:
-        _, questions = load_jsonl(path, Question.from_record)
+        _, questions = load_jsonl(path, Question.from_record, QUESTION_COLUMNS)
         for question in questions:
             bucket = question_stats.setdefault((question.level, question.split),
                                                {"questions": 0, "subjects": set()})

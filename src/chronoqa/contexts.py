@@ -112,7 +112,8 @@ def render(question: Question, group: FactGroup | None = None, article: str | No
             raise RenderError(f"question {question.id!r}: the structured-facts setting requires a fact group")
         templates = templates or load_templates()
         lines = list(group.lines)  # a copy: the group's lines are shared by all its questions
-        _shuffle(lines, random.Random(f"{seed}|render|{question.id}"))
+        if len(lines) > 1:  # one line takes no draw, so it needs no seeded generator
+            _shuffle(lines, random.Random(f"{seed}|render|{question.id}"))
         header = f"{group.subject} {templates.relation(group.relation).phrase}:"
         prompt = "\n".join([question.question, header, *lines])
     return RenderedExample(question.id, setting, prompt, question.answers[0])
@@ -150,7 +151,10 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     span_count = len(spans)
     numerator, denominator = _decimal_ratio(ratio)
     masked_count = -(-numerator * span_count // denominator)  # the ceiling, in integers
-    chosen = sorted(sample(span_count, masked_count, random.Random(f"{seed}|mask|{doc_id}").getrandbits))
+    if masked_count == span_count:  # every span, whatever the draws; seeding a generator costs more than masking
+        chosen = range(span_count)
+    else:
+        chosen = sorted(sample(span_count, masked_count, random.Random(f"{seed}|mask|{doc_id}").getrandbits))
 
     masked_pieces = []
     target_pieces = []

@@ -10,26 +10,19 @@ most a fixed number of subjects, subsampled by seeded shuffle.
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 from collections import defaultdict
 from functools import partial
 from itertools import chain
 from operator import itemgetter, le
-from stat import S_ISREG
-from typing import Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping, NamedTuple
 
-from .jsonl import decode_rows, replacing
+from .jsonl import load_cached
 from .scoring import normalized_key
 from .templates import load_templates
 from .timeline import (DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, parse_time_cached,
                        time_from_month_index)
-
-try:  # CPython's own BLAKE2; hashlib would load OpenSSL as well
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
 
 MAX_SUBJECTS_PER_RELATION = 2000
 MIN_FACTS_PER_GROUP = 3
@@ -203,12 +196,12 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     return FactStore(tuple(facts), tuple(diagnostics), duplicates)
 
 
-# The fact-file cache: what ingest produced from one fact file, kept beside
-# it as one JSON object {"key", "facts", "diagnostics", "duplicates_dropped"}.
-# Each fact is [subject, subject_id, relation, object, object_id, start, end]
-# with months as month indices, each diagnostic [line, message]. It is written
-# ASCII-only, so a lone surrogate in a fact survives it.
-CACHE_SUFFIX = ".chronoqa-cache"
+# The fact-file codec of the input cache (jsonl.load_cached): what ingest
+# produced from one fact file, kept beside it as one JSON object {"key",
+# "facts", "diagnostics", "duplicates_dropped"}. Each fact is [subject,
+# subject_id, relation, object, object_id, start, end] with months as month
+# indices, each diagnostic [line, message]. It is written ASCII-only, so a
+# lone surrogate in a fact survives it.
 # Part of every key. Bump it whenever ingest's rules or messages, or Fact's
 # fields, change: every cache written before then stops matching.
 CACHE_FORMAT = 1
@@ -227,72 +220,51 @@ def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
-    with open(path, "rb") as handle:
-        regular = S_ISREG(os.fstat(handle.fileno()).st_mode)  # a FIFO or a device gets no cache
-        data = handle.read()
-    cache, key = f"{os.fspath(path)}{CACHE_SUFFIX}", _cache_key(data, snapshot, relation_codes)
-    store = _read_cache(cache, key) if regular else None
-    if store is None:
-        rows = filter(itemgetter(0), decode_rows(path, data))  # a header comes as line 0
-        store = ingest(rows, snapshot=snapshot, relation_codes=relation_codes)
-        if regular:
-            _write_cache(cache, key, store)
+    # Everything ingest's result depends on besides the file's bytes; the
+    # Python minor version too, as the JSON decoder's messages reach the diagnostics.
+    salt = json.dumps([CACHE_FORMAT, sys.version_info[:2], snapshot, sorted(relation_codes)])
+    decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes)
+    store = load_cached(path, salt, decode, _read_cache, _write_cache)
     if strict and store.diagnostics:  # the first bad row, as ingest(strict=True) reports it
         raise FactValidationError(str(store.diagnostics[0]))
     return store
 
 
-def _cache_key(data: bytes, snapshot: TimePoint, relation_codes: frozenset[str]) -> str:
-    """A digest of everything ingest's result depends on: the file's bytes,
-    the snapshot, the relation codes, the cache format and the Python minor
-    version (the JSON decoder's messages reach the diagnostics)."""
-    inputs = json.dumps([CACHE_FORMAT, sys.version_info[:2], snapshot, sorted(relation_codes)])
-    digest = blake2b(inputs.encode("ascii") + b"\n", digest_size=20)
-    digest.update(data)
-    return digest.hexdigest()
+def _ingest_rows(rows: Iterable, **settings) -> FactStore:
+    return ingest(filter(itemgetter(0), rows), **settings)  # a header comes as line 0
 
 
-def _read_cache(path: str, key: str) -> FactStore | None:
-    """The store cached at ``path`` under ``key``; None for a cache that is
-    missing, unreadable, malformed or under another key."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            cached = json.load(handle)
-        if type(cached) is not dict or cached.get("key") != key:
-            return None
-        rows, duplicates = cached["facts"], cached["duplicates_dropped"]
-        diagnostics = tuple(map(Diagnostic._make, cached["diagnostics"]))
-        if type(rows) is not list or type(duplicates) is not int \
-                or any(type(line) is not int or type(message) is not str for line, message in diagnostics):
-            return None
-        facts: tuple[Fact, ...] = ()
-        if rows:  # column by column, so that checking and building loop in C
-            *texts, starts, ends = columns = tuple(zip(*rows, strict=True))
-            if len(columns) != 7 or {*map(type, chain(*texts))} - {str} \
-                    or {*map(type, chain(starts, ends))} - {int} or not all(map(le, starts, ends)):
-                return None
-            months = {index: time_from_month_index(index) for index in {*starts, *ends}}  # validating
-            intervals = zip(map(months.__getitem__, starts), map(months.__getitem__, ends))
-            facts = tuple(map(partial(tuple.__new__, Fact),
-                              zip(*texts, map(partial(tuple.__new__, TimeInterval), intervals))))
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+def _read_cache(handle: IO[str], key: str) -> FactStore | None:
+    """The store cached in ``handle`` under ``key``; None for a cache that is
+    malformed or under another key."""
+    cached = json.load(handle)
+    if type(cached) is not dict or cached.get("key") != key:
         return None
+    rows, duplicates = cached["facts"], cached["duplicates_dropped"]
+    diagnostics = tuple(map(Diagnostic._make, cached["diagnostics"]))
+    if type(rows) is not list or type(duplicates) is not int \
+            or any(type(line) is not int or type(message) is not str for line, message in diagnostics):
+        return None
+    facts: tuple[Fact, ...] = ()
+    if rows:  # column by column, so that checking and building loop in C
+        *texts, starts, ends = columns = tuple(zip(*rows, strict=True))
+        if len(columns) != 7 or {*map(type, chain(*texts))} - {str} \
+                or {*map(type, chain(starts, ends))} - {int} or not all(map(le, starts, ends)):
+            return None
+        months = {index: time_from_month_index(index) for index in {*starts, *ends}}  # validating
+        intervals = zip(map(months.__getitem__, starts), map(months.__getitem__, ends))
+        facts = tuple(map(partial(tuple.__new__, Fact),
+                          zip(*texts, map(partial(tuple.__new__, TimeInterval), intervals))))
     return FactStore(facts, diagnostics, duplicates)
 
 
-def _write_cache(path: str, key: str, store: FactStore) -> None:
-    """Cache ``store`` at ``path``, atomically; a failed write leaves no
-    cache and is not an error."""
-    try:
-        with replacing(path) as handle:  # opened first, so an unwritable place costs no encoding
-            rows = [[subject, subject_id, relation, obj, object_id, start_year * 12 + start_month - 1,
-                     end_year * 12 + end_month - 1]  # timeline.month_index
-                    for subject, subject_id, relation, obj, object_id, ((start_year, start_month),
-                                                                        (end_year, end_month)) in store.facts]
-            handle.write(json.dumps({"key": key, "facts": rows, "diagnostics": store.diagnostics,
-                                     "duplicates_dropped": store.duplicates_dropped}, separators=(",", ":")))
-    except OSError:
-        pass
+def _write_cache(handle: IO[str], key: str, store: FactStore) -> None:
+    rows = [[subject, subject_id, relation, obj, object_id, start_year * 12 + start_month - 1,
+             end_year * 12 + end_month - 1]  # timeline.month_index
+            for subject, subject_id, relation, obj, object_id, ((start_year, start_month),
+                                                                (end_year, end_month)) in store.facts]
+    handle.write(json.dumps({"key": key, "facts": rows, "diagnostics": store.diagnostics,
+                             "duplicates_dropped": store.duplicates_dropped}, separators=(",", ":")))
 
 
 def build_groups(store: FactStore, seed: int = 0, *,

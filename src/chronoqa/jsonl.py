@@ -1,4 +1,5 @@
-"""JSONL reading and writing with an optional provenance header.
+"""JSONL reading and writing with an optional provenance header, and the
+input cache that keeps what loading a file produced beside it.
 
 Every line holds one JSON object. Artifact files start with a single
 ``{"_meta": {...}}`` line carrying the tool version, seed, and config hash of
@@ -11,8 +12,15 @@ import io
 import json
 import os
 from contextlib import contextmanager
+from functools import partial
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from stat import S_ISREG
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+
+try:  # CPython's own BLAKE2; hashlib would load OpenSSL as well
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 META_KEY = "_meta"
 _BLOCK_LINES = 1024
@@ -34,6 +42,9 @@ dumps = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 # sorted key order has the bytes ``dumps`` writes, without the key sort and
 # encoder set-up ``dumps`` repeats per call.
 quote = json.encoder.encode_basestring
+
+# Input caches are ASCII, so a lone surrogate in a record survives them.
+_cache_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @contextmanager
@@ -84,8 +95,14 @@ def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
     is not a string. Bytes that are not UTF-8 raise a ValueError naming the
     first line that holds them. Text is decoded in chunks ahead of the lines
     yielded, so that error may come before a bad line that precedes it.
+    A file that is not a regular file (a named pipe, a device) is read once,
+    whole, before its first line is decoded.
     """
-    return _rows(path, open(path, encoding="utf-8"))
+    handle = open(path, "rb")
+    if not S_ISREG(os.fstat(handle.fileno()).st_mode):
+        with handle:
+            return decode_rows(path, handle.read())
+    return _rows(path, io.TextIOWrapper(handle, encoding="utf-8"), handle)
 
 
 def decode_rows(path: str, data: bytes) -> Iterator[tuple[int, dict | ValueError]]:
@@ -95,7 +112,10 @@ def decode_rows(path: str, data: bytes) -> Iterator[tuple[int, dict | ValueError
     return _rows(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), data)
 
 
-def _rows(path: str, handle: IO[str], data: bytes | None = None) -> Iterator[tuple[int, dict | ValueError]]:
+def _rows(path: str, handle: IO[str], source: bytes | IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
+    """The rows of ``handle``, which decodes ``source``: the file's bytes,
+    or its binary handle, read again from the start to name a line that is
+    not UTF-8."""
     with handle:
         try:
             for line_no, line in enumerate(handle, start=1):
@@ -125,16 +145,16 @@ def _rows(path: str, handle: IO[str], data: bytes | None = None) -> Iterator[tup
                             line_no, row = 0, row[META_KEY]
                 yield line_no, row
         except UnicodeDecodeError as exc:
-            raise _utf8_error(path, exc, data) from None
+            if not isinstance(source, bytes):
+                source.seek(0)
+                source = source.read()
+            raise _utf8_error(path, exc, source) from None
 
 
-def _utf8_error(path: str, error: UnicodeDecodeError, data: bytes | None = None) -> ValueError:
-    """``path:line`` of the first line that is not UTF-8, numbered as
-    text-mode reading numbers lines; ``error`` itself if none is left.
-    ``data`` is the file's bytes, read again if not given."""
-    if data is None:
-        with open(path, "rb") as handle:
-            data = handle.read()
+def _utf8_error(path: str, error: UnicodeDecodeError, data: bytes) -> ValueError:
+    """``path:line`` of the first line of ``data``, the file's bytes, that is
+    not UTF-8, numbered as text-mode reading numbers lines; ``error`` itself
+    if none is left."""
     lines = data.splitlines()  # at \n, \r and \r\n, as text mode splits
     for line_no, line in enumerate(lines, start=1):
         try:
@@ -145,11 +165,10 @@ def _utf8_error(path: str, error: UnicodeDecodeError, data: bytes | None = None)
     return error  # the file changed after the first read
 
 
-def load_jsonl(path: str, parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
-    """Read (meta, items) with ``parse`` applied to every record; the first
-    bad line or record raises a ValueError that starts with ``path:line``."""
+def _records(path: str, rows: Iterable[tuple[int, dict | ValueError]],
+             parse: Callable[[dict], T]) -> tuple[dict | None, list[T]]:
     meta, items = None, []
-    for line_no, row in read_rows(path):
+    for line_no, row in rows:
         if not line_no:
             meta = row
             continue
@@ -163,6 +182,124 @@ def load_jsonl(path: str, parse: Callable[[dict], T]) -> tuple[dict | None, list
     return meta, items
 
 
+def load_jsonl(path: str, parse: Callable[[dict], T],
+               columns: Columns | None = None) -> tuple[dict | None, list[T]]:
+    """Read (meta, items) with ``parse`` applied to every record; the first
+    bad line or record raises a ValueError that starts with ``path:line``.
+
+    With ``columns``, the codec of ``parse``'s record type, the result is
+    also kept in the input cache beside a regular file (:func:`load_cached`):
+    a later load of the same bytes rebuilds the items from it, calling
+    ``parse`` on no record."""
+    if columns is None:
+        return _records(path, read_rows(path), parse)
+    return load_cached(path, columns.name, partial(_records, path, parse=parse), partial(_read_columns, columns),
+                       partial(_write_columns, columns))
+
+
 def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
     """Read (meta, records), raising ``path:line`` on the first bad line."""
     return load_jsonl(path, lambda record: record)
+
+
+# ---------------------------------------------------------------------------
+# input caches: what loading a file produced, kept beside it
+
+CACHE_SUFFIX = ".chronoqa-cache"
+
+
+def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict | ValueError]]], T],
+                read: Callable[[IO[str], str], T | None], write: Callable[[IO[str], str, T], None]) -> T:
+    """``decode(read_rows(path))``, kept in ``<path>.chronoqa-cache``.
+
+    The key is a BLAKE2b digest of ``salt``, ASCII text naming every other
+    input of the result, and of the file's bytes, hashed as they stream.
+    ``read(cache, key)`` gives the result cached under ``key``, or None; an
+    exception it raises counts as None too. On a miss the file is decoded,
+    and ``write(cache, key, result)`` writes a new cache, renamed into
+    place; a failed write is not an error. A file that fails to decode
+    writes no cache, and one that is not a regular file (a named pipe, a
+    device) is read once and gets none."""
+    with open(path, "rb") as handle:
+        if not S_ISREG(os.fstat(handle.fileno()).st_mode):
+            return decode(decode_rows(path, handle.read()))
+        cache = f"{os.fspath(path)}{CACHE_SUFFIX}"
+        try:
+            cached = open(cache, encoding="utf-8")
+        except OSError:  # none yet, or a directory there
+            pass
+        else:
+            with cached:
+                digest = blake2b(salt.encode("ascii") + b"\n", digest_size=20)
+                for block in iter(partial(handle.read, 1 << 20), b""):
+                    digest.update(block)
+                try:
+                    result = read(cached, digest.hexdigest())
+                except (OSError, ValueError, TypeError, KeyError, RecursionError):
+                    result = None
+            if result is not None:
+                return result
+            handle.seek(0)
+        # hashed as it is decoded, so the key is that of the bytes decoded
+        digest = blake2b(salt.encode("ascii") + b"\n", digest_size=20)
+        result = decode(_rows(path, io.TextIOWrapper(_Hashing(handle, digest.update), encoding="utf-8"), handle))
+    try:
+        with replacing(cache) as out:  # opened first, so an unwritable place costs no encoding
+            write(out, digest.hexdigest(), result)
+    except OSError:
+        pass
+    return result
+
+
+class _Hashing(io.BufferedIOBase):
+    """A binary handle, read through ``read1``, that passes every byte read to ``update``."""
+
+    def __init__(self, handle: IO[bytes], update: Callable[[bytes], object]) -> None:
+        super().__init__()
+        self._handle, self._update = handle, update
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        data = self._handle.read1(size)
+        self._update(data)
+        return data
+
+
+class Columns(NamedTuple):
+    """A record type's codec for the input cache of a JSONL file of its
+    records: ASCII JSON lines, a header ``{"key", "meta", "records"}`` and
+    then blocks of up to 1,024 records, each block one array of columns.
+
+    ``columns`` gives a block of records as its columns in field order, as
+    JSON values; ``build`` gives the block back from its columns, or None
+    (or raises) unless every column has the types ``parse`` accepts on its
+    fast path."""
+
+    name: str  # the record type and its cache format: the key's salt
+    columns: Callable[[list], list]
+    build: Callable[[list], list | None]
+
+
+def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple[dict | None, list] | None:
+    header = json.loads(handle.readline())
+    if type(header) is not dict or header["key"] != key:
+        return None
+    meta, items = header["meta"], []
+    if not (meta is None or type(meta) is dict and type(meta.get("render_version", "")) is str):
+        return None
+    for line in handle:  # a block at a time
+        block = json.loads(line)
+        block = codec.build(block) if type(block) is list and {*map(type, block)} == {list} else None
+        if block is None:
+            return None
+        items += block
+    return (meta, items) if len(items) == header["records"] else None
+
+
+def _write_columns(codec: Columns, handle: IO[str], key: str, result: tuple[dict | None, list]) -> None:
+    meta, items = result
+    handle.write(_cache_dumps({"key": key, "meta": meta, "records": len(items)}) + "\n")
+    for start in range(0, len(items), _BLOCK_LINES):
+        handle.write(_cache_dumps(codec.columns(items[start:start + _BLOCK_LINES])) + "\n")

@@ -4,11 +4,13 @@ reads questions compiles none of it."""
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
-from .jsonl import quote
-from .timeline import TimePoint, format_time, parse_time_cached
+from .jsonl import Columns, quote
+from .timeline import TimePoint, format_time, parse_time_cached, time_from_month_index
 
 LEVELS = ("L1", "L2", "L3")
 _TEXT_OR_NULL = (str, type(None))
@@ -101,6 +103,40 @@ def record_line(record: dict) -> str:
             f'"subject": {"null" if subject is None else quote(subject)}, '
             f'"subject_id": {"null" if subject_id is None else quote(subject_id)}, '
             f'"t_ref": {"null" if t_ref is None else quote(t_ref)}, "template_id": {quote(record["template_id"])}}}')
+
+
+def _question_columns(questions: list[Question]) -> list:
+    """A block of questions as columns in field order, months as month indices."""
+    columns = [*zip(*questions)]
+    columns[9] = [t_ref and t_ref[0] * 12 + t_ref[1] - 1 for t_ref in columns[9]]  # timeline.month_index
+    return columns
+
+
+def _questions(columns: list[list]) -> list[Question] | None:
+    """A cached block's questions, if every column has the types
+    ``Question.from_record`` accepts in one expression."""
+    (ids, levels, relations, subjects, subject_ids, template_ids, texts, answers, negatives, t_refs, neighbors,
+     splits) = columns
+    # raises TypeError, a miss, unless every item is a str
+    "".join(chain(ids, template_ids, texts, splits, chain.from_iterable(chain(answers, negatives))))
+    if (not {*levels} <= _LEVEL_SET or {*map(type, chain(answers, negatives))} - {list} or not all(answers)
+            or {*map(type, chain(relations, subjects, subject_ids, neighbors))} - _TEXT_OR_NULL_SET
+            or {*map(type, t_refs)} - _MONTH_OR_NULL):
+        return None
+    months = {index: _month(index) for index in {*t_refs} - {None}}  # validating
+    months[None] = None
+    return list(map(partial(tuple.__new__, Question),
+                    zip(ids, levels, relations, subjects, subject_ids, template_ids, texts, map(tuple, answers),
+                        map(tuple, negatives), map(months.__getitem__, t_refs), neighbors, splits, strict=True)))
+
+
+_month = lru_cache(maxsize=1 << 14)(time_from_month_index)
+_LEVEL_SET = frozenset(LEVELS)
+_TEXT_OR_NULL_SET = frozenset(_TEXT_OR_NULL)
+_MONTH_OR_NULL = frozenset((int, type(None)))
+# The question codec of the input cache (jsonl.load_cached). Raise the
+# number whenever the columns or their checks change.
+QUESTION_COLUMNS = Columns("questions 1", _question_columns, _questions)
 
 
 def _all_strings(items: list) -> bool:

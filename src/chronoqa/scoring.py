@@ -15,9 +15,11 @@ module on first use, so solving and fact grouping compile neither.
 from __future__ import annotations
 
 import re
+from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .jsonl import quote
+from .jsonl import Columns, quote
 
 if TYPE_CHECKING:
     from .records import Question
@@ -52,6 +54,18 @@ class Prediction(NamedTuple):
         if not isinstance(prediction, str):
             raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
         return cls(prediction_id, prediction)
+
+
+def _predictions(columns: list[list]) -> list[Prediction]:
+    """A cached block's predictions, if both columns hold strings only."""
+    ids, texts = columns
+    "".join(chain(ids, texts))  # raises TypeError, a miss, unless every item is a str
+    return list(map(partial(tuple.__new__, Prediction), zip(ids, texts, strict=True)))
+
+
+# The prediction codec of the input cache (jsonl.load_cached). Raise the
+# number whenever the columns or their checks change.
+PREDICTION_COLUMNS = Columns("predictions 1", lambda predictions: [*zip(*predictions)], _predictions)
 
 
 def prediction_line(prediction: Prediction) -> str:

@@ -216,3 +216,42 @@ class TestAnnotatedDocument:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="overlap or are unsorted"):
             AnnotatedDocument("d", "aa bb cc", ((6, 8, "entity"), (0, 2, "entity")))
+
+
+class TestNoDrawShortcuts:
+    """Masking every span and rendering a one-line group seed no generator;
+    the output is what the seeded path gives."""
+
+    @staticmethod
+    def seeded_mask(doc, ratio, seed):
+        span_count = len(doc.spans)
+        masked_count = -(-int(round(ratio * 100)) * span_count // 100)
+        chosen = sorted(random.Random(f"{seed}|mask|{doc.doc_id}").sample(range(span_count), masked_count))
+        masked, target, cursor = [], [], 0
+        for rank, index in enumerate(chosen):
+            start, end, _ = doc.spans[index]
+            masked += (doc.text[cursor:start], f"<mask_{rank}>")
+            target += (f"<mask_{rank}>", doc.text[start:end])
+            cursor = end
+        return "".join(masked) + doc.text[cursor:], "".join(target)
+
+    @pytest.mark.parametrize("span_count", range(1, 9))
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    def test_mask_matches_the_seeded_path(self, span_count, ratio):
+        doc = AnnotatedDocument(f"d{span_count}", "ab " * span_count,
+                                tuple((3 * i, 3 * i + 2, "entity") for i in range(span_count)))
+        for seed in range(4):
+            assert mask_spans(doc, ratio, seed=seed) == self.seeded_mask(doc, ratio, seed)
+
+    @pytest.mark.parametrize("fact_count", range(1, 9))
+    def test_render_matches_the_seeded_path(self, fact_count):
+        rows = synth_rows(1, facts_per_subject=(fact_count, fact_count), seed=300 + fact_count)
+        group = build_groups(ingest(rows), seed=0, min_facts=1)[0]
+        templates = load_templates()
+        header = f"{group.subject} {templates.relation(group.relation).phrase}:"
+        for q in gen_l2(group, seed=1):
+            for seed in range(3):
+                lines = list(group.lines)
+                random.Random(f"{seed}|render|{q.id}").shuffle(lines)
+                expected = "\n".join([q.question, header, *lines])
+                assert render(q, group, setting="reasonqa", seed=seed).prompt == expected

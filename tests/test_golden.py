@@ -106,6 +106,26 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _artifact_digests(out) -> dict[str, str]:
+    """The digest of every artifact under ``out``; the input caches beside
+    the files read are not artifacts."""
+    return {path.relative_to(out).as_posix(): _digest(path) for path in out.rglob("*")
+            if path.is_file() and not path.name.endswith(".chronoqa-cache")}
+
+
+def _rerun_over_warm_caches(tmp_path, run) -> dict[str, str]:
+    """Delete the artifacts, keep the input caches the first run wrote, and
+    run again: the artifacts must come out the same."""
+    caches = sorted(path.name for path in tmp_path.rglob("*.chronoqa-cache"))
+    assert {"facts.jsonl.chronoqa-cache", "l2_train.jsonl.chronoqa-cache"} <= set(caches)
+    for path in (tmp_path / "out").rglob("*"):
+        if path.is_file() and not path.name.endswith(".chronoqa-cache"):
+            path.unlink()
+    run()
+    assert sorted(path.name for path in tmp_path.rglob("*.chronoqa-cache")) == caches
+    return _artifact_digests(tmp_path / "out")
+
+
 def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative paths keep the _meta config stable
     write_facts(tmp_path / "facts.jsonl", _facts())
@@ -133,27 +153,28 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     for level in ("l2", "l3"):
         commands.append(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
                          "--out", f"out/solve_{level}.jsonl"])
-    for command in commands:
-        assert main(command) == 0, command
-    capsys.readouterr()
 
-    for seed, level in enumerate(("l1", "l2", "l3")):
-        _prediction_mix(f"out/{level}_train.jsonl", tmp_path / f"mix_{level}.jsonl", seed)
-        questions, predictions = f"out/{level}_train.jsonl", f"mix_{level}.jsonl"
-        assert main(["eval", "--questions", questions, "--predictions", predictions,
-                     "--out", f"out/eval_{level}.json"]) == 0
+    def run():
+        for command in commands:
+            assert main(command) == 0, command
         capsys.readouterr()
-        assert main(["eval", "--questions", questions, "--predictions", predictions,
-                     "--breakdown", "relation"]) == 0
-        (tmp_path / "out" / f"eval_{level}_table.txt").write_text(capsys.readouterr().out)
-        if level != "l1":
-            assert main(["reward", "--questions", questions, "--predictions", predictions,
-                         "--out", f"out/reward_{level}.jsonl"]) == 0
-    capsys.readouterr()
+        for seed, level in enumerate(("l1", "l2", "l3")):
+            _prediction_mix(f"out/{level}_train.jsonl", tmp_path / f"mix_{level}.jsonl", seed)
+            questions, predictions = f"out/{level}_train.jsonl", f"mix_{level}.jsonl"
+            assert main(["eval", "--questions", questions, "--predictions", predictions,
+                         "--out", f"out/eval_{level}.json"]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--questions", questions, "--predictions", predictions,
+                         "--breakdown", "relation"]) == 0
+            (tmp_path / "out" / f"eval_{level}_table.txt").write_text(capsys.readouterr().out)
+            if level != "l1":
+                assert main(["reward", "--questions", questions, "--predictions", predictions,
+                             "--out", f"out/reward_{level}.jsonl"]) == 0
+        capsys.readouterr()
 
-    out = tmp_path / "out"
-    digests = {path.relative_to(out).as_posix(): _digest(path) for path in out.rglob("*") if path.is_file()}
-    assert digests == GOLDEN
+    run()
+    assert _artifact_digests(tmp_path / "out") == GOLDEN
+    assert _rerun_over_warm_caches(tmp_path, run) == GOLDEN
 
 
 # Fact names that every JSON escape rule touches: quotes, backslashes,
@@ -184,12 +205,14 @@ def test_escape_heavy_artifacts_match_golden_digests(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     write_facts(tmp_path / "facts.jsonl", _escaped_facts())
     fact_flags = ["--facts", "facts.jsonl", "--seed", "13"]
-    for level in ("l2", "l3"):
-        assert main([f"gen-{level}", *fact_flags, "--out-dir", "out"]) == 0
-        assert main(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
-                     "--out", f"out/solve_{level}.jsonl"]) == 0
-    capsys.readouterr()
 
-    out = tmp_path / "out"
-    digests = {path.name: _digest(path) for path in out.iterdir()}
-    assert digests == ESCAPED_GOLDEN
+    def run():
+        for level in ("l2", "l3"):
+            assert main([f"gen-{level}", *fact_flags, "--out-dir", "out"]) == 0
+            assert main(["solve", *fact_flags, "--questions", f"out/{level}_train.jsonl",
+                         "--out", f"out/solve_{level}.jsonl"]) == 0
+        capsys.readouterr()
+
+    run()
+    assert _artifact_digests(tmp_path / "out") == ESCAPED_GOLDEN
+    assert _rerun_over_warm_caches(tmp_path, run) == ESCAPED_GOLDEN
