@@ -1,51 +1,11 @@
-"""Per-field checks of the inputs that the fast paths refuse or skip, each
-failure named: question records not as this tool writes them (a missing
-optional key, a ``str`` subclass, a bad field), which ``Question.from_record``
-refuses, and custom ``--templates`` files, which the packaged table skips.
-A run whose inputs take the fast paths compiles none of this."""
+"""The checks of a custom ``--templates`` file, each failure named. The
+packaged table skips them, so a run with it compiles none of this."""
 
 from __future__ import annotations
 
 import json
-from typing import Mapping
 
-from .records import _TEXT_OR_NULL, LEVELS, _all_strings
 from .templates import RelationTemplates, RelativeTimeTemplate, TemplateError
-from .timeline import parse_time_cached
-
-_TEXT_FIELDS = ("id", "question", "template_id", "split")
-_OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
-
-
-def question_by_field(cls, record: Mapping):
-    """``cls`` (a ``Question``) from ``record``, with the defaults of its
-    optional keys; a ValueError or KeyError names the first bad field."""
-    level = record["level"]
-    if level not in LEVELS:
-        raise ValueError(f"unknown question level {level!r}")
-    texts = (record["id"], record["question"], record.get("template_id", ""), record.get("split", "train"))
-    question_id, question, template_id, split = texts
-    if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
-            and isinstance(split, str)):
-        name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
-        raise ValueError(f"{name} must be a string")
-    answers, negatives = record["answers"], record.get("negatives", [])
-    if not (isinstance(answers, list) and answers and isinstance(negatives, list)
-            and _all_strings(answers) and _all_strings(negatives)):
-        raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
-    t_ref = record.get("t_ref")
-    if t_ref is not None and not isinstance(t_ref, str):
-        raise ValueError("t_ref must be a time string or null")
-    relation, subject = record.get("relation"), record.get("subject")
-    subject_id, neighbor_object = record.get("subject_id"), record.get("neighbor_object")
-    if not (isinstance(relation, _TEXT_OR_NULL) and isinstance(subject, _TEXT_OR_NULL)
-            and isinstance(subject_id, _TEXT_OR_NULL) and isinstance(neighbor_object, _TEXT_OR_NULL)):
-        name = next(name for name in _OPTIONAL_TEXT_FIELDS
-                    if not isinstance(record.get(name), _TEXT_OR_NULL))
-        raise ValueError(f"{name} must be a string or null")
-    # By position: a keyword call costs more, once per record.
-    return cls(question_id, level, relation, subject, subject_id, template_id, question, tuple(answers),
-               tuple(negatives), None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split)
 
 
 def checked_templates(raw: str, path: str) -> dict:

@@ -19,7 +19,7 @@ from operator import itemgetter, le
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .jsonl import load_cached
-from .scoring import normalized_key
+from .scoring import _Memo, normalized_key
 from .templates import load_templates
 from .timeline import (DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, parse_time_cached,
                        time_from_month_index)
@@ -32,7 +32,7 @@ _required_fields = itemgetter(*_REQUIRED_FIELDS)
 
 
 class FactValidationError(ValueError):
-    """A fact row failed validation while ingesting in strict mode."""
+    """A fact file's first bad row, under ``load_fact_file(strict=True)``."""
 
 
 class Diagnostic(NamedTuple):
@@ -55,20 +55,15 @@ class Fact(NamedTuple):
     object_id: str
     interval: TimeInterval
 
-    def sort_key(self) -> tuple[int, int, int, int, str]:
-        """Chronological order: start month, then end month, then object."""
-        start, end = self.interval.start, self.interval.end
-        return (start.year, start.month, end.year, end.month, self.object)
 
-
-# Fact.sort_key's order and ties, read in C: (interval, object) compares start
-# month, then end month, then object.
+# Chronological order, read in C: (interval, object) compares start month,
+# then end month, then object.
 _CHRONOLOGICAL = itemgetter(5, 3)
 
 
 class FactGroup:
-    """All facts sharing (subject_id, relation), sorted by
-    :meth:`Fact.sort_key` on construction whatever order they arrive in.
+    """All facts sharing (subject_id, relation), sorted on construction by
+    start month, then end month, then object, whatever order they arrive in.
 
     Groups compare and hash by their four fields, so do not change a group
     once it is in use."""
@@ -125,25 +120,23 @@ class FactStore(NamedTuple):
     duplicates_dropped: int = 0
 
 
-def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoint) -> Fact:
+def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoint,
+                  object_keys: Mapping[str, str]) -> Fact:
+    """The fact ``row`` holds; a ValueError names the first bad field.
+    ``object_keys[text]`` is ``normalized_key(text)``."""
     if isinstance(row, ValueError):  # a line the JSONL reader could not use
         raise row
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-    try:  # the common case in one expression: six non-blank exact strs
-        subject, subject_id, relation, obj, object_id, start_text = _required_fields(row)
-        valid = (type(subject) is type(subject_id) is type(relation) is type(obj) is type(object_id)
-                 is type(start_text) is str and subject.strip() and subject_id.strip() and relation.strip()
-                 and obj.strip() and object_id.strip() and start_text.strip())
-    except KeyError:
-        valid = False
-    if not valid:  # name the first bad field; a str subclass is fine
-        for field in _REQUIRED_FIELDS:
-            value = row.get(field)
-            if not isinstance(value, str) or not value.strip():
-                raise ValueError(f"missing or empty field {field!r}")
+    for field in _REQUIRED_FIELDS:  # a str subclass is fine
+        value = row.get(field)
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"missing or empty field {field!r}")
+    subject, subject_id, relation, obj, object_id, start_text = _required_fields(row)
     if relation not in relation_codes:
         raise ValueError(f"unsupported relation {relation!r}")
+    if not object_keys[obj]:  # a gold or negative that an empty prediction would match
+        raise ValueError("object has no scoring tokens")
     start = parse_time_cached(start_text, 1)
     raw_end = row.get("end")
     if raw_end is None:
@@ -163,13 +156,13 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoi
 
 
 def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
-           relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
+           relation_codes: frozenset[str] | None = None) -> FactStore:
     """Validate quintuplet rows into a store.
 
     ``rows`` yields dicts, or (line_number, row) pairs from
-    :func:`jsonl.read_rows` after its header. Bad rows raise in strict mode,
-    otherwise they are skipped and reported. Rows identical in (subject_id,
-    relation, object, interval) are deduplicated.
+    :func:`jsonl.read_rows` after its header. Bad rows are skipped and
+    reported. Rows identical in (subject_id, relation, object, interval) are
+    deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -177,13 +170,12 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     diagnostics: list[Diagnostic] = []
     seen: set[tuple] = set()
     duplicates = 0
+    object_keys = _Memo(normalized_key)  # once per distinct object
     for position, item in enumerate(rows, start=1):
         line, row = item if isinstance(item, tuple) else (position, item)
         try:
-            fact = _validate_row(row, relation_codes, snapshot)
+            fact = _validate_row(row, relation_codes, snapshot, object_keys)
         except ValueError as exc:
-            if strict:
-                raise FactValidationError(f"line {line}: {exc}") from exc
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
         _, subject_id, relation, obj, _, (start, end) = fact
@@ -204,7 +196,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
 # lone surrogate in a fact survives it.
 # Part of every key. Bump it whenever ingest's rules or messages, or Fact's
 # fields, change: every cache written before then stops matching.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
@@ -216,7 +208,8 @@ def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     ``relation_codes``: a later load with the same key rebuilds the store
     from it without decoding or validating a row, and any other cache is
     ignored and replaced. The store, and so every message, is the same
-    either way.
+    either way. With ``strict``, a file with a bad row raises a
+    FactValidationError that names ``path:line`` of the first.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -225,8 +218,9 @@ def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     salt = json.dumps([CACHE_FORMAT, sys.version_info[:2], snapshot, sorted(relation_codes)])
     decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes)
     store = load_cached(path, salt, decode, _read_cache, _write_cache)
-    if strict and store.diagnostics:  # the first bad row, as ingest(strict=True) reports it
-        raise FactValidationError(str(store.diagnostics[0]))
+    if strict and store.diagnostics:
+        line, message = store.diagnostics[0]
+        raise FactValidationError(f"{path}:{line}: {message}")
     return store
 
 

@@ -274,8 +274,7 @@ class Columns(NamedTuple):
 
     ``columns`` gives a block of records as its columns in field order, as
     JSON values; ``build`` gives the block back from its columns, or None
-    (or raises) unless every column has the types ``parse`` accepts on its
-    fast path."""
+    (or raises) unless every column has the types ``parse`` accepts."""
 
     name: str  # the record type and its cache format: the key's salt
     columns: Callable[[list], list]

@@ -268,22 +268,6 @@ def gen_l2(group: FactGroup, seed: int, *, split: str = "train",
             for j, (obj, key, first, last) in enumerate(rows)]
 
 
-def l2_question_at(group: FactGroup, t_r: TimePoint, *, split: str = "train",
-                   templates: TemplateTable | None = None) -> Question:
-    """Build the question asking for the group's object at an explicit month.
-
-    The primary gold is the earliest-starting object valid at ``t_r``; there
-    must be at least one.
-    """
-    templates = templates or load_templates()
-    rows, build = _l2_builder(group, split, templates)
-    t_index = month_index(t_r)
-    valid, _ = _objects_at(rows, t_index)
-    if not valid:
-        raise ValueError(f"no object in the group is valid at {format_time(t_r)}")
-    return build(t_index, *valid[0], f"l2-{split}-{group.subject_id}-{group.relation}-at-{t_index}")
-
-
 def gen_l3(group: FactGroup, *, split: str = "train",
            templates: TemplateTable | None = None) -> list[Question]:
     """Before/after questions for chronologically adjacent fact pairs.

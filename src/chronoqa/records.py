@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain
-from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .jsonl import Columns, quote
@@ -14,9 +13,8 @@ from .timeline import TimePoint, format_time, parse_time_cached, time_from_month
 
 LEVELS = ("L1", "L2", "L3")
 _TEXT_OR_NULL = (str, type(None))
-# A record's values in Question's field order.
-_RECORD_FIELDS = itemgetter("id", "level", "relation", "subject", "subject_id", "template_id", "question", "answers",
-                            "negatives", "t_ref", "neighbor_object", "split")
+_TEXT_FIELDS = ("id", "question", "template_id", "split")
+_OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
 
 
 class Question(NamedTuple):
@@ -61,33 +59,35 @@ class Question(NamedTuple):
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Question":
-        # A record as this tool writes it: every key, each value of the type
-        # JSON decodes, checked in one expression. Anything else, a missing
-        # key or a str subclass say, takes the per-field checks.
-        try:
-            fields = _RECORD_FIELDS(record)
-        except KeyError:
-            return cls._from_other_record(record)
-        (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
-         neighbor_object, split) = fields
-        if (level in LEVELS and type(question_id) is str and type(question) is str and type(template_id) is str
-                and type(split) is str and type(answers) is list and answers and type(negatives) is list
-                and type(t_ref) in _TEXT_OR_NULL and type(relation) in _TEXT_OR_NULL
-                and type(subject) in _TEXT_OR_NULL and type(subject_id) in _TEXT_OR_NULL
-                and type(neighbor_object) in _TEXT_OR_NULL and _all_strings(answers) and _all_strings(negatives)):
-            return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
-                                       tuple(answers), tuple(negatives),
-                                       None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object,
-                                       split))
-        return cls._from_other_record(record)
-
-    @classmethod
-    def _from_other_record(cls, record: Mapping) -> "Question":
-        """:meth:`from_record` field by field, naming the first bad field.
-        Its code loads only for a record the one expression refuses."""
-        from .checks import question_by_field
-
-        return question_by_field(cls, record)
+        """The question ``record`` holds, with the defaults of its optional
+        keys; a ValueError or KeyError names the first bad field."""
+        level = record["level"]
+        if level not in LEVELS:
+            raise ValueError(f"unknown question level {level!r}")
+        texts = (record["id"], record["question"], record.get("template_id", ""), record.get("split", "train"))
+        question_id, question, template_id, split = texts
+        if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
+                and isinstance(split, str)):
+            name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
+            raise ValueError(f"{name} must be a string")
+        answers, negatives = record["answers"], record.get("negatives", [])
+        if not (isinstance(answers, list) and answers and isinstance(negatives, list)
+                and _all_strings(answers) and _all_strings(negatives)):
+            raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
+        t_ref = record.get("t_ref")
+        if t_ref is not None and not isinstance(t_ref, str):
+            raise ValueError("t_ref must be a time string or null")
+        relation, subject = record.get("relation"), record.get("subject")
+        subject_id, neighbor_object = record.get("subject_id"), record.get("neighbor_object")
+        if not (isinstance(relation, _TEXT_OR_NULL) and isinstance(subject, _TEXT_OR_NULL)
+                and isinstance(subject_id, _TEXT_OR_NULL) and isinstance(neighbor_object, _TEXT_OR_NULL)):
+            name = next(name for name in _OPTIONAL_TEXT_FIELDS
+                        if not isinstance(record.get(name), _TEXT_OR_NULL))
+            raise ValueError(f"{name} must be a string or null")
+        # tuple.__new__: Question's generated __new__ only packs the fields, in one more call per record.
+        return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
+                                   tuple(answers), tuple(negatives),
+                                   None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split))
 
 
 def record_line(record: dict) -> str:
@@ -114,7 +114,7 @@ def _question_columns(questions: list[Question]) -> list:
 
 def _questions(columns: list[list]) -> list[Question] | None:
     """A cached block's questions, if every column has the types
-    ``Question.from_record`` accepts in one expression."""
+    ``Question.from_record`` accepts."""
     (ids, levels, relations, subjects, subject_ids, template_ids, texts, answers, negatives, t_refs, neighbors,
      splits) = columns
     # raises TypeError, a miss, unless every item is a str

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import pytest
 
-from chronoqa import TimePoint, build_groups, ingest
+from chronoqa import TimePoint, build_groups, ingest, load_templates
 from chronoqa.timeline import format_time, month_index, time_from_month_index
 
 # Every character class the escaper treats differently: quote, backslash,
@@ -183,6 +183,30 @@ def make_group(rows_or_seed, relation: str = "P39"):
     groups = build_groups(ingest(rows), seed=0)
     assert len(groups) == 1
     return groups[0]
+
+
+def fact_sort_key(fact) -> tuple[int, int, int, int, str]:
+    """The chronological order of a group's facts: start month, then end
+    month, then object."""
+    start, end = fact.interval
+    return (start.year, start.month, end.year, end.month, fact.object)
+
+
+def l2_question_at(group, t_r: TimePoint, *, split: str = "train", templates=None):
+    """The L2 question asking for the group's object at an explicit month,
+    built as ``gen_l2`` builds the one it samples there.
+
+    The primary gold is the earliest-starting object valid at ``t_r``; there
+    must be at least one.
+    """
+    from chronoqa.questions import _l2_builder, _objects_at
+
+    rows, build = _l2_builder(group, split, templates or load_templates())
+    t_index = month_index(t_r)
+    valid, _ = _objects_at(rows, t_index)
+    if not valid:
+        raise ValueError(f"no object in the group is valid at {format_time(t_r)}")
+    return build(t_index, *valid[0], f"l2-{split}-{group.subject_id}-{group.relation}-at-{t_index}")
 
 
 YOSHIMURA_ROWS = [

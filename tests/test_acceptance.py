@@ -34,7 +34,6 @@ from chronoqa import (
     evaluate,
     gen_l1,
     ingest,
-    l2_question_at,
     mask_spans,
     reward,
     score_em,
@@ -48,7 +47,7 @@ from chronoqa.cli import main
 from chronoqa.facts import group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
 
-from conftest import YOSHIMURA_ROWS, l1_oracle, random_doc, synth_rows, write_facts
+from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, random_doc, synth_rows, write_facts
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -22,6 +22,12 @@ def write_lines(path, lines) -> str:
     return str(path)
 
 
+# One subject's offices; "..." normalizes to no scoring tokens.
+TOKENLESS_OBJECT_ROWS = [dict(YOSHIMURA_ROWS[0], object=obj, object_id=f"O{i}", start=f"Jan {2000 + 4 * i}",
+                              end=f"Dec {2003 + 4 * i}")
+                         for i, obj in enumerate(["Mayor", "...", "Governor", "Senator"])]
+
+
 def l2_record(subject_id, qid="q1") -> dict:
     return {"id": qid, "level": "L2", "relation": "P39", "subject": "Aiko Abe", "subject_id": subject_id,
             "template_id": "P39_l2", "question": "Which position did Aiko Abe hold in Jul 2019?",
@@ -57,6 +63,13 @@ class TestExitCodes:
         path = write_facts(tmp_path / "facts.jsonl",
                            [dict(YOSHIMURA_ROWS[0], relation="P999")])
         assert run("gen-l2", "--facts", path, "--out-dir", str(tmp_path), "--strict") == 2
+
+    def test_strict_names_the_fact_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_facts("bad.jsonl", [{k: v for k, v in YOSHIMURA_ROWS[0].items() if k != "object_id"}])
+        assert run("stats", "--facts", "bad.jsonl", "--strict") == 2
+        assert capsys.readouterr().err == \
+            "chronoqa: error [E_DATA] bad.jsonl:1: missing or empty field 'object_id'\n"
 
     @pytest.mark.parametrize("argv", [
         ["gen-l1", "--count", "10", "--dev-count", "-1"],
@@ -264,18 +277,32 @@ class TestSolveEvalPipeline:
     @pytest.mark.parametrize("command", ["eval", "reward"])
     def test_answer_without_scoring_tokens_is_a_data_error(self, tmp_path, capsys, command):
         # "..." normalizes to no tokens, so a missing prediction used to match it: eval reported
-        # EM 25.00 for no predictions, and reward gave +1 to that question and -1 to the other three.
-        rows = [dict(YOSHIMURA_ROWS[0], object=obj, object_id=f"O{i}", start=f"Jan {2000 + 4 * i}",
-                     end=f"Dec {2003 + 4 * i}") for i, obj in enumerate(["Mayor", "...", "Governor", "Senator"])]
-        facts = write_facts(tmp_path / "facts.jsonl", rows)
+        # EM 25.00 for no predictions, and reward gave +1 to that question and -1 to the others.
+        # Ingest rejects such an object, so here it reaches a generated question file by hand.
+        facts = write_facts(tmp_path / "facts.jsonl", TOKENLESS_OBJECT_ROWS)
         assert run("gen-l2", "--facts", facts, "--out-dir", str(tmp_path), "--seed", "1") == 0
+        questions = tmp_path / "l2_train.jsonl"
+        lines = questions.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["answers"][0] = "..."
+        lines[1] = json.dumps(record)
+        write_lines(questions, lines)
         predictions = write_lines(tmp_path / "p.jsonl", [])
         out = tmp_path / "out.jsonl"
-        assert run(command, "--questions", str(tmp_path / "l2_train.jsonl"), "--predictions", predictions,
+        assert run(command, "--questions", str(questions), "--predictions", predictions,
                    "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "E_DATA" in err and "question 'l2-train-QY1-P39-" in err and "'...' has no scoring tokens" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["l2", "l3"])
+    def test_an_object_without_scoring_tokens_is_rejected_at_ingest(self, tmp_path, monkeypatch, capsys, level):
+        monkeypatch.chdir(tmp_path)
+        write_facts("facts.jsonl", TOKENLESS_OBJECT_ROWS)
+        assert run(f"gen-{level}", "--facts", "facts.jsonl", "--out-dir", ".", "--seed", "1") == 0
+        assert capsys.readouterr().err == "warning: facts.jsonl: line 2: object has no scoring tokens\n"
+        predictions = write_lines(tmp_path / "p.jsonl", [])
+        assert run("eval", "--questions", f"{level}_train.jsonl", "--predictions", predictions) == 0
 
 
 class TestRenderCli:

@@ -8,11 +8,10 @@ import pytest
 from chronoqa import AnnotatedDocument, gen_l2, mask_spans, render, unmask
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
-from chronoqa.questions import l2_question_at
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimePoint, format_time
 
-from conftest import YOSHIMURA_ROWS, make_group, random_doc, synth_rows
+from conftest import YOSHIMURA_ROWS, l2_question_at, make_group, random_doc, synth_rows
 
 
 class TestRender:

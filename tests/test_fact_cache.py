@@ -147,7 +147,8 @@ def test_warm_and_cold_runs_print_and_write_the_same(workdir, capsys, ingests, n
     code, _, err, _ = cold
     if name.endswith("strict"):
         line = defect_lines().index(BAD_JSON) + 1
-        assert (code, err) == (2, f"chronoqa: error [E_DATA] line {line}: invalid JSON: Expecting ',' delimiter\n")
+        assert (code, err) == (2, f"chronoqa: error [E_DATA] facts.jsonl:{line}: invalid JSON: Expecting ',' "
+                                  "delimiter\n")
     else:
         assert (code, err.count("warning: facts.jsonl: line ")) == (0, 7)
 

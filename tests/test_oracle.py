@@ -12,7 +12,7 @@ from chronoqa.questions import Question
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimeParseError, TimeRangeError, format_time, is_year_text, parse_time
 
-from conftest import Offset, make_group, shift, synth_rows
+from conftest import Offset, fact_sort_key, make_group, shift, synth_rows
 
 
 def l1_question(text: str, template_id: str = "") -> Question:
@@ -152,7 +152,7 @@ class TestSolveL2:
         for _ in range(1000):
             t_r = TimePoint(rng.randint(lo, hi), rng.randint(1, 12))
             expected = []
-            for fact in sorted(group.facts, key=lambda f: f.sort_key()):
+            for fact in sorted(group.facts, key=fact_sort_key):
                 if fact.interval.start <= t_r <= fact.interval.end and fact.object not in expected:
                     expected.append(fact.object)
             assert list(solve_l2(group, t_r).answers) == expected
@@ -193,7 +193,7 @@ class TestSolveL3:
 
     def test_exhaustive_adjacency_matches_sort_oracle(self):
         group = make_group(synth_rows(1, facts_per_subject=(6, 6), seed=92))
-        ordered = sorted(group.facts, key=lambda f: f.sort_key())
+        ordered = sorted(group.facts, key=fact_sort_key)
         for position, fact in enumerate(ordered):
             for direction, delta in (("before", -1), ("after", 1)):
                 expected_position = position + delta

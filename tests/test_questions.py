@@ -5,16 +5,19 @@ parser for L1, brute-force interval scans for L2, sort-and-index adjacency
 for L3) rather than the package's own arithmetic.
 """
 
+import json
 import random
 
 import pytest
 
-from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest, l2_question_at
+from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest
+from chronoqa.jsonl import load_jsonl
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
+from chronoqa.records import QUESTION_COLUMNS
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimeParseError, format_time
 
-from conftest import YOSHIMURA_ROWS, l1_oracle, make_group, synth_rows
+from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, synth_rows
 
 
 class TestGenL1:
@@ -92,7 +95,7 @@ class TestGenL1:
 
 
 class Text(str):
-    """A str subclass: accepted wherever a string is, by the per-field checks."""
+    """A str subclass: accepted wherever a string is."""
 
 
 _MISSING = object()
@@ -100,19 +103,12 @@ _MUTATIONS = [None, 7, True, 1.5, ["x"], [Text("x")], [7], {"x": "y"}, "", Text(
               _MISSING]
 
 
-def _from_record_outcome(parse, record):
-    try:
-        question = parse(record)
-    except (KeyError, TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-    return question, tuple(map(type, question))  # a str subclass stays one
-
-
-class TestFromRecordFastPath:
-    """``Question.from_record`` against its per-field checks
-    (``Question._from_other_record``), kept as the reference: generated L1,
-    L2 and L3 records and seeded mutations of each field give an equal
-    question or the same error."""
+class TestFromRecordMutations:
+    """Generated L1, L2 and L3 records with every field mutated, one at a
+    time and several at once: ``Question.from_record`` gives a question or
+    names the bad field, and every record it accepts, a missing optional key
+    or a ``str`` subclass among them, is read back from the input cache
+    unchanged."""
 
     @pytest.fixture(scope="class")
     def records(self):
@@ -125,17 +121,8 @@ class TestFromRecordFastPath:
         assert {q.level for q in questions} == {"L1", "L2", "L3"}
         return [q.to_record() for q in questions]
 
-    def test_written_records_take_the_fast_path(self, records, monkeypatch):
-        expected = [Question._from_other_record(record) for record in records]
-
-        def refuse(record):
-            raise AssertionError(f"per-field path taken for {record['id']}")
-
-        monkeypatch.setattr(Question, "_from_other_record", refuse)
-        assert [Question.from_record(record) for record in records] == expected
-
-    def test_each_field_mutated(self, records):
-        seen = set()
+    @staticmethod
+    def each_field_mutated(records):
         for record in records:
             for field in record:
                 for value in _MUTATIONS:
@@ -144,12 +131,10 @@ class TestFromRecordFastPath:
                         del mutated[field]
                     else:
                         mutated[field] = value
-                    expected = _from_record_outcome(Question._from_other_record, mutated)
-                    assert _from_record_outcome(Question.from_record, mutated) == expected, (field, value)
-                    seen.add(expected[0] if isinstance(expected[0], type) else Question)
-        assert seen == {Question, KeyError, ValueError, TimeParseError}
+                    yield mutated
 
-    def test_seeded_mutations_of_several_fields(self, records):
+    @staticmethod
+    def several_fields_mutated(records):
         rng = random.Random(15)
         for _ in range(3000):
             mutated = dict(rng.choice(records))
@@ -159,8 +144,33 @@ class TestFromRecordFastPath:
                     del mutated[field]
                 else:
                     mutated[field] = value
-            expected = _from_record_outcome(Question._from_other_record, mutated)
-            assert _from_record_outcome(Question.from_record, mutated) == expected, mutated
+            yield mutated
+
+    @pytest.mark.parametrize("mutations", ["each_field_mutated", "several_fields_mutated"])
+    def test_accepted_records_survive_the_cache(self, records, tmp_path, mutations):
+        accepted, lines, seen = [], [], set()
+        for mutated in getattr(self, mutations)(records):
+            try:
+                accepted.append(Question.from_record(mutated))
+            except (KeyError, TypeError, ValueError) as exc:
+                seen.add(type(exc))
+            else:
+                seen.add(Question)
+                lines.append(json.dumps(mutated))
+        assert seen == {Question, KeyError, ValueError, TimeParseError}
+        path = tmp_path / "mutated.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        calls = []
+
+        def counted(record):
+            calls.append(record)
+            return Question.from_record(record)
+
+        assert load_jsonl(str(path), counted, QUESTION_COLUMNS) == (None, accepted)
+        assert len(calls) == len(accepted)
+        warm = load_jsonl(str(path), counted, QUESTION_COLUMNS)
+        assert len(calls) == len(accepted)  # a cache hit: no from_record call
+        assert warm == (None, accepted) and {*map(type, warm[1])} == {Question}
 
 
 class TestGenL1Future:

@@ -27,7 +27,7 @@ from chronoqa.questions import Question
 from chronoqa.scoring import (EvalReport, MetricBlock, _strip_punctuation, _token_f1, extract_year, period_label,
                               reward_records)
 
-from conftest import ESCAPES, synth_rows
+from conftest import ESCAPES, l2_question_at, synth_rows
 
 # The normalization rule written with a str.translate deletion table; the
 # package must give the same tokens for any text.
@@ -362,14 +362,12 @@ class TestEvaluate:
 
 class TestRewardRecords:
     def test_batch_matches_single(self, yoshimura_group, jul_2019):
-        from chronoqa.questions import l2_question_at
         question = l2_question_at(yoshimura_group, jul_2019)
         records = reward_records([question], [Prediction(question.id, "Mayor of Osaka")])
         assert records[0].reward == -1.0
         assert records[0].id == question.id
 
     def test_missing_prediction_scored_as_empty(self, yoshimura_group, jul_2019):
-        from chronoqa.questions import l2_question_at
         question = l2_question_at(yoshimura_group, jul_2019)
         records = reward_records([question], [])
         assert records[0].reward == 0.0

@@ -6,10 +6,10 @@ import pytest
 
 from chronoqa import Prediction, TimePoint, build_groups, ingest, scoring, timeline
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
-from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3, l2_question_at
+from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3
 from chronoqa.scoring import evaluate, reward_records
 
-from conftest import make_group, synth_rows
+from conftest import l2_question_at, make_group, synth_rows
 
 
 @pytest.fixture
@@ -33,7 +33,8 @@ def _rows():
 
 def test_gen_l2_normalizes_each_object_once(normalize_calls):
     group = make_group(synth_rows(1, facts_per_subject=(8, 8), seed=5, allow_overlap=True))
-    assert normalize_calls == []  # grouping normalizes nothing
+    assert len(normalize_calls) == len(group.facts)  # ingest checks each object; grouping normalizes nothing
+    normalize_calls.clear()
     questions = gen_l2(group, seed=1) + gen_l2(group, seed=2) + gen_l3(group)
     questions += [l2_question_at(group, fact.interval.start) for fact in group.facts]
     assert len(questions) > 3 * len(group.facts)
@@ -42,6 +43,7 @@ def test_gen_l2_normalizes_each_object_once(normalize_calls):
 
 def test_solver_normalizes_group_objects_once(normalize_calls):
     group = make_group(synth_rows(1, facts_per_subject=(8, 8), seed=6, allow_overlap=True))
+    normalize_calls.clear()  # ingest's checks
     n = len(group.facts)
     for fact in group.facts:
         for month in (fact.interval.start, fact.interval.end):
@@ -64,6 +66,15 @@ def test_solve_dispatch_normalizes_each_group_once(normalize_calls):
         solve(question, index)
     l3_questions = sum(q.level == "L3" for q in questions)
     assert len(normalize_calls) == sum(len(g.facts) for g in groups) + l3_questions
+
+
+def test_ingest_normalizes_each_distinct_object_once(normalize_calls):
+    rows = _rows()
+    for row in rows[1::3]:
+        row["object"] = rows[0]["object"]
+    store = ingest(rows + [dict(rows[0], start="Jull 2019")])
+    assert len(store.facts) + len(store.diagnostics) == len(rows) + 1
+    assert sorted(normalize_calls) == sorted({row["object"] for row in rows})
 
 
 def test_scoring_normalizes_each_distinct_text_once(normalize_calls):
