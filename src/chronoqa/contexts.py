@@ -120,10 +120,19 @@ def render(question: Question, group: FactGroup | None = None, article: str | No
 
 
 def sentinel_parts(sentinel_pattern: str) -> tuple[str, str]:
+    """The text before and after ``{k}``: both needed, neither starting with a digit, and the
+    first character not repeated after ``{k}``, so that no sentinel runs into the text beside it."""
     parts = sentinel_pattern.split("{k}")
-    if len(parts) != 2:
-        raise ValueError(f"sentinel pattern must contain '{{k}}' exactly once, got {sentinel_pattern!r}")
-    return parts[0], parts[1]
+    prefix, suffix = parts if len(parts) == 2 else ("", "")
+    if not (prefix and suffix) or prefix[0] in suffix or "0" <= prefix[0] <= "9" or "0" <= suffix[0] <= "9":
+        raise ValueError(f"sentinel pattern must contain '{{k}}' exactly once, with text on both sides that starts "
+                         f"with no digit, and no copy of its first character after '{{k}}'; got {sentinel_pattern!r}")
+    return prefix, suffix
+
+
+def _holds_sentinel(text: str, prefix: str, suffix: str) -> bool:
+    """Whether ``text`` already holds a sentinel: ``prefix``, ASCII digits, ``suffix``."""
+    return prefix in text and re.search(f"{re.escape(prefix)}[0-9]+{re.escape(suffix)}", text) is not None
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +149,7 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     The product is exact for ``ratio`` as it prints. Each sentinel is the
     pattern with ``{k}`` replaced by its rank in document order; the target
     is each sentinel followed by the span it replaced, so :func:`unmask`
-    recovers the original text exactly.
+    recovers the original text exactly; text already holding a sentinel is refused.
     """
     if not 0 < ratio <= 1:
         raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
@@ -148,6 +157,8 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     doc_id, text, spans = doc
     if not spans:
         raise ValueError(f"document {doc_id!r} has no spans to mask")
+    if _holds_sentinel(text, prefix, suffix):
+        raise ValueError(f"document {doc_id!r} already holds text shaped like a sentinel")
     span_count = len(spans)
     numerator, denominator = _decimal_ratio(ratio)
     masked_count = -(-numerator * span_count // denominator)  # the ceiling, in integers
@@ -189,13 +200,16 @@ def masked_line(record: dict) -> str:
 
 def mask_corpus(docs: Iterable[AnnotatedDocument], ratio: float, seed: int = 0,
                 sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> tuple[list[dict], list[str]]:
-    """Mask a whole corpus; zero-span documents are skipped with a diagnostic."""
+    """Mask a whole corpus; documents :func:`mask_spans` refuses for zero
+    spans or a sentinel in their text are skipped with a diagnostic."""
+    prefix, suffix = sentinel_parts(sentinel_pattern)
     records = []
     diagnostics = []
     for doc in docs:
-        doc_id, _, spans = doc
-        if not spans:
-            diagnostics.append(f"document {doc_id!r} has no spans; skipped")
+        doc_id, text, spans = doc
+        if not spans or _holds_sentinel(text, prefix, suffix):
+            reason = "already holds text shaped like a sentinel" if spans else "has no spans"
+            diagnostics.append(f"document {doc_id!r} {reason}; skipped")
             continue
         masked, target = mask_spans(doc, ratio, seed, sentinel_pattern)
         records.append({"doc_id": doc_id, "input": masked, "target": target})

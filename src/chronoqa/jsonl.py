@@ -92,77 +92,57 @@ def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
     ``row`` is the decoded object, or a ValueError for invalid JSON, a value
     that is not an object, a ``_meta`` header anywhere but line 1, or a
     line-1 header whose value is not an object or whose ``render_version``
-    is not a string. Bytes that are not UTF-8 raise a ValueError naming the
-    first line that holds them. Text is decoded in chunks ahead of the lines
-    yielded, so that error may come before a bad line that precedes it.
-    A file that is not a regular file (a named pipe, a device) is read once,
-    whole, before its first line is decoded.
-    """
-    handle = open(path, "rb")
-    if not S_ISREG(os.fstat(handle.fileno()).st_mode):
-        with handle:
-            return decode_rows(path, handle.read())
-    return _rows(path, io.TextIOWrapper(handle, encoding="utf-8"), handle)
+    is not a string. A line that is not UTF-8 raises a ValueError naming it
+    once the lines before it are yielded. Any file, a named pipe too, is
+    read once, as a stream."""
+    return _rows(path, open(path, "rb"))
 
 
-def decode_rows(path: str, data: bytes) -> Iterator[tuple[int, dict | ValueError]]:
-    """:func:`read_rows` over ``data``, the bytes already read from the file
-    at ``path``: the same rows, line numbers and messages, with no second
-    read of the file."""
-    return _rows(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), data)
-
-
-def _rows(path: str, handle: IO[str], source: bytes | IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
-    """The rows of ``handle``, which decodes ``source``: the file's bytes,
-    or its binary handle, read again from the start to name a line that is
-    not UTF-8."""
-    with handle:
-        try:
-            for line_no, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
+def _rows(path: str, stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
+    # Bytes that are not UTF-8 decode to lone surrogates, which text decoded
+    # from UTF-8 never holds; only a line that is not ASCII can hold one.
+    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
                 try:
-                    row, end = _decode(text)
-                    if end != len(text):
-                        raise json.JSONDecodeError("Extra data", text, end)
-                except json.JSONDecodeError as exc:
-                    detail = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff"
-                              else exc.msg)
-                    row = ValueError(f"invalid JSON: {detail}")
-                else:
-                    if not isinstance(row, dict):
-                        row = ValueError(f"expected a JSON object, got {type(row).__name__}")
-                    elif len(row) == 1 and META_KEY in row:
-                        if line_no != 1:
-                            row = ValueError(f"a {META_KEY} header is only allowed on line 1")
-                        elif not isinstance(row[META_KEY], dict):
-                            row = ValueError(f"the {META_KEY} header must be an object, "
-                                             f"got {type(row[META_KEY]).__name__}")
-                        elif not isinstance(row[META_KEY].get("render_version", ""), str):
-                            row = ValueError(f"{META_KEY}.render_version must be a string")
-                        else:
-                            line_no, row = 0, row[META_KEY]
-                yield line_no, row
-        except UnicodeDecodeError as exc:
-            if not isinstance(source, bytes):
-                source.seek(0)
-                source = source.read()
-            raise _utf8_error(path, exc, source) from None
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise _utf8_error(path, line_no, line.rstrip("\n")) from None
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                row, end = _decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+            except json.JSONDecodeError as exc:
+                detail = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff"
+                          else exc.msg)
+                row = ValueError(f"invalid JSON: {detail}")
+            else:
+                if not isinstance(row, dict):
+                    row = ValueError(f"expected a JSON object, got {type(row).__name__}")
+                elif len(row) == 1 and META_KEY in row:
+                    if line_no != 1:
+                        row = ValueError(f"a {META_KEY} header is only allowed on line 1")
+                    elif not isinstance(row[META_KEY], dict):
+                        row = ValueError(f"the {META_KEY} header must be an object, "
+                                         f"got {type(row[META_KEY]).__name__}")
+                    elif not isinstance(row[META_KEY].get("render_version", ""), str):
+                        row = ValueError(f"{META_KEY}.render_version must be a string")
+                    else:
+                        line_no, row = 0, row[META_KEY]
+            yield line_no, row
 
 
-def _utf8_error(path: str, error: UnicodeDecodeError, data: bytes) -> ValueError:
-    """``path:line`` of the first line of ``data``, the file's bytes, that is
-    not UTF-8, numbered as text-mode reading numbers lines; ``error`` itself
-    if none is left."""
-    lines = data.splitlines()  # at \n, \r and \r\n, as text mode splits
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return ValueError(f"{path}:{line_no}: invalid UTF-8: {exc.reason} "
-                              f"(byte 0x{line[exc.start]:02x} at byte {exc.start + 1} of the line)")
-    return error  # the file changed after the first read
+def _utf8_error(path: str, line_no: int, line: str) -> ValueError:
+    """The error naming ``line``, whose bytes that are not UTF-8 were decoded to lone surrogates."""
+    data = line.encode("utf-8", "surrogateescape")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ValueError(f"{path}:{line_no}: invalid UTF-8: {exc.reason} "
+                          f"(byte 0x{data[exc.start]:02x} at byte {exc.start + 1} of the line)")
 
 
 def _records(path: str, rows: Iterable[tuple[int, dict | ValueError]],
@@ -219,10 +199,10 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
     and ``write(cache, key, result)`` writes a new cache, renamed into
     place; a failed write is not an error. A file that fails to decode
     writes no cache, and one that is not a regular file (a named pipe, a
-    device) is read once and gets none."""
+    device) is streamed once, as :func:`read_rows` reads it, and gets none."""
     with open(path, "rb") as handle:
         if not S_ISREG(os.fstat(handle.fileno()).st_mode):
-            return decode(decode_rows(path, handle.read()))
+            return decode(_rows(path, handle))
         cache = f"{os.fspath(path)}{CACHE_SUFFIX}"
         try:
             cached = open(cache, encoding="utf-8")
@@ -242,7 +222,7 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
             handle.seek(0)
         # hashed as it is decoded, so the key is that of the bytes decoded
         digest = blake2b(salt.encode("ascii") + b"\n", digest_size=20)
-        result = decode(_rows(path, io.TextIOWrapper(_Hashing(handle, digest.update), encoding="utf-8"), handle))
+        result = decode(_rows(path, _Hashing(handle, digest.update)))
     try:
         with replacing(cache) as out:  # opened first, so an unwritable place costs no encoding
             write(out, digest.hexdigest(), result)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from chronoqa import AnnotatedDocument, gen_l2, mask_spans, render, unmask
+from chronoqa.cli import main
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
 from chronoqa.templates import load_templates
@@ -184,6 +185,53 @@ class TestMaskSpans:
         records, diagnostics = mask_corpus(docs, 0.5, seed=0)
         assert [r["doc_id"] for r in records] == ["ok"]
         assert "empty" in diagnostics[0]
+
+
+def sentinel_heavy_doc(rng: random.Random, doc_id: str, pattern: str) -> AnnotatedDocument:
+    """A short document over ``ab<>[]_m``, digits and spaces, with pieces of
+    ``pattern`` and whole sentinels mixed in, and random non-overlapping spans."""
+    pieces = [*"ab<>[]_m0123456789 ", *pattern.split("{k}"), pattern.replace("{k}", str(rng.randint(0, 12)))]
+    text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 16)))
+    cuts = sorted(rng.sample(range(len(text) + 1), min(len(text) + 1, 2 * rng.randint(1, 3))))
+    spans = tuple((start, end, "entity") for start, end in zip(cuts[::2], cuts[1::2]) if start < end)
+    return AnnotatedDocument(doc_id, text, spans)
+
+
+class TestMaskRoundTrip:
+    """``mask`` wrote pairs ``unmask`` could not rebuild: a document that
+    already held a sentinel had it replaced too, and a pattern such as
+    ``{k}`` read the digits beside a sentinel as part of it."""
+
+    @pytest.mark.parametrize("pattern", ["<mask_{k}>", "[[S{k}]]", "<m{k}_>", "_m{k}]", "[{k}]", "m{k}<"])
+    def test_every_pair_written_unmasks_to_its_document(self, pattern):
+        rng = random.Random(f"round-trip|{pattern}")
+        docs = [sentinel_heavy_doc(rng, f"d{i}", pattern) for i in range(3000)]
+        records, diagnostics = mask_corpus(docs, 0.5, seed=5, sentinel_pattern=pattern)
+        texts = {doc.doc_id: doc.text for doc in docs}
+        for record in records:
+            assert unmask(record["input"], record["target"], pattern) == texts[record["doc_id"]], record
+        assert len(records) + len(diagnostics) == len(docs) and len(records) > 1000
+        assert sum("shaped like a sentinel" in message for message in diagnostics) > 100
+
+    def test_a_document_holding_a_sentinel_is_skipped(self):
+        doc = AnnotatedDocument("d", "See <mask_0> in Osaka", ((16, 21, "entity"),))
+        with pytest.raises(ValueError, match="shaped like a sentinel"):
+            mask_spans(doc, 1.0)
+        records, diagnostics = mask_corpus([doc, AnnotatedDocument("e", "in Osaka", ((3, 8, "entity"),))], 1.0)
+        assert [record["doc_id"] for record in records] == ["e"]
+        assert diagnostics == ["document 'd' already holds text shaped like a sentinel; skipped"]
+        doc = AnnotatedDocument("d", "See <mask_> <mask_x> in Osaka", ((24, 29, "entity"),))
+        assert unmask(*mask_spans(doc, 1.0)) == doc.text  # no digits: not a sentinel
+
+    @pytest.mark.parametrize("pattern", ["{k}", "{k}>", "<{k}", "<{k}0>", "0<{k}>", "<{k}<", "a{k}a", "__{k}__"])
+    def test_a_pattern_whose_sentinels_run_into_their_text_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                                      pattern):
+        doc = AnnotatedDocument("d", "Born in 1990 in Osaka", ((16, 21, "entity"),))
+        with pytest.raises(ValueError, match="sentinel pattern"):
+            mask_spans(doc, 1.0, sentinel_pattern=pattern)
+        monkeypatch.chdir(tmp_path)
+        assert main(["mask", "--docs", "absent.jsonl", "--sentinel-pattern", pattern, "--out", "x.jsonl"]) == 1
+        assert "E_USAGE" in capsys.readouterr().err
 
 
 class TestAnnotatedDocument:

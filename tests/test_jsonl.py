@@ -52,6 +52,19 @@ def test_invalid_utf8_is_named_by_path_and_line(tmp_path, data, line_no, reason)
     assert str(excinfo.value) == f"{path}:{line_no}: invalid UTF-8: {reason} of the line)"
 
 
+def test_rows_before_a_line_that_is_not_utf8_come_first(tmp_path):
+    # Text was decoded about 8 KB ahead of the rows, so the decode error came
+    # before any of them.
+    path = tmp_path / "data.jsonl"
+    path.write_bytes('{"a": "caf\u00e9 \U0001f600"}\n[1]\n'.encode("utf-8") + b'{"b": "\xfc"}\n{"c": 1}\n')
+    rows = read_rows(str(path))
+    assert next(rows) == (1, {"a": "caf\u00e9 \U0001f600"})
+    assert str(next(rows)[1]) == "expected a JSON object, got list"
+    with pytest.raises(ValueError) as excinfo:
+        next(rows)
+    assert str(excinfo.value) == f"{path}:3: invalid UTF-8: invalid start byte (byte 0xfc at byte 8 of the line)"
+
+
 def test_line_one_header_comes_first_as_line_zero(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"_meta": {"seed": 1}}\n\n{"a": 1}\n', encoding="utf-8")

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -339,14 +340,18 @@ def test_a_bad_file_fails_alike_warm_or_cold_and_writes_no_cache(workdir, tmp_pa
     assert code == 2 and err.startswith(f"chronoqa: error [E_DATA] {path}:4: ")
 
 
-def run_from_fifo(tmp_path, argv, fifo, data) -> subprocess.CompletedProcess:
+def run_from_fifo(tmp_path, argv, fifo, data, hold=0.0) -> subprocess.CompletedProcess:
     """Run the command line in a fresh interpreter while a thread writes
-    ``data`` to ``fifo`` once; an input opened twice would wait forever."""
+    ``data`` to ``fifo`` once, then keeps it open for up to ``hold``
+    seconds, until the command exits; an input opened twice would wait
+    forever."""
     os.mkfifo(fifo)
+    exited = threading.Event()
 
     def feed():
-        with open(fifo, "wb") as handle:
+        with open(fifo, "wb", buffering=0) as handle:
             handle.write(data)
+            exited.wait(hold)
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
@@ -356,6 +361,7 @@ def run_from_fifo(tmp_path, argv, fifo, data) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-m", "chronoqa", *argv], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=60)
     finally:
+        exited.set()
         if writer.is_alive():  # the child never opened the FIFO: open its read end to let the writer finish
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
         writer.join(5)
@@ -370,17 +376,59 @@ FIFO_INPUTS = {
 }
 
 
+def good_lines(question_files, kind) -> list[bytes]:
+    """Three valid records of the input ``kind`` of :data:`FIFO_INPUTS`."""
+    if kind in ("questions", "predictions"):
+        return question_files["l1" if kind == "questions" else "predictions"].read_bytes().splitlines()[1:4]
+    if kind == "docs":
+        return [json.dumps({"doc_id": f"d{i}", "text": "Born in 1990", "spans": [[8, 12, "temporal"]]}).encode()
+                for i in range(3)]
+    return [json.dumps({"subject_id": f"Q{i}", "text": "An article."}).encode() for i in range(3)]
+
+
+BAD_UTF8_LINE = b'{"id": "\xfc"}'
+BAD_UTF8_ERROR = "invalid UTF-8: invalid start byte (byte 0xfc at byte 9 of the line)"
+
+
+@pytest.mark.parametrize("kind", FIFO_INPUTS)
+def test_the_first_bad_line_is_named_first(question_files, tmp_path, monkeypatch, capsys, kind):
+    """A bad record on line 4 comes before bytes that are not UTF-8 on
+    line 5: text was decoded about 8 KB ahead of the lines read, and the
+    decode error came first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l2_train.jsonl").write_bytes(question_files["l2"].read_bytes())
+    lines = [*good_lines(question_files, kind), b'{"id": "x", "question": "q"}', BAD_UTF8_LINE]
+    (tmp_path / "probe.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    argv = ["probe.jsonl" if arg == "in.fifo" else arg for arg in FIFO_INPUTS[kind]]
+    assert main(argv) == 2
+    missing = {"questions": "level", "predictions": "prediction", "docs": "doc_id", "articles": "text"}[kind]
+    assert capsys.readouterr().err == f"chronoqa: error [E_DATA] probe.jsonl:4: missing field '{missing}'\n"
+    assert not cache_of(tmp_path / "probe.jsonl").exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("kind", FIFO_INPUTS)
 def test_a_fifo_that_is_not_utf8_is_named_by_line_and_read_once(question_files, tmp_path, kind):
     """Naming the bad line opened the input a second time, and a FIFO's
     second open waits for a writer that never comes."""
     (tmp_path / "l2_train.jsonl").write_bytes(question_files["l2"].read_bytes())
-    lines = [b'{"id": "a"}', b'{"id": "\xfc"}']
+    lines = [good_lines(question_files, kind)[0], BAD_UTF8_LINE]
     done = run_from_fifo(tmp_path, FIFO_INPUTS[kind], tmp_path / "in.fifo", b"\n".join(lines) + b"\n")
     assert done.returncode == 2
-    assert done.stderr == ("chronoqa: error [E_DATA] in.fifo:2: invalid UTF-8: invalid start byte "
-                           "(byte 0xfc at byte 9 of the line)\n")
+    assert done.stderr == f"chronoqa: error [E_DATA] in.fifo:2: {BAD_UTF8_ERROR}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("kind", FIFO_INPUTS)
+def test_a_bad_line_from_a_slow_fifo_is_named_before_its_writer_is_done(question_files, tmp_path, kind):
+    """A pipe was read whole before its first line was decoded, so the
+    error waited for the writer to close it."""
+    (tmp_path / "l2_train.jsonl").write_bytes(question_files["l2"].read_bytes())
+    start = time.monotonic()
+    done = run_from_fifo(tmp_path, FIFO_INPUTS[kind], tmp_path / "in.fifo", BAD_UTF8_LINE + b"\n", hold=20)
+    assert time.monotonic() - start < 10
+    assert done.returncode == 2
+    assert done.stderr == f"chronoqa: error [E_DATA] in.fifo:1: {BAD_UTF8_ERROR}\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
