@@ -17,7 +17,8 @@ FLAGS = [
     _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
           help="fraction of spans to mask (default: %(default)s)"),
     _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True), default=DEFAULT_SENTINEL_PATTERN,
-          help="sentinel text containing {k} once (default: %(default)s)"),
+          help="sentinel text: {k} once, with text on both sides, neither side starting with a digit, "
+               "and no copy of the first character after {k} (default: %(default)s)"),
 ]
 
 

@@ -14,14 +14,14 @@ import random
 import sys
 from collections import defaultdict
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter, le
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .jsonl import load_cached
+from .jsonl import Columns, load_cached
 from .scoring import _Memo, normalized_key
 from .templates import load_templates
-from .timeline import (DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, parse_time_cached,
+from .timeline import (DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, month_index, parse_time_cached,
                        time_from_month_index)
 
 MAX_SUBJECTS_PER_RELATION = 2000
@@ -156,13 +156,14 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoi
 
 
 def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
-           relation_codes: frozenset[str] | None = None) -> FactStore:
+           relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
     """Validate quintuplet rows into a store.
 
     ``rows`` yields dicts, or (line_number, row) pairs from
     :func:`jsonl.read_rows` after its header. Bad rows are skipped and
-    reported. Rows identical in (subject_id, relation, object, interval) are
-    deduplicated.
+    reported; with ``strict`` the first raises a FactValidationError whose
+    args are its line and message, and no later row is read. Rows identical
+    in (subject_id, relation, object, interval) are deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -176,6 +177,8 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
         try:
             fact = _validate_row(row, relation_codes, snapshot, object_keys)
         except ValueError as exc:
+            if strict:
+                raise FactValidationError(line, str(exc)) from None
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
         _, subject_id, relation, obj, _, (start, end) = fact
@@ -188,17 +191,6 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     return FactStore(tuple(facts), tuple(diagnostics), duplicates)
 
 
-# The fact-file codec of the input cache (jsonl.load_cached): what ingest
-# produced from one fact file, kept beside it as one JSON object {"key",
-# "facts", "diagnostics", "duplicates_dropped"}. Each fact is [subject,
-# subject_id, relation, object, object_id, start, end] with months as month
-# indices, each diagnostic [line, message]. It is written ASCII-only, so a
-# lone surrogate in a fact survives it.
-# Part of every key. Bump it whenever ingest's rules or messages, or Fact's
-# fields, change: every cache written before then stops matching.
-CACHE_FORMAT = 2
-
-
 def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
                    relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
     """Ingest a JSONL fact file, reporting bad lines by number.
@@ -209,56 +201,61 @@ def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     from it without decoding or validating a row, and any other cache is
     ignored and replaced. The store, and so every message, is the same
     either way. With ``strict``, a file with a bad row raises a
-    FactValidationError that names ``path:line`` of the first.
+    FactValidationError that names ``path:line`` of the first, in line
+    order: ingesting stops there, and writes no cache.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
     # Everything ingest's result depends on besides the file's bytes; the
     # Python minor version too, as the JSON decoder's messages reach the diagnostics.
-    salt = json.dumps([CACHE_FORMAT, sys.version_info[:2], snapshot, sorted(relation_codes)])
-    decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes)
-    store = load_cached(path, salt, decode, _read_cache, _write_cache)
-    if strict and store.diagnostics:
-        line, message = store.diagnostics[0]
-        raise FactValidationError(f"{path}:{line}: {message}")
-    return store
+    salt = json.dumps([FACT_COLUMNS.name, sys.version_info[:2], snapshot, sorted(relation_codes)])
+    decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes, strict=strict)
+    try:
+        report, facts = load_cached(path, salt, decode, FACT_COLUMNS)
+        if strict and report["diagnostics"]:  # a cache of the file, ingested without strict
+            raise FactValidationError(*report["diagnostics"][0])
+    except FactValidationError as exc:
+        raise FactValidationError("%s:%s: %s" % (path, *exc.args)) from None
+    return FactStore(tuple(facts), tuple(map(tuple.__new__, repeat(Diagnostic), report["diagnostics"])),
+                     report["duplicates_dropped"])
 
 
-def _ingest_rows(rows: Iterable, **settings) -> FactStore:
-    return ingest(filter(itemgetter(0), rows), **settings)  # a header comes as line 0
+def _ingest_rows(rows: Iterable, **settings) -> tuple[dict, tuple[Fact, ...]]:
+    store = ingest(filter(itemgetter(0), rows), **settings)  # a header comes as line 0
+    return {"diagnostics": store.diagnostics, "duplicates_dropped": store.duplicates_dropped}, store.facts
 
 
-def _read_cache(handle: IO[str], key: str) -> FactStore | None:
-    """The store cached in ``handle`` under ``key``; None for a cache that is
-    malformed or under another key."""
-    cached = json.load(handle)
-    if type(cached) is not dict or cached.get("key") != key:
+def _fact_columns(facts: list[Fact]) -> list:
+    """A block of facts as columns in field order, the interval as start and end month indices."""
+    *texts, intervals = zip(*facts)
+    return [*texts, [month_index(start) for start, _ in intervals], [month_index(end) for _, end in intervals]]
+
+
+def _facts(columns: list[list]) -> list[Fact] | None:
+    """A cached block's facts, if its texts are strings and its months
+    integer month indices of year 1 on, no fact ending before it starts."""
+    subjects, subject_ids, relations, objects, object_ids, starts, ends = columns
+    # raises TypeError, a miss, unless every item is a str
+    "".join(chain(subjects, subject_ids, relations, objects, object_ids))
+    if {*map(type, chain(starts, ends))} - {int} or not all(map(le, starts, ends)):
         return None
-    rows, duplicates = cached["facts"], cached["duplicates_dropped"]
-    diagnostics = tuple(map(Diagnostic._make, cached["diagnostics"]))
-    if type(rows) is not list or type(duplicates) is not int \
-            or any(type(line) is not int or type(message) is not str for line, message in diagnostics):
-        return None
-    facts: tuple[Fact, ...] = ()
-    if rows:  # column by column, so that checking and building loop in C
-        *texts, starts, ends = columns = tuple(zip(*rows, strict=True))
-        if len(columns) != 7 or {*map(type, chain(*texts))} - {str} \
-                or {*map(type, chain(starts, ends))} - {int} or not all(map(le, starts, ends)):
-            return None
-        months = {index: time_from_month_index(index) for index in {*starts, *ends}}  # validating
-        intervals = zip(map(months.__getitem__, starts), map(months.__getitem__, ends))
-        facts = tuple(map(partial(tuple.__new__, Fact),
-                          zip(*texts, map(partial(tuple.__new__, TimeInterval), intervals))))
-    return FactStore(facts, diagnostics, duplicates)
+    intervals = map(tuple.__new__, repeat(TimeInterval),
+                    zip(map(time_from_month_index, starts), map(time_from_month_index, ends), strict=True))
+    return list(map(tuple.__new__, repeat(Fact),
+                    zip(subjects, subject_ids, relations, objects, object_ids, intervals, strict=True)))
 
 
-def _write_cache(handle: IO[str], key: str, store: FactStore) -> None:
-    rows = [[subject, subject_id, relation, obj, object_id, start_year * 12 + start_month - 1,
-             end_year * 12 + end_month - 1]  # timeline.month_index
-            for subject, subject_id, relation, obj, object_id, ((start_year, start_month),
-                                                                (end_year, end_month)) in store.facts]
-    handle.write(json.dumps({"key": key, "facts": rows, "diagnostics": store.diagnostics,
-                             "duplicates_dropped": store.duplicates_dropped}, separators=(",", ":")))
+def _ingest_report(report: dict) -> bool:
+    """Whether a cached header's meta is ingest's report: ``[line, message]`` pairs and a count."""
+    diagnostics = report["diagnostics"]
+    return (type(report["duplicates_dropped"]) is int and type(diagnostics) is list
+            and all(type(line) is int and type(message) is str for line, message in diagnostics))
+
+
+# The fact-file codec of the input cache (jsonl.load_cached); the header's
+# meta is ingest's report. Raise the number whenever ingest's rules or
+# messages, Fact's fields, or the columns or their checks change.
+FACT_COLUMNS = Columns("facts 3", _fact_columns, _facts, _ingest_report)
 
 
 def build_groups(store: FactStore, seed: int = 0, *,
@@ -280,22 +277,16 @@ def build_groups(store: FactStore, seed: int = 0, *,
                                                               group_facts)
         group.subject = group.facts[0].subject  # the name comes from the earliest fact
 
-    kept_subjects: dict[str, set[str]] = {}
-    relations = sorted({relation for _, relation in surviving})
-    for relation in relations:
-        subjects = sorted({sid for (sid, rel) in surviving if rel == relation})
-        if len(subjects) > max_subjects_per_relation:
-            rng = random.Random(f"{seed}|cap|{relation}")
-            rng.shuffle(subjects)
-            subjects = subjects[:max_subjects_per_relation]
-        kept_subjects[relation] = set(subjects)
-
-    groups = [
-        group for (subject_id, relation), group in surviving.items()
-        if subject_id in kept_subjects[relation]
-    ]
-    groups.sort(key=lambda g: (g.relation, g.subject_id))
-    return groups
+    subjects_by_relation: defaultdict[str, list[str]] = defaultdict(list)  # one pass over the groups
+    for subject_id, relation in surviving:
+        subjects_by_relation[relation].append(subject_id)
+    for relation, subjects in subjects_by_relation.items():
+        if len(subjects) > max_subjects_per_relation:  # drop all but a seeded sample of the sorted subjects
+            subjects.sort()
+            random.Random(f"{seed}|cap|{relation}").shuffle(subjects)
+            for subject_id in subjects[max_subjects_per_relation:]:
+                del surviving[subject_id, relation]
+    return [surviving[key] for key in sorted(surviving, key=itemgetter(1, 0))]  # by relation, then subject
 
 
 def split_subjects(groups: Iterable[FactGroup], *, counts: Mapping[str, int] | None = None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import partial
 from itertools import islice
 from stat import S_ISREG
@@ -172,9 +172,9 @@ def load_jsonl(path: str, parse: Callable[[dict], T],
     a later load of the same bytes rebuilds the items from it, calling
     ``parse`` on no record."""
     if columns is None:
-        return _records(path, read_rows(path), parse)
-    return load_cached(path, columns.name, partial(_records, path, parse=parse), partial(_read_columns, columns),
-                       partial(_write_columns, columns))
+        with closing(read_rows(path)) as rows:  # closes the file when a record fails too
+            return _records(path, rows, parse)
+    return load_cached(path, columns.name, partial(_records, path, parse=parse), columns)
 
 
 def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
@@ -188,16 +188,17 @@ def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
 CACHE_SUFFIX = ".chronoqa-cache"
 
 
-def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict | ValueError]]], T],
-                read: Callable[[IO[str], str], T | None], write: Callable[[IO[str], str, T], None]) -> T:
-    """``decode(read_rows(path))``, kept in ``<path>.chronoqa-cache``.
+def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict | ValueError]]], tuple],
+                codec: Columns) -> tuple:
+    """``decode(read_rows(path))``, a ``(meta, items)`` pair, kept in
+    ``<path>.chronoqa-cache`` in the layout of ``codec`` (:class:`Columns`).
 
     The key is a BLAKE2b digest of ``salt``, ASCII text naming every other
-    input of the result, and of the file's bytes, hashed as they stream.
-    ``read(cache, key)`` gives the result cached under ``key``, or None; an
-    exception it raises counts as None too. On a miss the file is decoded,
-    and ``write(cache, key, result)`` writes a new cache, renamed into
-    place; a failed write is not an error. A file that fails to decode
+    input of the result (the codec's name first), and of the file's bytes,
+    hashed as they stream. A cache under the key whose header, meta and
+    blocks all pass the codec's checks gives the result; any other is a
+    miss. On a miss the file is decoded and a new cache written, renamed
+    into place; a failed write is not an error. A file that fails to decode
     writes no cache, and one that is not a regular file (a named pipe, a
     device) is streamed once, as :func:`read_rows` reads it, and gets none."""
     with open(path, "rb") as handle:
@@ -214,7 +215,7 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
                 for block in iter(partial(handle.read, 1 << 20), b""):
                     digest.update(block)
                 try:
-                    result = read(cached, digest.hexdigest())
+                    result = _read_columns(codec, cached, digest.hexdigest())
                 except (OSError, ValueError, TypeError, KeyError, RecursionError):
                     result = None
             if result is not None:
@@ -225,7 +226,10 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
         result = decode(_rows(path, _Hashing(handle, digest.update)))
     try:
         with replacing(cache) as out:  # opened first, so an unwritable place costs no encoding
-            write(out, digest.hexdigest(), result)
+            meta, items = result
+            out.write(_cache_dumps({"key": digest.hexdigest(), "meta": meta, "records": len(items)}) + "\n")
+            for start in range(0, len(items), _BLOCK_LINES):
+                out.write(_cache_dumps(codec.columns(items[start:start + _BLOCK_LINES])) + "\n")
     except OSError:
         pass
     return result
@@ -247,26 +251,35 @@ class _Hashing(io.BufferedIOBase):
         return data
 
 
+def _file_meta(meta: object) -> bool:
+    """Whether ``meta`` is a file's ``_meta`` header as :func:`read_rows` gives it, or None."""
+    return meta is None or type(meta) is dict and type(meta.get("render_version", "")) is str
+
+
 class Columns(NamedTuple):
     """A record type's codec for the input cache of a JSONL file of its
-    records: ASCII JSON lines, a header ``{"key", "meta", "records"}`` and
-    then blocks of up to 1,024 records, each block one array of columns.
+    records, one layout for every type: ASCII JSON lines, a header
+    ``{"key", "meta", "records"}`` and then blocks of up to 1,024 records,
+    each block one array of columns.
 
     ``columns`` gives a block of records as its columns in field order, as
     JSON values; ``build`` gives the block back from its columns, or None
-    (or raises) unless every column has the types ``parse`` accepts."""
+    (or raises) unless every column has the types ``parse`` accepts;
+    ``meta``, likewise, whether the header's ``meta`` has the shape the
+    decode gives (by default, a file's ``_meta`` header or None)."""
 
-    name: str  # the record type and its cache format: the key's salt
+    name: str  # the record type and its cache format: first in the key's salt
     columns: Callable[[list], list]
     build: Callable[[list], list | None]
+    meta: Callable[[object], bool] = _file_meta
 
 
-def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple[dict | None, list] | None:
+def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple | None:
     header = json.loads(handle.readline())
     if type(header) is not dict or header["key"] != key:
         return None
     meta, items = header["meta"], []
-    if not (meta is None or type(meta) is dict and type(meta.get("render_version", "")) is str):
+    if not codec.meta(meta):
         return None
     for line in handle:  # a block at a time
         block = json.loads(line)
@@ -275,10 +288,3 @@ def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple[dict | Non
             return None
         items += block
     return (meta, items) if len(items) == header["records"] else None
-
-
-def _write_columns(codec: Columns, handle: IO[str], key: str, result: tuple[dict | None, list]) -> None:
-    meta, items = result
-    handle.write(_cache_dumps({"key": key, "meta": meta, "records": len(items)}) + "\n")
-    for start in range(0, len(items), _BLOCK_LINES):
-        handle.write(_cache_dumps(codec.columns(items[start:start + _BLOCK_LINES])) + "\n")

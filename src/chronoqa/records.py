@@ -4,8 +4,7 @@ reads questions compiles none of it."""
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, NamedTuple
 
 from .jsonl import Columns, quote
@@ -123,14 +122,13 @@ def _questions(columns: list[list]) -> list[Question] | None:
             or {*map(type, chain(relations, subjects, subject_ids, neighbors))} - _TEXT_OR_NULL_SET
             or {*map(type, t_refs)} - _MONTH_OR_NULL):
         return None
-    months = {index: _month(index) for index in {*t_refs} - {None}}  # validating
+    months = {index: time_from_month_index(index) for index in {*t_refs} - {None}}  # validating
     months[None] = None
-    return list(map(partial(tuple.__new__, Question),
+    return list(map(tuple.__new__, repeat(Question),
                     zip(ids, levels, relations, subjects, subject_ids, template_ids, texts, map(tuple, answers),
                         map(tuple, negatives), map(months.__getitem__, t_refs), neighbors, splits, strict=True)))
 
 
-_month = lru_cache(maxsize=1 << 14)(time_from_month_index)
 _LEVEL_SET = frozenset(LEVELS)
 _TEXT_OR_NULL_SET = frozenset(_TEXT_OR_NULL)
 _MONTH_OR_NULL = frozenset((int, type(None)))

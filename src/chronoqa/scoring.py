@@ -15,8 +15,7 @@ module on first use, so solving and fact grouping compile neither.
 from __future__ import annotations
 
 import re
-from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .jsonl import Columns, quote
@@ -60,7 +59,7 @@ def _predictions(columns: list[list]) -> list[Prediction]:
     """A cached block's predictions, if both columns hold strings only."""
     ids, texts = columns
     "".join(chain(ids, texts))  # raises TypeError, a miss, unless every item is a str
-    return list(map(partial(tuple.__new__, Prediction), zip(ids, texts, strict=True)))
+    return list(map(tuple.__new__, repeat(Prediction), zip(ids, texts, strict=True)))
 
 
 # The prediction codec of the input cache (jsonl.load_cached). Raise the

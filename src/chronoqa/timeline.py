@@ -96,11 +96,14 @@ def month_index(t: TimePoint) -> int:
     return t.year * 12 + (t.month - 1)
 
 
+@lru_cache(maxsize=1 << 14)
 def time_from_month_index(index: int) -> TimePoint:
+    """The month ``index`` months after Jan of year 0; a TimeRangeError before
+    year 1. Each result is remembered, as :func:`parse_time_cached` does."""
     year, month0 = divmod(index, 12)
     if year < MIN_YEAR:
         raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
-    return TimePoint(year, month0 + 1)
+    return tuple.__new__(TimePoint, (year, month0 + 1))  # the month is in 1..12 by construction
 
 
 def compare(a: TimePoint, b: TimePoint) -> str:

@@ -137,15 +137,19 @@ def workdir(tmp_path, fact_file, monkeypatch, capsys):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_warm_and_cold_runs_print_and_write_the_same(workdir, capsys, ingests, name):
     argv, outputs = COMMANDS[name]
+    strict = name.endswith("strict")
     cold = capture(capsys, argv, outputs)
-    assert len(ingests) == 1 and cache_of("facts.jsonl").is_file()
+    if strict:  # ingest stopped at the first bad row and wrote no cache; a load without --strict writes one
+        assert len(ingests) == 1 and not cache_of("facts.jsonl").exists()
+        load_fact_file("facts.jsonl")
+    assert len(ingests) == 1 + strict and cache_of("facts.jsonl").is_file()
     for path in outputs:
         Path(path).unlink(missing_ok=True)
     warm = capture(capsys, argv, outputs)
-    assert len(ingests) == 1
+    assert len(ingests) == 1 + strict
     assert warm == cold
     code, _, err, _ = cold
-    if name.endswith("strict"):
+    if strict:
         line = defect_lines().index(BAD_JSON) + 1
         assert (code, err) == (2, f"chronoqa: error [E_DATA] facts.jsonl:{line}: invalid JSON: Expecting ',' "
                                   "delimiter\n")
@@ -187,41 +191,47 @@ def test_a_cache_under_another_key_is_a_miss(workdir, capsys, ingests, change):
 
 
 def corrupt(text: str, how: str) -> str:
-    cached = json.loads(text)
+    """The cache ``text`` with one defect. A fact cache is a header line, its
+    meta ingest's report, then one line per block of facts: the columns
+    subject, subject_id, relation, object, object_id, start, end."""
+    header, *blocks = text.splitlines()
+    header, block = json.loads(header), json.loads(blocks[0])
     if how == "truncated":
         return text[:len(text) // 2]
     if how == "not-json":
         return "\x00 not json"
-    if how == "not-an-object":
-        return json.dumps([cached])
-    if how == "string-month":
-        cached["facts"][0][5] = str(cached["facts"][0][5])
+    if how == "not-an-object":  # the header
+        header = [header]
+    elif how == "string-month":
+        block[5][0] = str(block[5][0])
     elif how == "bool-month":
-        cached["facts"][0][6] = True
+        block[6][0] = True
     elif how == "year-zero":
-        cached["facts"][0][5] = 3  # Apr of year 0
+        block[5][0] = 3  # Apr of year 0
     elif how == "end-before-start":
-        cached["facts"][0][5] = cached["facts"][0][6] + 1
-    elif how == "short-row":
-        cached["facts"][1] = cached["facts"][1][:6]
-    elif how == "long-row":
-        cached["facts"][1].append("x")
+        block[5][0] = block[6][0] + 1
+    elif how == "short-row":  # a column one fact short
+        block[1] = block[1][:-1]
+    elif how == "long-row":  # a column one fact long
+        block[6].append(block[6][0])
     elif how == "number-text":
-        cached["facts"][2][3] = 7
-    elif how == "string-row":
-        cached["facts"][2] = "abcdefg"
+        block[3][2] = 7
+    elif how == "string-row":  # a block that is not a list of columns
+        block[2] = "abcdefg"
     elif how == "string-diagnostic":
-        cached["diagnostics"][0][0] = "32"
+        header["meta"]["diagnostics"][0][0] = "32"
     elif how == "missing-field":
-        del cached["duplicates_dropped"]
+        del header["meta"]["duplicates_dropped"]
     elif how == "foreign-key":
-        cached["key"] = "0" * len(cached["key"])
-    return json.dumps(cached)
+        header["key"] = "0" * len(header["key"])
+    elif how == "wrong-count":
+        header["records"] += 1
+    return "\n".join([json.dumps(header), json.dumps(block), *blocks[1:]]) + "\n"
 
 
 CORRUPTIONS = ["truncated", "not-json", "not-an-object", "string-month", "bool-month", "year-zero",
                "end-before-start", "short-row", "long-row", "number-text", "string-row", "string-diagnostic",
-               "missing-field", "foreign-key"]
+               "missing-field", "foreign-key", "wrong-count"]
 
 
 @pytest.mark.parametrize("how", [*CORRUPTIONS, "directory"])
@@ -306,12 +316,21 @@ def test_a_copied_fact_file_with_its_cache_hits(fact_file, tmp_path, ingests):
     assert len(ingests) == 1
 
 
-def test_strict_reads_every_line_before_its_first_bad_row(fact_file):
-    """Bytes that are not UTF-8 fail the load under --strict too, however far
-    past the first bad row, and leave no cache."""
-    data = fact_file.read_bytes() + b'{"padding": "' + b"x" * 20000 + b'"}\n{"subject": "\xfc"}\n'
-    fact_file.write_bytes(data)
-    with pytest.raises(ValueError) as excinfo:
-        load_fact_file(str(fact_file), strict=True)
-    assert str(excinfo.value).startswith(f"{fact_file}:{len(defect_lines()) + 2}: invalid UTF-8: ")
-    assert not cache_of(fact_file).exists()
+def test_strict_stops_at_its_first_bad_row(tmp_path, monkeypatch, capsys, ingests):
+    """Under --strict the first bad row, in line order, is named before bytes
+    that are not UTF-8 further on, and no cache is written; a cache written
+    without --strict gives the same error."""
+    monkeypatch.chdir(tmp_path)
+    good = [json.dumps(row).encode() for row in synth_rows(1, relation="P39", facts_per_subject=(3, 3), seed=5)]
+    lines = [good[0], b'{"subject": "x"}', good[1], good[2]]
+    argv = ["gen-l2", "--facts", "f.jsonl", "--out-dir", "out", "--strict"]
+    error = "chronoqa: error [E_DATA] f.jsonl:2: missing or empty field 'subject_id'\n"
+    Path("f.jsonl").write_bytes(b"\n".join([*lines, b"\xfc"]) + b"\n")
+    assert (main(argv), capsys.readouterr().err) == (2, error)
+    assert not cache_of("f.jsonl").exists()
+    Path("f.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    assert main(argv[:-1]) == 0 and cache_of("f.jsonl").is_file()
+    capsys.readouterr()
+    assert len(ingests) == 2
+    assert (main(argv), capsys.readouterr().err) == (2, error)
+    assert len(ingests) == 2  # the error came from the cache

@@ -260,6 +260,21 @@ class TestBuildGroups:
         other_seed = build_groups(store, seed=43)
         assert {g.subject_id for g in other_seed} != {g.subject_id for g in first}
 
+    def test_subject_cap_keeps_a_seeded_sample_of_each_relations_sorted_subjects(self):
+        """The rule, per relation: its subject ids sorted, shuffled by
+        ``Random(f"{seed}|cap|{relation}")``, the first ones kept; a
+        relation within the cap keeps every subject."""
+        rows = synth_rows(30, relation="P39", facts_per_subject=(3, 3), seed=5)
+        rows += synth_rows(12, relation="P54", facts_per_subject=(3, 3), seed=6)
+        expected = []
+        for relation in ("P39", "P54"):
+            subjects = sorted({row["subject_id"] for row in rows if row["relation"] == relation})
+            random.Random(f"9|cap|{relation}").shuffle(subjects)
+            expected += sorted((relation, subject_id) for subject_id in subjects[:20])
+        groups = build_groups(ingest(reversed(rows)), seed=9, max_subjects_per_relation=20)
+        assert [(group.relation, group.subject_id) for group in groups] == expected
+        assert len(expected) == 32
+
     def test_order_insensitive_to_input_rows(self):
         rows = synth_rows(40, seed=4)
         shuffled = list(rows)

@@ -1,11 +1,23 @@
 """The JSONL file boundary: the line-1 header rule and atomic writes."""
 
+import gc
 import json
 import os
 
 import pytest
 
 from chronoqa.jsonl import dumps, read_jsonl, read_rows, write_jsonl
+
+# A file a test leaves open fails that test: the collection after it closes
+# the file, which warns, and the warning, raised where it cannot propagate, is an error.
+pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
+              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
+
+
+@pytest.fixture(autouse=True)
+def collected():
+    yield
+    gc.collect()
 
 
 @pytest.mark.parametrize("bad_line, message", [
