@@ -21,21 +21,25 @@ def run() -> None:
     stdout and stderr are flushed the process ends with ``os._exit``: the
     interpreter's teardown (module cleanup and a final full collection) would
     only free memory the operating system frees anyway. The exit stays normal
-    when a flush fails, so the interpreter reports it (a closed stdout pipe,
-    say), and when a profiler or tracer is set, so it writes its output.
+    when any other flush fails, so the interpreter reports it, and when a
+    profiler or tracer is set, so it writes its output. A reader of stdout
+    that has gone ends the run with ``cli.EXIT_PIPE`` and an empty stderr,
+    whether a write or only the flush found out.
     """
-    from .cli import main
+    from .cli import EXIT_PIPE, main
 
     code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:  # what stdout still buffers goes nowhere, not to the interpreter's report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    except (OSError, ValueError):
+        sys.exit(code)
     if not _observed():
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:
-                    stream.flush()
-        except (OSError, ValueError):
-            pass
-        else:
-            os._exit(code)
+        os._exit(code)
     sys.exit(code)
 
 

@@ -5,7 +5,8 @@ Every output file starts with a metadata line recording the tool version,
 seed, and a hash of the effective config, so artifacts are traceable and
 runs are reproducible byte for byte.
 
-Exit codes: 0 success, 1 usage, 2 data validation, 3 internal.
+Exit codes: 0 success, 1 usage, 2 data validation, 3 internal, 141 (128 +
+SIGPIPE, with nothing on stderr) when the reader of an output pipe has gone.
 
 The files a run keeps for later runs are the input caches,
 ``<file>.chronoqa-cache`` beside each regular fact, question or prediction
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 SEED_ENV_VAR = "CHRONOQA_SEED"
 
@@ -241,6 +243,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"chronoqa: error [E_USAGE] {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # not a data error: the run ends as a producer cut off by its reader does
+        return EXIT_PIPE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"chronoqa: error [E_DATA] {exc}", file=sys.stderr)
         return EXIT_DATA

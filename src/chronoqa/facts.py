@@ -31,10 +31,6 @@ _REQUIRED_FIELDS = ("subject", "subject_id", "relation", "object", "object_id", 
 _required_fields = itemgetter(*_REQUIRED_FIELDS)
 
 
-class FactValidationError(ValueError):
-    """A fact file's first bad row, under ``load_fact_file(strict=True)``."""
-
-
 class Diagnostic(NamedTuple):
     """One rejected input row."""
 
@@ -156,14 +152,13 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoi
 
 
 def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
-           relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
+           relation_codes: frozenset[str] | None = None) -> FactStore:
     """Validate quintuplet rows into a store.
 
     ``rows`` yields dicts, or (line_number, row) pairs from
-    :func:`jsonl.read_rows` after its header. Bad rows are skipped and
-    reported; with ``strict`` the first raises a FactValidationError whose
-    args are its line and message, and no later row is read. Rows identical
-    in (subject_id, relation, object, interval) are deduplicated.
+    :func:`jsonl.read_rows` after its header. Bad rows (a line the reader
+    gives as a ValueError too) are skipped and reported in line order. Rows
+    identical in (subject_id, relation, object, interval) are deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -177,8 +172,6 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
         try:
             fact = _validate_row(row, relation_codes, snapshot, object_keys)
         except ValueError as exc:
-            if strict:
-                raise FactValidationError(line, str(exc)) from None
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
         _, subject_id, relation, obj, _, (start, end) = fact
@@ -200,22 +193,19 @@ def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     ``relation_codes``: a later load with the same key rebuilds the store
     from it without decoding or validating a row, and any other cache is
     ignored and replaced. The store, and so every message, is the same
-    either way. With ``strict``, a file with a bad row raises a
-    FactValidationError that names ``path:line`` of the first, in line
-    order: ingesting stops there, and writes no cache.
+    either way. With ``strict``, a file with a bad row raises a ValueError
+    naming ``path:line`` of the first, in line order, once the store, and
+    its cache, are made.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
     # Everything ingest's result depends on besides the file's bytes; the
     # Python minor version too, as the JSON decoder's messages reach the diagnostics.
     salt = json.dumps([FACT_COLUMNS.name, sys.version_info[:2], snapshot, sorted(relation_codes)])
-    decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes, strict=strict)
-    try:
-        report, facts = load_cached(path, salt, decode, FACT_COLUMNS)
-        if strict and report["diagnostics"]:  # a cache of the file, ingested without strict
-            raise FactValidationError(*report["diagnostics"][0])
-    except FactValidationError as exc:
-        raise FactValidationError("%s:%s: %s" % (path, *exc.args)) from None
+    decode = partial(_ingest_rows, snapshot=snapshot, relation_codes=relation_codes)
+    report, facts = load_cached(path, salt, decode, FACT_COLUMNS)
+    if strict and report["diagnostics"]:
+        raise ValueError("%s:%s: %s" % (path, *report["diagnostics"][0]))
     return FactStore(tuple(facts), tuple(map(tuple.__new__, repeat(Diagnostic), report["diagnostics"])),
                      report["duplicates_dropped"])
 

@@ -92,13 +92,12 @@ def read_rows(path: str) -> Iterator[tuple[int, dict | ValueError]]:
     ``row`` is the decoded object, or a ValueError for invalid JSON, a value
     that is not an object, a ``_meta`` header anywhere but line 1, or a
     line-1 header whose value is not an object or whose ``render_version``
-    is not a string. A line that is not UTF-8 raises a ValueError naming it
-    once the lines before it are yielded. Any file, a named pipe too, is
-    read once, as a stream."""
-    return _rows(path, open(path, "rb"))
+    is not a string, or a line that is not UTF-8. Any file, a named pipe
+    too, is read once, as a stream."""
+    return _rows(open(path, "rb"))
 
 
-def _rows(path: str, stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
+def _rows(stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
     # Bytes that are not UTF-8 decode to lone surrogates, which text decoded
     # from UTF-8 never holds; only a line that is not ASCII can hold one.
     with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
@@ -107,7 +106,8 @@ def _rows(path: str, stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
-                    raise _utf8_error(path, line_no, line.rstrip("\n")) from None
+                    yield line_no, _utf8_error(line.rstrip("\n"))
+                    continue
             text = line.strip()
             if not text:
                 continue
@@ -135,13 +135,13 @@ def _rows(path: str, stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError
             yield line_no, row
 
 
-def _utf8_error(path: str, line_no: int, line: str) -> ValueError:
-    """The error naming ``line``, whose bytes that are not UTF-8 were decoded to lone surrogates."""
+def _utf8_error(line: str) -> ValueError:
+    """The error for ``line``, whose bytes that are not UTF-8 were decoded to lone surrogates."""
     data = line.encode("utf-8", "surrogateescape")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ValueError(f"{path}:{line_no}: invalid UTF-8: {exc.reason} "
+        return ValueError(f"invalid UTF-8: {exc.reason} "
                           f"(byte 0x{data[exc.start]:02x} at byte {exc.start + 1} of the line)")
 
 
@@ -198,12 +198,13 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
     hashed as they stream. A cache under the key whose header, meta and
     blocks all pass the codec's checks gives the result; any other is a
     miss. On a miss the file is decoded and a new cache written, renamed
-    into place; a failed write is not an error. A file that fails to decode
+    into place; a failed write is not an error. A file ``decode`` raises
+    for (a bad question line; a fact file's bad lines are in its result)
     writes no cache, and one that is not a regular file (a named pipe, a
     device) is streamed once, as :func:`read_rows` reads it, and gets none."""
     with open(path, "rb") as handle:
         if not S_ISREG(os.fstat(handle.fileno()).st_mode):
-            return decode(_rows(path, handle))
+            return decode(_rows(handle))
         cache = f"{os.fspath(path)}{CACHE_SUFFIX}"
         try:
             cached = open(cache, encoding="utf-8")
@@ -223,7 +224,7 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
             handle.seek(0)
         # hashed as it is decoded, so the key is that of the bytes decoded
         digest = blake2b(salt.encode("ascii") + b"\n", digest_size=20)
-        result = decode(_rows(path, _Hashing(handle, digest.update)))
+        result = decode(_rows(_Hashing(handle, digest.update)))
     try:
         with replacing(cache) as out:  # opened first, so an unwritable place costs no encoding
             meta, items = result

@@ -90,11 +90,14 @@ class TestExitCodes:
         ["render", "--questions", "absent.jsonl", "--setting", "reasonqa", "--out", "x.jsonl"],
         ["mask", "--docs", "absent.jsonl", "--ratio", "0", "--out", "x.jsonl"],
         ["mask", "--docs", "absent.jsonl", "--sentinel-pattern", "<mask>", "--out", "x.jsonl"],
+        ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train"],
         ["eval", "--questions", "absent.jsonl", "--predictions", "absent.jsonl", "--period-edges", "2000,1990"],
+        ["eval", "--questions", "absent.jsonl", "--predictions", "absent.jsonl", "--period-edges", "1900,abc"],
     ], ids=["negative-dev-count", "negative-test-count", "negative-count", "unparseable-range", "one-ended-range",
             "negative-max-subjects", "negative-min-facts", "repeated-split", "negative-split", "non-numeric-split",
             "ratios-above-one", "nan-ratio", "unparseable-snapshot", "both-split-specs", "unknown-setting",
-            "reasonqa-without-facts", "zero-mask-ratio", "sentinel-without-k", "decreasing-period-edges"])
+            "reasonqa-without-facts", "zero-mask-ratio", "sentinel-without-k", "split-without-count",
+            "decreasing-period-edges", "non-integer-period-edges"])
     def test_bad_flag_value_is_usage_error_before_any_read(self, tmp_path, monkeypatch, capsys, argv):
         # Every input named here is absent, so reading any of them would be E_DATA.
         monkeypatch.chdir(tmp_path)
@@ -195,6 +198,12 @@ class TestGenL1Cli:
         assert (tmp_path / "env" / "l1_train.jsonl").read_bytes() == \
             (tmp_path / "flag" / "l1_train.jsonl").read_bytes()
 
+    def test_env_var_seed_that_is_not_an_integer_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHRONOQA_SEED", "x")
+        assert run("gen-l1", "--out-dir", str(tmp_path / "out"), "--count", "5") == 1
+        assert capsys.readouterr().err == "chronoqa: error [E_USAGE] CHRONOQA_SEED must be an integer, got 'x'\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenGroupedCli:
     def test_gen_l2_deterministic_bytes(self, tmp_path, facts_file):
@@ -235,6 +244,20 @@ class TestSolveEvalPipeline:
                        "--out", report_path) == 0
             report = json.loads((out / f"{level}_report.json").read_text())["report"]
             assert report["overall"]["em"] == 100.0
+
+    @pytest.mark.parametrize("changes, facts, message", [
+        ({}, False, "structured facts are required to solve L2/L3 questions"),
+        ({"level": "L3", "template_id": "P39_l3_before", "t_ref": None}, True,
+         "L3 question 'q1' has no pivot object"),
+        ({"level": "L3", "template_id": "P39_l3", "t_ref": None, "neighbor_object": "Mayor of Osaka"}, True,
+         "cannot determine before/after direction of question 'q1'"),
+    ], ids=["l2-without-facts", "l3-without-pivot", "l3-without-direction"])
+    def test_unsolvable_question_is_a_data_error(self, tmp_path, capsys, changes, facts, message):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(dict(l2_record("QY1"), **changes))])
+        argv = ["--facts", write_facts(tmp_path / "facts.jsonl", YOSHIMURA_ROWS)] if facts else []
+        assert run("solve", "--questions", questions, *argv, "--out", str(tmp_path / "p.jsonl")) == 2
+        assert capsys.readouterr().err == f"chronoqa: error [E_DATA] {message}\n"
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_solve_l1_without_facts(self, tmp_path):
         assert run("gen-l1", "--out-dir", str(tmp_path), "--count", "30",
@@ -485,8 +508,11 @@ class TestFileBoundary:
         warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
         assert warnings == [f"warning: {facts}: line 1: the _meta header must be an object, got int"]
 
-    @pytest.mark.parametrize("command", ["eval", "stats"])
-    def test_invalid_utf8_is_named_by_path_and_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, code, named", [
+        ("eval", 2, "[E_DATA] {path}:3: "),
+        ("stats", 0, "warning: {path}: line 3: "),  # a fact file skips the line, as any other bad line
+    ], ids=["eval", "stats"])
+    def test_invalid_utf8_is_named_by_path_and_line(self, tmp_path, capsys, command, code, named):
         # The message was the codec's alone: "'utf-8' codec can't decode
         # byte 0xff in position 850", with neither file nor line.
         lines = [json.dumps(row).encode() for row in YOSHIMURA_ROWS] if command == "stats" else [
@@ -497,8 +523,8 @@ class TestFileBoundary:
         predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "q1", "prediction": "Mayor"})])
         argv = (["--facts", str(path)] if command == "stats"
                 else ["--questions", str(path), "--predictions", predictions])
-        assert run(command, *argv) == 2
-        assert (f"[E_DATA] {path}:3: invalid UTF-8: invalid start byte (byte 0xfc at byte 15 of the line)"
+        assert run(command, *argv) == code
+        assert (named.format(path=path) + "invalid UTF-8: invalid start byte (byte 0xfc at byte 15 of the line)"
                 in capsys.readouterr().err)
 
     def test_unwritable_question_text_leaves_no_file(self, tmp_path, capsys):
@@ -541,6 +567,14 @@ class TestFileBoundary:
         assert run("render", "--questions", questions, "--setting", "obqa", "--articles", articles,
                    "--out", str(tmp_path / "out.jsonl")) == 2
         assert f"{articles}:1: article subject_id must be a string or null" in capsys.readouterr().err
+
+    def test_non_string_article_text_is_named_by_path_and_line(self, tmp_path, capsys):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
+        articles = write_lines(tmp_path / "art.jsonl", [json.dumps({"subject_id": "Q1", "text": 5})])
+        assert run("render", "--questions", questions, "--setting", "obqa", "--articles", articles,
+                   "--out", str(tmp_path / "out.jsonl")) == 2
+        assert capsys.readouterr().err == \
+            f"chronoqa: error [E_DATA] {articles}:1: article text must be a string, got int\n"
 
     def test_non_object_prediction_line_is_data_error(self, tmp_path, capsys):
         questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])

@@ -139,6 +139,10 @@ class TestMaskSpans:
         # re's \d took <mask_\u0661> for <mask_1>.
         assert unmask("x <mask_\u0661> y <mask_1>", "<mask_1>AA") == "x <mask_\u0661> y AA"
 
+    def test_target_must_start_with_a_sentinel(self):
+        with pytest.raises(ValueError, match="^target does not start with a sentinel$"):
+            unmask("x", "no sentinel")
+
     @pytest.mark.parametrize("pattern, first", [("<m{{x}}_{k}>", "<m{{x}}_0>"), ("<{k}|{x}>", "<0|{x}>")],
                              ids=["doubled-braces", "other-field"])
     def test_text_around_k_is_literal(self, pattern, first):

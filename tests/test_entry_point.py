@@ -1,7 +1,8 @@
 """``python -m chronoqa`` as a whole process: exit codes and the exact bytes
 of stdout and stderr, and which way the process ends. ``__main__.run`` ends
 it with ``os._exit`` once its output is flushed, and keeps the normal exit
-under a profiler or tracer and when a flush fails."""
+under a profiler or tracer and when a flush fails for any reason but a
+reader that has gone."""
 
 import os
 import pstats
@@ -81,51 +82,71 @@ def test_fast_exit_skips_teardown(tmp_path, argv, teardown):
     assert code == (1 if "x" in argv else 0)
 
 
-def test_closed_stdout_keeps_the_interpreter_report(tmp_path):
-    """A flush that fails takes the normal exit: the interpreter reports the
-    broken pipe and exits 120, as without the fast exit."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        code, _, stderr = run(tmp_path, "-c", WITH_HOOK, "gen-l1", "--count", "5", "--out-dir", "out",
-                              stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert code == 120
-    assert stderr.startswith(b"teardown\nException ignored ")  # the rest of the line varies by Python version
-    assert stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
-
-
-def test_closed_stdout_unbuffered_is_a_data_error(tmp_path):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = run(tmp_path, "-m", "chronoqa", "gen-l1", "--count", "5", "--out-dir", "out",
-                     stdout=write_end, unbuffered=True)
-    finally:
-        os.close(write_end)
-    assert result == (2, b"", b"chronoqa: error [E_DATA] [Errno 32] Broken pipe\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "report.json"],
-    ["stats", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--out", "report.json"],
-], ids=["eval", "stats"])
-def test_full_stdout_still_writes_the_out_file(tmp_path, argv):
-    """``eval`` and ``stats`` write ``--out`` before they print: when stdout
-    fails, the run is still a data error, but its file is the one a normal
-    run writes."""
+@pytest.fixture
+def scored(tmp_path) -> Path:
+    """A directory with a fact file, its L2 train questions and their solved predictions."""
     write_facts(tmp_path / "facts.jsonl", synth_rows(6, relation="P39", facts_per_subject=(3, 5), seed=7))
     assert run(tmp_path, "-m", "chronoqa", "gen-l2", "--facts", "facts.jsonl", "--out-dir", ".")[0] == 0
     assert run(tmp_path, "-m", "chronoqa", "solve", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl",
                "--out", "preds.jsonl")[0] == 0
-    assert run(tmp_path, "-m", "chronoqa", *argv)[0] == 0
-    expected = (tmp_path / "report.json").read_bytes()
-    (tmp_path / "report.json").unlink()
+    return tmp_path
+
+
+OUT_THEN_PRINT = {  # subcommands that write --out before they print
+    "eval": ["eval", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "report.json"],
+    "stats": ["stats", "--facts", "facts.jsonl", "--questions", "l2_train.jsonl", "--out", "report.json"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, artifact", [
+    (["gen-l1", "--count", "5", "--out-dir", "out"], "out/l1_train.jsonl"),
+    (OUT_THEN_PRINT["eval"], "report.json"),
+    (OUT_THEN_PRINT["stats"], "report.json"),
+], ids=["gen-l1", "eval", "stats"])
+def test_closed_stdout_exits_as_sigpipe(scored, argv, artifact, unbuffered):
+    """A stdout whose reader has gone is not a data error: the run exits
+    141 (128 + SIGPIPE), as a producer cut off by its reader does, with
+    nothing on stderr, whether the print or only the final flush finds out;
+    what it wrote before printing is the file a normal run writes."""
+    assert run(scored, "-m", "chronoqa", *argv)[0] == 0
+    expected = (scored / artifact).read_bytes()
+    (scored / artifact).unlink()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, stderr = run(scored, "-c", WITH_HOOK, *argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (code, stderr) == (141, b"")  # and no teardown: the fast exit
+    assert (scored / artifact).read_bytes() == expected
+
+
+def test_closed_stdout_under_a_profiler_prints_nothing(tmp_path):
+    """What stdout still buffers goes nowhere, so the normal exit a profiler
+    needs has no broken pipe to report; the exit code is the profiler's."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        _, _, stderr = run(tmp_path, "-m", "cProfile", "-o", "out.prof", "-m", "chronoqa", "gen-l1", "--count", "5",
+                           "--out-dir", "out", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert stderr == b""
+    assert "gen_l1" in {name for _, _, name in pstats.Stats(str(tmp_path / "out.prof")).stats}
+
+
+@pytest.mark.parametrize("argv", OUT_THEN_PRINT.values(), ids=OUT_THEN_PRINT)
+def test_full_stdout_still_writes_the_out_file(scored, argv):
+    """When stdout fails for want of space, the run is still a data error,
+    but its ``--out`` file is the one a normal run writes."""
+    assert run(scored, "-m", "chronoqa", *argv)[0] == 0
+    expected = (scored / "report.json").read_bytes()
+    (scored / "report.json").unlink()
     with open("/dev/full", "wb") as full:
-        code, _, stderr = run(tmp_path, "-m", "chronoqa", *argv, stdout=full.fileno(), unbuffered=True)
+        code, _, stderr = run(scored, "-m", "chronoqa", *argv, stdout=full.fileno(), unbuffered=True)
     assert (code, stderr) == (2, b"chronoqa: error [E_DATA] [Errno 28] No space left on device\n")
-    assert (tmp_path / "report.json").read_bytes() == expected
+    assert (scored / "report.json").read_bytes() == expected
 
 
 def test_cli_module_runs_the_package_entry_point(tmp_path):

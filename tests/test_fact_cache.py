@@ -137,19 +137,15 @@ def workdir(tmp_path, fact_file, monkeypatch, capsys):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_warm_and_cold_runs_print_and_write_the_same(workdir, capsys, ingests, name):
     argv, outputs = COMMANDS[name]
-    strict = name.endswith("strict")
     cold = capture(capsys, argv, outputs)
-    if strict:  # ingest stopped at the first bad row and wrote no cache; a load without --strict writes one
-        assert len(ingests) == 1 and not cache_of("facts.jsonl").exists()
-        load_fact_file("facts.jsonl")
-    assert len(ingests) == 1 + strict and cache_of("facts.jsonl").is_file()
+    assert len(ingests) == 1 and cache_of("facts.jsonl").is_file()  # a strict run's too
     for path in outputs:
         Path(path).unlink(missing_ok=True)
     warm = capture(capsys, argv, outputs)
-    assert len(ingests) == 1 + strict
+    assert len(ingests) == 1
     assert warm == cold
     code, _, err, _ = cold
-    if strict:
+    if name.endswith("strict"):
         line = defect_lines().index(BAD_JSON) + 1
         assert (code, err) == (2, f"chronoqa: error [E_DATA] facts.jsonl:{line}: invalid JSON: Expecting ',' "
                                   "delimiter\n")
@@ -316,21 +312,38 @@ def test_a_copied_fact_file_with_its_cache_hits(fact_file, tmp_path, ingests):
     assert len(ingests) == 1
 
 
-def test_strict_stops_at_its_first_bad_row(tmp_path, monkeypatch, capsys, ingests):
-    """Under --strict the first bad row, in line order, is named before bytes
-    that are not UTF-8 further on, and no cache is written; a cache written
-    without --strict gives the same error."""
+@pytest.fixture
+def two_bad_lines(tmp_path, monkeypatch) -> list[bytes]:
+    """``f.jsonl``: a fact file with a bad row on line 2 and a line that is
+    not UTF-8 on line 5; returns its other lines."""
     monkeypatch.chdir(tmp_path)
     good = [json.dumps(row).encode() for row in synth_rows(1, relation="P39", facts_per_subject=(3, 3), seed=5)]
-    lines = [good[0], b'{"subject": "x"}', good[1], good[2]]
+    Path("f.jsonl").write_bytes(b"\n".join([good[0], b'{"subject": "x"}', good[1], good[2], b"\xfc"]) + b"\n")
+    return good
+
+
+def test_a_line_that_is_not_utf8_is_skipped_with_a_warning(two_bad_lines, capsys, ingests):
+    """Like any other bad line, cold and warm alike."""
+    argv = ["gen-l2", "--facts", "f.jsonl", "--out-dir", "out"]
+    runs = [capture(capsys, argv, ["out/l2_train.jsonl"]) for _ in range(2)]
+    assert len(ingests) == 1
+    assert runs[1] == runs[0]
+    code, _, err, written = runs[0]
+    assert (code, err) == (0, "warning: f.jsonl: line 2: missing or empty field 'subject_id'\n"
+                              "warning: f.jsonl: line 5: invalid UTF-8: invalid start byte "
+                              "(byte 0xfc at byte 1 of the line)\n")
+    Path("f.jsonl").write_bytes(b"\n".join(two_bad_lines) + b"\n")
+    assert main(argv) == 0
+    assert Path("out/l2_train.jsonl").read_bytes() == written["out/l2_train.jsonl"]
+
+
+def test_strict_names_its_first_bad_row_from_the_cache_it_wrote(two_bad_lines, capsys, ingests):
+    """Under --strict the first bad row, in line order, is named before the
+    line that is not UTF-8 further on; the cold run writes the cache a run
+    without --strict writes, and the warm run fails from it."""
     argv = ["gen-l2", "--facts", "f.jsonl", "--out-dir", "out", "--strict"]
     error = "chronoqa: error [E_DATA] f.jsonl:2: missing or empty field 'subject_id'\n"
-    Path("f.jsonl").write_bytes(b"\n".join([*lines, b"\xfc"]) + b"\n")
     assert (main(argv), capsys.readouterr().err) == (2, error)
-    assert not cache_of("f.jsonl").exists()
-    Path("f.jsonl").write_bytes(b"\n".join(lines) + b"\n")
-    assert main(argv[:-1]) == 0 and cache_of("f.jsonl").is_file()
-    capsys.readouterr()
-    assert len(ingests) == 2
+    assert len(ingests) == 1 and cache_of("f.jsonl").is_file()
     assert (main(argv), capsys.readouterr().err) == (2, error)
-    assert len(ingests) == 2  # the error came from the cache
+    assert len(ingests) == 1  # the error came from the cache

@@ -8,12 +8,9 @@ import pytest
 
 from chronoqa.jsonl import dumps, read_jsonl, read_rows, write_jsonl
 
-# A file a test leaves open fails that test: the collection after it closes
-# the file, which warns, and the warning, raised where it cannot propagate, is an error.
-pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
-              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
-
-
+# A file a test leaves open fails that test (pyproject.toml makes the
+# warnings errors): the collection after it closes the file, which warns,
+# and the warning, raised where it cannot propagate, is an error.
 @pytest.fixture(autouse=True)
 def collected():
     yield
@@ -59,22 +56,21 @@ def test_bad_line_one_header_is_a_bad_line(tmp_path, meta, message):
 def test_invalid_utf8_is_named_by_path_and_line(tmp_path, data, line_no, reason):
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
+    row = dict(read_rows(str(path)))[line_no]
+    assert isinstance(row, ValueError) and str(row) == f"invalid UTF-8: {reason} of the line)"
     with pytest.raises(ValueError) as excinfo:
-        list(read_rows(str(path)))
+        read_jsonl(str(path))
     assert str(excinfo.value) == f"{path}:{line_no}: invalid UTF-8: {reason} of the line)"
 
 
 def test_rows_before_a_line_that_is_not_utf8_come_first(tmp_path):
     # Text was decoded about 8 KB ahead of the rows, so the decode error came
-    # before any of them.
+    # before any of them. The rows after the line follow it.
     path = tmp_path / "data.jsonl"
     path.write_bytes('{"a": "caf\u00e9 \U0001f600"}\n[1]\n'.encode("utf-8") + b'{"b": "\xfc"}\n{"c": 1}\n')
-    rows = read_rows(str(path))
-    assert next(rows) == (1, {"a": "caf\u00e9 \U0001f600"})
-    assert str(next(rows)[1]) == "expected a JSON object, got list"
-    with pytest.raises(ValueError) as excinfo:
-        next(rows)
-    assert str(excinfo.value) == f"{path}:3: invalid UTF-8: invalid start byte (byte 0xfc at byte 8 of the line)"
+    rows = [(line_no, str(row) if isinstance(row, ValueError) else row) for line_no, row in read_rows(str(path))]
+    assert rows == [(1, {"a": "caf\u00e9 \U0001f600"}), (2, "expected a JSON object, got list"),
+                    (3, "invalid UTF-8: invalid start byte (byte 0xfc at byte 8 of the line)"), (4, {"c": 1})]
 
 
 def test_line_one_header_comes_first_as_line_zero(tmp_path):
