@@ -21,7 +21,7 @@ _EXPORTS = {
     "rewards": ("RewardRecord", "reward"),
     "scoring": ("Prediction", "normalize"),
     "templates": ("TemplateTable", "load_templates"),
-    "timeline": ("TimeInterval", "TimePoint", "compare", "format_time", "parse_time"),
+    "timeline": ("TimePoint", "compare", "format_time", "parse_time"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .jsonl import Columns, load_cached
 from .scoring import _Memo, normalized_key
 from .templates import load_templates
-from .timeline import (DEFAULT_SNAPSHOT, TimeInterval, TimePoint, format_time, month_index, parse_time_cached,
+from .timeline import (DEFAULT_SNAPSHOT, MIN_YEAR, TimePoint, format_time, month_index, parse_time_cached,
                        time_from_month_index)
 
 MAX_SUBJECTS_PER_RELATION = 2000
@@ -42,19 +42,21 @@ class Diagnostic(NamedTuple):
 
 
 class Fact(NamedTuple):
-    """One time-scoped KB statement: subject held `object` over `interval`."""
+    """One time-scoped KB statement: subject held `object` from month `start`
+    through month `end`, both inclusive :func:`timeline.month_index` values.
+    An ongoing fact ends at the KB snapshot month."""
 
     subject: str
     subject_id: str
     relation: str
     object: str
     object_id: str
-    interval: TimeInterval
+    start: int
+    end: int
 
 
-# Chronological order, read in C: (interval, object) compares start month,
-# then end month, then object.
-_CHRONOLOGICAL = itemgetter(5, 3)
+# Chronological order, read in C: start month, then end month, then object.
+_CHRONOLOGICAL = itemgetter(5, 6, 3)
 
 
 class FactGroup:
@@ -103,8 +105,9 @@ class FactGroup:
         use, so a group's months are formatted once however many prompts
         show it."""
         if self._lines is None:
-            self._lines = tuple(f"{obj} from {format_time(start)} to {format_time(end)}."
-                                for _, _, _, obj, _, (start, end) in self.facts)
+            self._lines = tuple(f"{obj} from {format_time(time_from_month_index(start))} to "
+                                f"{format_time(time_from_month_index(end))}."
+                                for _, _, _, obj, _, start, end in self.facts)
         return self._lines
 
 
@@ -116,10 +119,10 @@ class FactStore(NamedTuple):
     duplicates_dropped: int = 0
 
 
-def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoint,
+def _validate_row(row: object, relation_codes: frozenset[str], snapshot: int,
                   object_keys: Mapping[str, str]) -> Fact:
     """The fact ``row`` holds; a ValueError names the first bad field.
-    ``object_keys[text]`` is ``normalized_key(text)``."""
+    ``snapshot`` is a month index; ``object_keys[text]`` is ``normalized_key(text)``."""
     if isinstance(row, ValueError):  # a line the JSONL reader could not use
         raise row
     if not isinstance(row, dict):
@@ -133,22 +136,20 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: TimePoi
         raise ValueError(f"unsupported relation {relation!r}")
     if not object_keys[obj]:  # a gold or negative that an empty prediction would match
         raise ValueError("object has no scoring tokens")
-    start = parse_time_cached(start_text, 1)
+    start = month_index(parse_time_cached(start_text, 1))
     raw_end = row.get("end")
     if raw_end is None:
         end = snapshot
         if end < start:
             raise ValueError(f"ongoing fact starts {start_text!r}, after the snapshot month")
     elif isinstance(raw_end, str) and raw_end.strip():
-        end = parse_time_cached(raw_end, 12)
+        end = month_index(parse_time_cached(raw_end, 12))
         if end < start:
             raise ValueError(f"start {start_text!r} is after end {raw_end!r}")
     else:
         raise ValueError("field 'end' must be a time string or null")
-    # Both built with tuple.__new__: Fact's generated __new__ only packs the fields,
-    # and TimeInterval's only re-checks start <= end, checked above with its own message.
-    return tuple.__new__(Fact, (subject, subject_id, relation, obj, object_id,
-                                tuple.__new__(TimeInterval, (start, end))))
+    # tuple.__new__: Fact's generated __new__ only packs the fields
+    return tuple.__new__(Fact, (subject, subject_id, relation, obj, object_id, start, end))
 
 
 def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
@@ -158,7 +159,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     ``rows`` yields dicts, or (line_number, row) pairs from
     :func:`jsonl.read_rows` after its header. Bad rows (a line the reader
     gives as a ValueError too) are skipped and reported in line order. Rows
-    identical in (subject_id, relation, object, interval) are deduplicated.
+    identical in (subject_id, relation, object, start, end) are deduplicated.
     """
     if relation_codes is None:
         relation_codes = load_templates().relation_codes
@@ -167,14 +168,15 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     seen: set[tuple] = set()
     duplicates = 0
     object_keys = _Memo(normalized_key)  # once per distinct object
+    snapshot_index = month_index(snapshot)
     for position, item in enumerate(rows, start=1):
         line, row = item if isinstance(item, tuple) else (position, item)
         try:
-            fact = _validate_row(row, relation_codes, snapshot, object_keys)
+            fact = _validate_row(row, relation_codes, snapshot_index, object_keys)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
-        _, subject_id, relation, obj, _, (start, end) = fact
+        _, subject_id, relation, obj, _, start, end = fact
         key = (subject_id, relation, start, end, obj)  # the same object over the same months
         if key in seen:
             duplicates += 1
@@ -215,24 +217,15 @@ def _ingest_rows(rows: Iterable, **settings) -> tuple[dict, tuple[Fact, ...]]:
     return {"diagnostics": store.diagnostics, "duplicates_dropped": store.duplicates_dropped}, store.facts
 
 
-def _fact_columns(facts: list[Fact]) -> list:
-    """A block of facts as columns in field order, the interval as start and end month indices."""
-    *texts, intervals = zip(*facts)
-    return [*texts, [month_index(start) for start, _ in intervals], [month_index(end) for _, end in intervals]]
-
-
 def _facts(columns: list[list]) -> list[Fact] | None:
     """A cached block's facts, if its texts are strings and its months
     integer month indices of year 1 on, no fact ending before it starts."""
     subjects, subject_ids, relations, objects, object_ids, starts, ends = columns
     # raises TypeError, a miss, unless every item is a str
     "".join(chain(subjects, subject_ids, relations, objects, object_ids))
-    if {*map(type, chain(starts, ends))} - {int} or not all(map(le, starts, ends)):
+    if {*map(type, chain(starts, ends))} - {int} or min(starts) < 12 * MIN_YEAR or not all(map(le, starts, ends)):
         return None
-    intervals = map(tuple.__new__, repeat(TimeInterval),
-                    zip(map(time_from_month_index, starts), map(time_from_month_index, ends), strict=True))
-    return list(map(tuple.__new__, repeat(Fact),
-                    zip(subjects, subject_ids, relations, objects, object_ids, intervals, strict=True)))
+    return list(map(tuple.__new__, repeat(Fact), zip(*columns, strict=True)))
 
 
 def _ingest_report(report: dict) -> bool:
@@ -242,10 +235,10 @@ def _ingest_report(report: dict) -> bool:
             and all(type(line) is int and type(message) is str for line, message in diagnostics))
 
 
-# The fact-file codec of the input cache (jsonl.load_cached); the header's
-# meta is ingest's report. Raise the number whenever ingest's rules or
-# messages, Fact's fields, or the columns or their checks change.
-FACT_COLUMNS = Columns("facts 3", _fact_columns, _facts, _ingest_report)
+# The fact-file codec of the input cache (jsonl.load_cached): Fact's fields
+# are its columns, and the header's meta is ingest's report. Raise the number
+# whenever ingest's rules or messages, Fact's fields, or the checks change.
+FACT_COLUMNS = Columns("facts 3", lambda facts: [*zip(*facts)], _facts, _ingest_report)
 
 
 def build_groups(store: FactStore, seed: int = 0, *,

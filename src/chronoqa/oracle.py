@@ -1,8 +1,8 @@
 """Symbolic solver for generated questions.
 
 The solver works from structured facts only: L1 questions are parsed back
-into (reference time, offset) and answered by calendar arithmetic, L2 by an
-interval containment scan, and L3 by chronological adjacency.
+into (reference time, offset) and answered by calendar arithmetic, L2 by a
+scan for the facts valid at a month, and L3 by chronological adjacency.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .timeline import (
     TimeParseError,
     TimeRangeError,
     is_year_text,
+    month_index,
     parse_time_cached,
 )
 
@@ -88,17 +89,18 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
 
 
 def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
-    """All objects valid at the reference month, ordered by interval start.
+    """All objects valid at the reference month, ordered by start month.
 
     The result does not depend on the order the group's facts arrive in:
     a :class:`FactGroup` sorts them on construction.
     """
+    t_index = month_index(t_r)
     answers: list[str] = []
     seen: set[str] = set()
-    for fact, key in zip(group.facts, group.keys):
-        if fact.interval.contains(t_r) and key not in seen:
+    for (_, _, _, obj, _, start, end), key in zip(group.facts, group.keys):
+        if start <= t_index <= end and key not in seen:
             seen.add(key)
-            answers.append(fact.object)
+            answers.append(obj)
     return OracleAnswer(tuple(answers))
 
 
@@ -120,19 +122,32 @@ def solve_l3(group: FactGroup, neighbor_object: str, direction: str) -> OracleAn
     return OracleAnswer(())
 
 
+def _subject_text(subject_id: str | None, subject: str | None, relation: str | None) -> str:
+    key = f"subject_id {subject_id!r}" if subject_id is not None else f"subject {subject!r}"
+    return key + (f" relation {relation!r}" if relation is not None else "")
+
+
 class SubjectIndex(Generic[T]):
     """Values keyed by subject id, and separately by subject name, each
     optionally narrowed by a relation. ``entries`` holds
-    ``(subject_id, subject, value, relation)`` tuples; ids and names may be None."""
+    ``(subject_id, subject, value, relation)`` tuples; ids and names may be
+    None. A second entry under one id, or under one name with no id, is an
+    OracleError: it would make a lookup pick one of the two unsaid."""
 
     def __init__(self, kind: str, entries: Iterable[tuple[str | None, str | None, T, str | None]]) -> None:
         self.kind = kind
         self.by_id: dict[tuple[str, str | None], T] = {}
         self.by_name: dict[tuple[str, str | None], T] = {}
         self.ids_by_name: dict[str, set[str | None]] = {}
+        id_less: dict[tuple[str | None, str | None], T] = {}
         for subject_id, subject, value, relation in entries:
             if subject_id is not None:
-                self.by_id[(subject_id, relation)] = value
+                index, key = self.by_id, (subject_id, relation)
+            else:
+                index, key = id_less, (subject, relation)
+            if key in index:
+                raise OracleError(f"more than one {kind} for {_subject_text(subject_id, subject, relation)}")
+            index[key] = value
             if subject is not None:
                 self.by_name.setdefault((subject, relation), value)
                 self.ids_by_name.setdefault(subject, set()).add(subject_id)
@@ -150,9 +165,8 @@ class SubjectIndex(Generic[T]):
                                   f"{subjects} subjects; give a subject_id")
             value = self.by_name.get((subject, relation))
         if value is None:
-            key = f"subject_id {subject_id!r}" if subject_id is not None else f"subject {subject!r}"
-            at = f" relation {relation!r}" if relation is not None else ""
-            raise OracleError(f"question {question.id!r}: no {self.kind} for {key}{at}")
+            raise OracleError(f"question {question.id!r}: no {self.kind} for "
+                              f"{_subject_text(subject_id, subject, relation)}")
         return value
 
 

@@ -233,8 +233,7 @@ def _l2_builder(group: FactGroup, split: str, templates: TemplateTable):
     primary_key, question_id)`` that builds its question at month index
     ``t_index``. The rows and the template id and text are made once per
     group."""
-    rows = [(fact.object, key, month_index(fact.interval.start), month_index(fact.interval.end))
-            for fact, key in zip(group.facts, group.keys)]
+    rows = [(fact.object, key, fact.start, fact.end) for fact, key in zip(group.facts, group.keys)]
     relation, subject, subject_id = group.relation, group.subject, group.subject_id
     template_id = f"{relation}_l2"
     # render_l2 fills <t> last, by replace, so filling "<t>" for it fills in
@@ -281,7 +280,6 @@ def gen_l3(group: FactGroup, *, split: str = "train",
     facts, keys = group.facts, group.keys
     relation, subject, subject_id = group.relation, group.subject, group.subject_id
     objects = [fact.object for fact in facts]
-    starts = [fact.interval.start for fact in facts]
     first_occurrence: dict[str, int] = {}
     for i, key in enumerate(keys):
         first_occurrence.setdefault(key, i)
@@ -304,9 +302,7 @@ def gen_l3(group: FactGroup, *, split: str = "train",
 
     questions = []
     for i in range(len(facts) - 1):
-        if keys[i] == keys[i + 1]:
-            continue
-        if starts[i] == starts[i + 1]:
+        if keys[i] == keys[i + 1] or facts[i].start == facts[i + 1].start:
             continue
         if first_occurrence[keys[i]] == i:
             questions.append(build(i, "after", objects[i], i + 1))

@@ -45,7 +45,7 @@ def _reward(prediction: str, gold: str, negatives: Sequence[str], scorer: Scorer
         kind, text = ("gold", gold) if not gold_key else ("negative", negatives[negative_keys.index("")])
         raise ValueError(f"question {id!r}: {kind} {text!r} has no scoring tokens")
     if gold_key in negative_keys:
-        raise ValueError(f"gold answer {gold!r} also appears in the negative set")
+        raise ValueError(f"question {id!r}: gold answer {gold!r} also appears in the negative set")
     if scorer is None:  # exact match compares normalized keys
         pred_key = key(prediction)
         p, n = float(pred_key == gold_key), float(pred_key in negative_keys)

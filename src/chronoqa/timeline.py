@@ -1,9 +1,9 @@
 """Month-granularity calendar arithmetic.
 
-Everything in this toolkit that touches time goes through the two value
-types defined here: a calendar month (:class:`TimePoint`) and a validity
-range (:class:`TimeInterval`). Months are the finest unit; there is no day
-or timezone handling.
+Everything in this toolkit that touches time goes through this module. A
+calendar month is a :class:`TimePoint`, or its integer :func:`month_index`
+where months are compared or counted: a fact's validity range, L1 draws.
+Months are the finest unit; there is no day or timezone handling.
 
 The canonical textual form is ``"Jul 2019"`` (3-letter English month
 abbreviation, year without leading zeros). A bare ``"2019"`` is accepted on
@@ -57,19 +57,7 @@ class TimePoint(NamedTuple):
         return format_time(self)
 
 
-class TimeInterval(NamedTuple):
-    """An inclusive validity range. Ongoing facts are closed at the KB
-    snapshot month when they are ingested."""
-
-    start: TimePoint
-    end: TimePoint
-
-    def contains(self, point: TimePoint) -> bool:
-        """Inclusive at both bounds."""
-        return self.start <= point <= self.end
-
-
-# The validating constructors, attached after each class is made: typing.NamedTuple
+# The validating constructor, attached after the class is made: typing.NamedTuple
 # refuses a __new__ in the class body. ``_replace`` and ``_make`` do not validate.
 
 def _time_point(cls, year: int, month: int) -> TimePoint:
@@ -80,13 +68,7 @@ def _time_point(cls, year: int, month: int) -> TimePoint:
     return tuple.__new__(cls, (year, month))
 
 
-def _time_interval(cls, start: TimePoint, end: TimePoint) -> TimeInterval:
-    if end < start:
-        raise ValueError(f"interval start {start} is after end {end}")
-    return tuple.__new__(cls, (start, end))
-
-
-TimePoint.__new__, TimeInterval.__new__ = _time_point, _time_interval
+TimePoint.__new__ = _time_point
 
 DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
 

@@ -187,8 +187,8 @@ def make_group(rows_or_seed, relation: str = "P39"):
 
 def fact_sort_key(fact) -> tuple[int, int, int, int, str]:
     """The chronological order of a group's facts: start month, then end
-    month, then object."""
-    start, end = fact.interval
+    month, then object, compared as calendar (year, month) pairs."""
+    start, end = time_from_month_index(fact.start), time_from_month_index(fact.end)
     return (start.year, start.month, end.year, end.month, fact.object)
 
 

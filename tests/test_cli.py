@@ -437,6 +437,20 @@ class TestFileBoundary:
                    "--setting", "reasonqa", "--out", out) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subject_id, subject, message", [
+        ("Q1", "Aiko Abe", "more than one article for subject_id 'Q1'"),
+        (None, "Aiko Abe", "more than one article for subject 'Aiko Abe'"),
+    ], ids=["one-id", "one-name-without-id"])
+    def test_render_refuses_a_second_article_for_a_subject(self, tmp_path, capsys, subject_id, subject, message):
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record(subject_id))])
+        articles = write_lines(tmp_path / "a.jsonl", [json.dumps({"subject_id": subject_id, "subject": subject,
+                                                                  "text": text}) for text in ("First.", "Second.")])
+        out = tmp_path / "out.jsonl"
+        assert run("render", "--questions", questions, "--setting", "obqa", "--articles", articles,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"chronoqa: error [E_DATA] {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["solve"], ["render", "--setting", "reasonqa"]], ids=["solve", "render"])
     def test_failure_while_writing_keeps_the_previous_out_file(self, tmp_path, facts_file, capsys, command):
         # Output is written as each record is made, so the unknown subject on
@@ -575,6 +589,16 @@ class TestFileBoundary:
                    "--out", str(tmp_path / "out.jsonl")) == 2
         assert capsys.readouterr().err == \
             f"chronoqa: error [E_DATA] {articles}:1: article text must be a string, got int\n"
+
+    def test_reward_names_the_question_whose_gold_is_a_negative(self, tmp_path, capsys):
+        record = dict(l2_record("Q1", "q9"), answers=["Mayor"], negatives=["the mayor"])
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(record)])
+        predictions = write_lines(tmp_path / "p.jsonl", [json.dumps({"id": "q9", "prediction": "Mayor"})])
+        out = tmp_path / "out.jsonl"
+        assert run("reward", "--questions", questions, "--predictions", predictions, "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "chronoqa: error [E_DATA] question 'q9': gold answer 'Mayor' also appears in the negative set\n"
+        assert not out.exists()
 
     def test_non_object_prediction_line_is_data_error(self, tmp_path, capsys):
         questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])

@@ -10,7 +10,7 @@ from chronoqa.cli import main
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimePoint, format_time
+from chronoqa.timeline import TimePoint, format_time, time_from_month_index
 
 from conftest import YOSHIMURA_ROWS, l2_question_at, make_group, random_doc, synth_rows
 
@@ -70,8 +70,8 @@ class TestRender:
     def test_group_lines_are_formatted_once_and_shuffled_per_question(self):
         group = make_group(synth_rows(1, facts_per_subject=(7, 7), seed=202, allow_overlap=True))
         templates = load_templates()
-        fresh = [f"{fact.object} from {format_time(fact.interval.start)} to {format_time(fact.interval.end)}."
-                 for fact in group.facts]
+        fresh = [f"{fact.object} from {format_time(time_from_month_index(fact.start))} to "
+                 f"{format_time(time_from_month_index(fact.end))}." for fact in group.facts]
         header = f"{group.subject} {templates.relation(group.relation).phrase}:"
         questions = gen_l2(group, seed=5)
         assert len(questions) == 7

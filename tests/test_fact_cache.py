@@ -15,11 +15,11 @@ import pytest
 
 from chronoqa import facts
 from chronoqa.cli import main
-from chronoqa.facts import Diagnostic, Fact, FactStore, load_fact_file
+from chronoqa.facts import FACT_COLUMNS, Diagnostic, Fact, FactStore, load_fact_file
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimeInterval, TimePoint
 
 from conftest import synth_rows
+from test_cache_codecs import FACTS as PINNED_FACTS, PINNED
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SUFFIX = ".chronoqa-cache"
@@ -80,9 +80,22 @@ def cache_of(path) -> Path:
 def assert_same_store(warm: FactStore, cold: FactStore) -> None:
     assert warm == cold
     assert type(warm) is FactStore and type(warm.facts) is tuple and type(warm.diagnostics) is tuple
-    assert all(type(fact) is Fact and type(fact.interval) is TimeInterval
-               and type(fact.interval.start) is type(fact.interval.end) is TimePoint for fact in warm.facts)
+    assert all(type(fact) is Fact and type(fact.start) is type(fact.end) is int for fact in warm.facts)
     assert all(type(diagnostic) is Diagnostic for diagnostic in warm.diagnostics)
+
+
+def test_a_cache_of_the_pinned_bytes_is_a_hit(tmp_path, ingests):
+    """A cache holding the bytes pinned for the fact codec, as any build that
+    writes that format wrote them, gives the cold load's store unread."""
+    path = tmp_path / "input.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in PINNED_FACTS), encoding="utf-8")
+    cold = load_fact_file(str(path))
+    key = json.loads(cache_of(path).read_text(encoding="ascii").partition("\n")[0])["key"]
+    cache_of(path).write_text(PINNED[FACT_COLUMNS.name].replace('"KEY"', json.dumps(key), 1), encoding="ascii")
+    ingests.clear()
+    assert_same_store(load_fact_file(str(path)), cold)
+    assert not ingests
+    assert [fact[5:] for fact in cold.facts] == [(24054, 24107), (24108, 24274)]  # Jul 2004-Dec 2008, 2009-Nov 2022
 
 
 def test_warm_load_gives_the_cold_store_without_ingesting(fact_file, ingests):

@@ -9,9 +9,9 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
 from chronoqa.facts import Fact, FactGroup, group_stats
 from chronoqa.scoring import normalized_key
-from chronoqa.timeline import TimeInterval, parse_time
+from chronoqa.timeline import parse_time, time_from_month_index
 
-from conftest import fact_sort_key, make_group, synth_rows
+from conftest import fact_sort_key, make_group, month_text, synth_rows
 
 MESSI_ROW = {
     "subject": "Lionel Messi", "subject_id": "QM1", "relation": "P54",
@@ -23,9 +23,9 @@ class TestIngest:
     def test_year_only_defaults(self):
         store = ingest([MESSI_ROW])
         assert len(store.facts) == 1
-        interval = store.facts[0].interval
-        assert interval.start == TimePoint(2004, 1)
-        assert interval.end == TimePoint(2021, 12)
+        fact = store.facts[0]
+        assert time_from_month_index(fact.start) == TimePoint(2004, 1)
+        assert time_from_month_index(fact.end) == TimePoint(2021, 12)
 
     def test_unsupported_relation_rejected(self):
         row = dict(MESSI_ROW, relation="P999")
@@ -60,7 +60,7 @@ class TestIngest:
     def test_open_end_closed_at_snapshot(self):
         row = dict(MESSI_ROW, end=None)
         store = ingest([row], snapshot=TimePoint(2022, 11))
-        assert store.facts[0].interval.end == TimePoint(2022, 11)
+        assert time_from_month_index(store.facts[0].end) == TimePoint(2022, 11)
 
     def test_ongoing_fact_after_snapshot_rejected(self):
         row = dict(MESSI_ROW, start="Jan 2023", end=None)
@@ -154,7 +154,7 @@ class TestIngestPin:
         store = load_fact_file(path)
         assert [(d.line, d.message) for d in store.diagnostics] == PIN_DIAGNOSTICS
         assert store.duplicates_dropped == 2
-        assert [(f.object_id, str(f.interval.start), str(f.interval.end)) for f in store.facts] == [
+        assert [(f.object_id, month_text(f.start), month_text(f.end)) for f in store.facts] == [
             ("O1", "Jan 2019", "Dec 2019"),
             ("O5", "May 2021", "Nov 2022"),
             ("O11", "Jan 2000", "Dec 2000"),
@@ -232,10 +232,11 @@ class TestRowChecks:
         store = ingest(rows, snapshot=TimePoint(2030, 1))
         assert len(store.facts) + store.duplicates_dropped == len(rows) and not store.diagnostics
         for fact in store.facts:
-            start, end = fact.interval
-            assert start <= end
-            assert type(fact) is Fact and type(fact.interval) is TimeInterval
-            assert fact == Fact(*fact[:5], TimeInterval(start, end))
+            start, end = fact.start, fact.end
+            assert type(fact) is Fact and type(start) is type(end) is int
+            assert fact == Fact(*fact[:5], start, end)
+            # months of year 1 on, in order, as the validating TimePoint constructor takes them
+            assert TimePoint(*time_from_month_index(start)) <= TimePoint(*time_from_month_index(end))
 
 
 class TestBuildGroups:
@@ -247,7 +248,7 @@ class TestBuildGroups:
         rows = synth_rows(1, facts_per_subject=(5, 5), seed=2)
         random.Random(0).shuffle(rows)
         groups = build_groups(ingest(rows))
-        starts = [f.interval.start for f in groups[0].facts]
+        starts = [f.start for f in groups[0].facts]
         assert starts == sorted(starts)
 
     def test_subject_cap_exact_and_deterministic(self):
@@ -359,7 +360,7 @@ class TestFactGroup:
     def test_ties_sort_and_deduplicate_as_sort_key(self):
         # Bare years resolve to Jan (start) and Dec (end), so "2000" ties
         # "Jan 2000" and "2001" ties "Dec 2001": the same start with different
-        # ends, and the same interval with different objects, many times over.
+        # ends, and the same months with different objects, many times over.
         rows = [dict(MESSI_ROW, subject_id=subject_id, object=obj, object_id=f"O{i}", start=start, end=end)
                 for i, (subject_id, obj, start, end) in enumerate(itertools.product(
                     ("QM1", "QM2"), ("B", "C", "c", "B!"), ("2000", "Feb 2000", "Jan 2000"),

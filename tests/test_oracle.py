@@ -10,7 +10,8 @@ from chronoqa.facts import FactGroup
 from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimeParseError, TimeRangeError, format_time, is_year_text, parse_time
+from chronoqa.timeline import (TimeParseError, TimeRangeError, format_time, is_year_text, parse_time,
+                               time_from_month_index)
 
 from conftest import Offset, fact_sort_key, make_group, shift, synth_rows
 
@@ -143,28 +144,41 @@ class TestSolveL2:
         assert answer.answers == ()
         assert answer.no_valid_answer
 
+    @pytest.mark.parametrize("month, answers", [
+        (TimePoint(2015, 11), ()),
+        (TimePoint(2015, 12), ("Mayor of Osaka",)),
+        (TimePoint(2019, 3), ("Mayor of Osaka",)),
+        (TimePoint(2019, 4), ("Governor of Osaka Prefecture",)),
+    ], ids=["month-before-first", "first-month", "last-month", "month-after-last"])
+    def test_a_fact_holds_from_its_first_through_its_last_month(self, yoshimura_group, month, answers):
+        # Mayor of Osaka holds Dec 2015 through Mar 2019; nothing holds in Nov 2015
+        assert solve_l2(yoshimura_group, month).answers == answers
+
     def test_matches_brute_force_scan(self):
         rng = random.Random(55)
         group = make_group(synth_rows(1, facts_per_subject=(6, 6), seed=90, allow_overlap=True))
-        months = [f.interval.start for f in group.facts]
-        lo = min(m.year for m in months) - 2
-        hi = max(f.interval.end.year for f in group.facts) + 2
+        # (first month, last month, object) as time points, in chronological order
+        spans = [(time_from_month_index(f.start), time_from_month_index(f.end), f.object)
+                 for f in sorted(group.facts, key=fact_sort_key)]
+        lo = min(start.year for start, _, _ in spans) - 2
+        hi = max(end.year for _, end, _ in spans) + 2
         for _ in range(1000):
             t_r = TimePoint(rng.randint(lo, hi), rng.randint(1, 12))
             expected = []
-            for fact in sorted(group.facts, key=fact_sort_key):
-                if fact.interval.start <= t_r <= fact.interval.end and fact.object not in expected:
-                    expected.append(fact.object)
+            for start, end, obj in spans:
+                if start <= t_r <= end and obj not in expected:
+                    expected.append(obj)
             assert list(solve_l2(group, t_r).answers) == expected
 
     def test_permutation_invariant(self, jul_2019):
         group = make_group(synth_rows(1, facts_per_subject=(6, 6), seed=91, allow_overlap=True))
-        baseline = solve_l2(group, group.facts[2].interval.start)
+        t_r = time_from_month_index(group.facts[2].start)
+        baseline = solve_l2(group, t_r)
         for seed in range(5):
             facts = list(group.facts)
             random.Random(seed).shuffle(facts)
             shuffled = FactGroup(group.subject, group.subject_id, group.relation, tuple(facts))
-            assert solve_l2(shuffled, group.facts[2].interval.start).answers == baseline.answers
+            assert solve_l2(shuffled, t_r).answers == baseline.answers
 
 
 class TestSolveL3:

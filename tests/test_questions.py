@@ -1,7 +1,7 @@
 """Question generation: uniqueness, gold/negative correctness, determinism.
 
 Answers are re-verified with test-local oracles (an independent month-index
-parser for L1, brute-force interval scans for L2, sort-and-index adjacency
+parser for L1, brute-force validity scans for L2, sort-and-index adjacency
 for L3) rather than the package's own arithmetic.
 """
 
@@ -15,7 +15,7 @@ from chronoqa.jsonl import load_jsonl
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 from chronoqa.records import QUESTION_COLUMNS
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimeParseError, format_time
+from chronoqa.timeline import TimeParseError, format_time, time_from_month_index
 
 from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, synth_rows
 
@@ -232,10 +232,10 @@ class TestPartitionL1:
 
 
 def scan_valid(group, t_ref):
-    # brute force: every fact whose closed interval contains the month
+    # brute force: every fact whose first and last months, as time points, bound the month
     valid = []
     for fact in group.facts:
-        if fact.interval.start <= t_ref and t_ref <= fact.interval.end:
+        if time_from_month_index(fact.start) <= t_ref <= time_from_month_index(fact.end):
             if fact.object not in valid:
                 valid.append(fact.object)
     return valid
@@ -336,7 +336,7 @@ class TestGenL3:
     def test_adjacency_matches_sort_oracle(self):
         for seed in range(20):
             group = make_group(synth_rows(1, facts_per_subject=(5, 5), seed=40 + seed))
-            ordered = sorted(group.facts, key=lambda f: (f.interval.start.year, f.interval.start.month))
+            ordered = sorted(group.facts, key=lambda f: time_from_month_index(f.start))
             successor = {ordered[i].object: ordered[i + 1].object for i in range(len(ordered) - 1)}
             predecessor = {ordered[i + 1].object: ordered[i].object for i in range(len(ordered) - 1)}
             for q in gen_l3(group):
@@ -347,7 +347,7 @@ class TestGenL3:
 
     def test_direction_word_matches_start_order(self):
         group = make_group(synth_rows(1, facts_per_subject=(6, 6), seed=60))
-        start_of = {f.object: f.interval.start for f in group.facts}
+        start_of = {f.object: time_from_month_index(f.start) for f in group.facts}
         for q in gen_l3(group):
             gold_start = start_of[q.answers[0]]
             pivot_start = start_of[q.neighbor_object]

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from chronoqa.timeline import (
-    TimeInterval,
     TimeParseError,
     TimePoint,
     TimeRangeError,
@@ -152,18 +151,6 @@ class TestTypes:
             Offset(1, -1, "after")
         with pytest.raises(ValueError):
             Offset(1, 0, "sideways")
-
-    def test_interval_bounds_inclusive(self):
-        interval = TimeInterval(TimePoint(2019, 4), TimePoint(2022, 12))
-        assert interval.contains(TimePoint(2019, 4))
-        assert interval.contains(TimePoint(2022, 12))
-        assert interval.contains(TimePoint(2020, 6))
-        assert not interval.contains(TimePoint(2019, 3))
-        assert not interval.contains(TimePoint(2023, 1))
-
-    def test_interval_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            TimeInterval(TimePoint(2020, 1), TimePoint(2019, 12))
 
 
 class TestSample:

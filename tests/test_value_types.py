@@ -9,7 +9,7 @@ from chronoqa.contexts import AnnotatedDocument
 from chronoqa.facts import Fact, FactGroup
 from chronoqa.questions import Question
 from chronoqa.scoring import Prediction, RewardRecord
-from chronoqa.timeline import TimeInterval, TimePoint, TimeRangeError
+from chronoqa.timeline import TimePoint, TimeRangeError, month_index
 
 from conftest import Offset
 
@@ -17,7 +17,7 @@ JAN, JUL = TimePoint(2019, 1), TimePoint(2019, 7)
 
 
 def _fact(obj: str = "Mayor") -> Fact:
-    return Fact("Aiko", "Q1", "P39", obj, "Q9", TimeInterval(JAN, JUL))
+    return Fact("Aiko", "Q1", "P39", obj, "Q9", month_index(JAN), month_index(JUL))
 
 
 def _question(question_id: str = "l2-train-Q1-P39-0") -> Question:
@@ -33,7 +33,6 @@ def _group(obj: str = "Mayor") -> FactGroup:
 VALUES = {
     "TimePoint": (lambda: TimePoint(2019, 7), lambda: TimePoint(2019, 8)),
     "Offset": (lambda: Offset(1, 2, "before"), lambda: Offset(1, 2, "after")),
-    "TimeInterval": (lambda: TimeInterval(JAN, JUL), lambda: TimeInterval(JAN, JAN)),
     "Fact": (_fact, lambda: _fact("Governor")),
     "FactGroup": (_group, lambda: _group("Governor")),
     "Question": (_question, lambda: _question("l2-train-Q1-P39-1")),
@@ -62,7 +61,7 @@ def test_time_points_sort_chronologically():
 
 
 @pytest.mark.parametrize("name, field", [
-    ("TimePoint", "year"), ("Offset", "years"), ("TimeInterval", "end"), ("Fact", "object"),
+    ("TimePoint", "year"), ("Offset", "years"), ("Fact", "object"),
     ("Question", "answers"), ("Prediction", "prediction"), ("RewardRecord", "reward"),
     ("AnnotatedDocument", "text"),
 ])
@@ -73,12 +72,10 @@ def test_fields_cannot_be_assigned(name, field):
 
 
 def test_repr_shows_every_field():
-    interval = "TimeInterval(start=TimePoint(year=2019, month=1), end=TimePoint(year=2019, month=7))"
     fact = ("Fact(subject='Aiko', subject_id='Q1', relation='P39', object='Mayor', object_id='Q9', "
-            f"interval={interval})")
+            "start=24228, end=24234)")
     assert repr(JUL) == "TimePoint(year=2019, month=7)" and str(JUL) == "Jul 2019"
     assert repr(Offset(1, 0, "after")) == "Offset(years=1, months=0, direction='after')"
-    assert repr(TimeInterval(JAN, JUL)) == interval
     assert repr(_fact()) == fact
     assert repr(_group()) == f"FactGroup(subject='Aiko', subject_id='Q1', relation='P39', facts=({fact},))"
     assert repr(_question()) == (
@@ -92,13 +89,12 @@ def test_repr_shows_every_field():
     (lambda: TimePoint(2019, 13), ValueError, "month must be in 1..12, got 13"),
     (lambda: TimePoint(2019, 0), ValueError, "month must be in 1..12, got 0"),
     (lambda: TimePoint(0, 5), TimeRangeError, "year 0 is before the minimum supported year 1"),
-    (lambda: TimeInterval(JUL, JAN), ValueError, "interval start Jul 2019 is after end Jan 2019"),
     (lambda: Offset(0, 0, "after"), ValueError, "offset must move by at least one month"),
     (lambda: Offset(-1, 2, "after"), ValueError, "offset years and months must be non-negative"),
     (lambda: Offset(1, 0, "sideways"), ValueError, "direction must be 'before' or 'after', got 'sideways'"),
     (lambda: AnnotatedDocument("d1", "Osaka", ((0, 9, "entity"),)), ValueError,
      "document 'd1': span (0, 9) out of bounds"),
-], ids=["month-13", "month-0", "year-0", "interval-backwards", "zero-offset", "negative-offset",
+], ids=["month-13", "month-0", "year-0", "zero-offset", "negative-offset",
         "bad-direction", "span-out-of-bounds"])
 def test_invalid_values_raise_the_same_errors(build, error, message):
     with pytest.raises(ValueError) as info:

@@ -8,6 +8,7 @@ from chronoqa import Prediction, TimePoint, build_groups, ingest, scoring, timel
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
 from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3
 from chronoqa.scoring import evaluate, reward_records
+from chronoqa.timeline import time_from_month_index
 
 from conftest import l2_question_at, make_group, synth_rows
 
@@ -36,7 +37,7 @@ def test_gen_l2_normalizes_each_object_once(normalize_calls):
     assert len(normalize_calls) == len(group.facts)  # ingest checks each object; grouping normalizes nothing
     normalize_calls.clear()
     questions = gen_l2(group, seed=1) + gen_l2(group, seed=2) + gen_l3(group)
-    questions += [l2_question_at(group, fact.interval.start) for fact in group.facts]
+    questions += [l2_question_at(group, time_from_month_index(fact.start)) for fact in group.facts]
     assert len(questions) > 3 * len(group.facts)
     assert len(normalize_calls) == len(group.facts)
 
@@ -46,8 +47,8 @@ def test_solver_normalizes_group_objects_once(normalize_calls):
     normalize_calls.clear()  # ingest's checks
     n = len(group.facts)
     for fact in group.facts:
-        for month in (fact.interval.start, fact.interval.end):
-            solve_l2(group, month)
+        for month in (fact.start, fact.end):
+            solve_l2(group, time_from_month_index(month))
     assert len(normalize_calls) == n
     pivots = 0
     for fact in group.facts:
