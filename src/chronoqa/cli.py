@@ -66,9 +66,9 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _parse_point(text: str) -> TimePoint:
+def _parse_point(text: str, bare_year_month: int = 1) -> TimePoint:
     from .timeline import parse_time
-    return parse_time(text.strip())
+    return parse_time(text.strip(), bare_year_month)
 
 
 def _parse_count(text: str) -> int:

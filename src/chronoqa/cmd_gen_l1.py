@@ -7,7 +7,10 @@ def _parse_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"range must look like 'Jan 1000:Dec 2022', got {text!r}")
-    return _parse_point(parts[0]), _parse_point(parts[1])
+    start, end = _parse_point(parts[0]), _parse_point(parts[1], 12)  # a bare-year end is its December
+    if end < start:
+        raise ValueError(f"range ends before it starts, got {text!r}")
+    return start, end
 
 
 FLAGS = [

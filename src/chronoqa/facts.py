@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .jsonl import Columns, load_cached
 from .scoring import _Memo, normalized_key
 from .templates import load_templates
-from .timeline import (DEFAULT_SNAPSHOT, MIN_YEAR, TimePoint, format_time, month_index, parse_time_cached,
-                       time_from_month_index)
+from .timeline import DEFAULT_SNAPSHOT, MIN_YEAR, TimePoint, format_month, month_index, parse_month
 
 MAX_SUBJECTS_PER_RELATION = 2000
 MIN_FACTS_PER_GROUP = 3
@@ -105,8 +104,7 @@ class FactGroup:
         use, so a group's months are formatted once however many prompts
         show it."""
         if self._lines is None:
-            self._lines = tuple(f"{obj} from {format_time(time_from_month_index(start))} to "
-                                f"{format_time(time_from_month_index(end))}."
+            self._lines = tuple(f"{obj} from {format_month(start)} to {format_month(end)}."
                                 for _, _, _, obj, _, start, end in self.facts)
         return self._lines
 
@@ -136,14 +134,14 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: int,
         raise ValueError(f"unsupported relation {relation!r}")
     if not object_keys[obj]:  # a gold or negative that an empty prediction would match
         raise ValueError("object has no scoring tokens")
-    start = month_index(parse_time_cached(start_text, 1))
+    start = parse_month(start_text, 1)
     raw_end = row.get("end")
     if raw_end is None:
         end = snapshot
         if end < start:
             raise ValueError(f"ongoing fact starts {start_text!r}, after the snapshot month")
     elif isinstance(raw_end, str) and raw_end.strip():
-        end = month_index(parse_time_cached(raw_end, 12))
+        end = parse_month(raw_end, 12)
         if end < start:
             raise ValueError(f"start {start_text!r} is after end {raw_end!r}")
     else:
@@ -238,7 +236,7 @@ def _ingest_report(report: dict) -> bool:
 # The fact-file codec of the input cache (jsonl.load_cached): Fact's fields
 # are its columns, and the header's meta is ingest's report. Raise the number
 # whenever ingest's rules or messages, Fact's fields, or the checks change.
-FACT_COLUMNS = Columns("facts 3", lambda facts: [*zip(*facts)], _facts, _ingest_report)
+FACT_COLUMNS = Columns("facts 3", _facts, _ingest_report)
 
 
 def build_groups(store: FactStore, seed: int = 0, *,

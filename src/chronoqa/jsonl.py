@@ -230,7 +230,7 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
             meta, items = result
             out.write(_cache_dumps({"key": digest.hexdigest(), "meta": meta, "records": len(items)}) + "\n")
             for start in range(0, len(items), _BLOCK_LINES):
-                out.write(_cache_dumps(codec.columns(items[start:start + _BLOCK_LINES])) + "\n")
+                out.write(_cache_dumps([*zip(*items[start:start + _BLOCK_LINES])]) + "\n")
     except OSError:
         pass
     return result
@@ -261,16 +261,14 @@ class Columns(NamedTuple):
     """A record type's codec for the input cache of a JSONL file of its
     records, one layout for every type: ASCII JSON lines, a header
     ``{"key", "meta", "records"}`` and then blocks of up to 1,024 records,
-    each block one array of columns.
+    each block one array of columns: the records' fields, transposed.
 
-    ``columns`` gives a block of records as its columns in field order, as
-    JSON values; ``build`` gives the block back from its columns, or None
-    (or raises) unless every column has the types ``parse`` accepts;
-    ``meta``, likewise, whether the header's ``meta`` has the shape the
-    decode gives (by default, a file's ``_meta`` header or None)."""
+    ``build`` gives a block back from its columns, or None (or raises)
+    unless every column has the types ``parse`` accepts; ``meta``,
+    likewise, whether the header's ``meta`` has the shape the decode gives
+    (by default, a file's ``_meta`` header or None)."""
 
     name: str  # the record type and its cache format: first in the key's salt
-    columns: Callable[[list], list]
     build: Callable[[list], list | None]
     meta: Callable[[object], bool] = _file_meta
 

@@ -188,7 +188,7 @@ def evaluate(questions: Sequence[Question], predictions: Iterable[Prediction], *
         f1 = 1.0 if em else max(_token_f1(pred_tokens, gold) for gold in gold_tokens)
         numeric, period = None, "undated"
         if t_ref is not None:
-            ref_year, _ = t_ref
+            ref_year = t_ref // 12
             period = periods[ref_year]
             gold_year = golds[0].strip()
             if len(golds) == 1 and is_year_text(gold_year) and int(gold_year) != ref_year:

@@ -15,13 +15,13 @@ from .timeline import (
     AFTER,
     BEFORE,
     MIN_YEAR,
-    MONTH_ABBREVS,
     TimePoint,
     TimeParseError,
     TimeRangeError,
+    format_month,
     is_year_text,
     month_index,
-    parse_time_cached,
+    parse_month,
 )
 
 if TYPE_CHECKING:
@@ -53,7 +53,7 @@ class OracleAnswer(NamedTuple):
 def solve_l1(question: Question, templates: TemplateTable | None = None) -> OracleAnswer:
     """Answer a relative-time question from its surface form.
 
-    The answer is the reference month's index, ``12 * year + month - 1``,
+    The answer is the reference month's :func:`timeline.month_index`,
     moved by the offset. A zero offset and an answer before year 1 are
     errors."""
     templates = templates or load_templates()
@@ -69,32 +69,30 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
             if granularity == "year":
                 if not is_year_text(t_text):
                     raise OracleError(f"expected a bare year, got {t_text!r}")
-                year, month = TimePoint(int(t_text), 1)
+                index = month_index(TimePoint(int(t_text), 1))
             else:
                 if len(t_text.split()) != 2:
                     raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
-                year, month = parse_time_cached(t_text, 1)
+                index = parse_month(t_text, 1)
             shifted = 12 * years + months
             if not shifted:
                 raise ValueError("offset must move by at least one month")
-            index = 12 * year + month - 1
             index = index - shifted if direction == BEFORE else index + shifted
             if index < 12 * MIN_YEAR:
                 raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
         except (TimeParseError, TimeRangeError, ValueError) as exc:
             raise OracleError(f"malformed question {question.id!r}: {exc}") from exc
-        year, month0 = divmod(index, 12)
-        return OracleAnswer((str(year) if granularity == "year" else f"{MONTH_ABBREVS[month0]} {year}",))
+        return OracleAnswer((str(index // 12) if granularity == "year" else format_month(index),))
     raise OracleError(f"question {question.id!r} matches no relative-time template: {question.question!r}")
 
 
-def solve_l2(group: FactGroup, t_r: TimePoint) -> OracleAnswer:
-    """All objects valid at the reference month, ordered by start month.
+def solve_l2(group: FactGroup, t_index: int) -> OracleAnswer:
+    """All objects valid at the reference month, month index ``t_index``,
+    ordered by start month.
 
     The result does not depend on the order the group's facts arrive in:
     a :class:`FactGroup` sorts them on construction.
     """
-    t_index = month_index(t_r)
     answers: list[str] = []
     seen: set[str] = set()
     for (_, _, _, obj, _, start, end), key in zip(group.facts, group.keys):

@@ -24,13 +24,12 @@ from .timeline import (
     BEFORE,
     DIRECTIONS,
     MIN_YEAR,
-    MONTH_ABBREVS,
     TimePoint,
     _shuffle,
     below,
+    format_month,
     format_time,
     month_index,
-    time_from_month_index,
 )
 
 if TYPE_CHECKING:
@@ -68,19 +67,10 @@ def _l1_renderer(templates: TemplateTable, split: str):
 
     Times are month indices. Each (template, direction, x, y) is rendered
     once, up to its ``<t>`` (which a loaded template holds exactly once);
-    every question then only fills in its reference time. Each reference
-    month is rendered once too, as (time point, year text, "Mon YYYY" text);
-    an answer month not among them is formatted directly, not memoized: in a
-    wide range most answer months never come again.
+    every question then only fills in its reference time.
     """
     texts: dict[tuple, tuple[str, str, str]] = {}
-    months: dict[int, tuple[TimePoint, str, str]] = {}
     prefix = f"l1-{split}-"  # ids are prefix + str(n).zfill(6): f"{n:06d}"'s text, built for less
-
-    def month(index: int) -> tuple[TimePoint, str, str]:
-        year, month0 = divmod(index, 12)
-        months[index] = entry = (TimePoint(year, month0 + 1), str(year), f"{MONTH_ABBREVS[month0]} {year}")
-        return entry
 
     def render(family: tuple, direction: str, t_index: int, x: int, y: int, sequence: int) -> Question | None:
         shifted = 12 * x + y
@@ -93,18 +83,13 @@ def _l1_renderer(templates: TemplateTable, split: str):
         if parts is None:
             head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
             parts = texts[key] = (f"{template_id}_{direction}", head, tail)
-        t_ref, t_year, t_month = months.get(t_index) or month(t_index)
         template_direction_id, head, tail = parts
-        known = months.get(answer_index)
         if by_year:
-            text, answer = head + t_year + tail, known[1] if known else str(answer_index // 12)
-        elif known:
-            text, answer = head + t_month + tail, known[2]
+            text, answer = head + str(t_index // 12) + tail, str(answer_index // 12)
         else:
-            answer_year, answer_month0 = divmod(answer_index, 12)
-            text, answer = head + t_month + tail, f"{MONTH_ABBREVS[answer_month0]} {answer_year}"
+            text, answer = head + format_month(t_index) + tail, format_month(answer_index)
         return tuple.__new__(Question, (prefix + str(sequence).zfill(6), "L1", None, None, None,
-                                        template_direction_id, text, (answer,), (), t_ref, None, split))
+                                        template_direction_id, text, (answer,), (), t_index, None, split))
 
     return render
 
@@ -243,9 +228,9 @@ def _l2_builder(group: FactGroup, split: str, templates: TemplateTable):
     def build(t_index: int, primary: str, primary_key: str, question_id: str) -> Question:
         valid, negatives = _objects_at(rows, t_index)
         answers = [primary] + [obj for obj, key in valid if key != primary_key]
-        t_r = time_from_month_index(t_index)
         return Question(question_id, "L2", relation, subject, subject_id, template_id,
-                        text.replace("<t>", format_time(t_r)), tuple(answers), tuple(negatives), t_r, None, split)
+                        text.replace("<t>", format_month(t_index)), tuple(answers), tuple(negatives), t_index, None,
+                        split)
 
     return rows, build
 

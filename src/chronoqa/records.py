@@ -8,7 +8,7 @@ from itertools import chain, repeat
 from typing import Mapping, NamedTuple
 
 from .jsonl import Columns, quote
-from .timeline import TimePoint, format_time, parse_time_cached, time_from_month_index
+from .timeline import MIN_YEAR, format_month, parse_month
 
 LEVELS = ("L1", "L2", "L3")
 _TEXT_OR_NULL = (str, type(None))
@@ -22,6 +22,7 @@ class Question(NamedTuple):
     ``answers`` holds every currently correct object (the primary gold
     first); ``negatives`` holds the temporally wrong objects of the same
     group. The two sets are disjoint under scoring normalization.
+    ``t_ref``, the reference month, is a :func:`timeline.month_index`.
     """
 
     id: str
@@ -33,7 +34,7 @@ class Question(NamedTuple):
     question: str
     answers: tuple[str, ...]
     negatives: tuple[str, ...]
-    t_ref: TimePoint | None
+    t_ref: int | None
     neighbor_object: str | None
     split: str
 
@@ -51,7 +52,7 @@ class Question(NamedTuple):
             "question": question,
             "answers": list(answers),
             "negatives": list(negatives),
-            "t_ref": format_time(t_ref) if t_ref else None,
+            "t_ref": None if t_ref is None else format_month(t_ref),
             "neighbor_object": neighbor_object,
             "split": split,
         }
@@ -86,7 +87,7 @@ class Question(NamedTuple):
         # tuple.__new__: Question's generated __new__ only packs the fields, in one more call per record.
         return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
                                    tuple(answers), tuple(negatives),
-                                   None if t_ref is None else parse_time_cached(t_ref, 1), neighbor_object, split))
+                                   None if t_ref is None else parse_month(t_ref, 1), neighbor_object, split))
 
 
 def record_line(record: dict) -> str:
@@ -104,29 +105,21 @@ def record_line(record: dict) -> str:
             f'"t_ref": {"null" if t_ref is None else quote(t_ref)}, "template_id": {quote(record["template_id"])}}}')
 
 
-def _question_columns(questions: list[Question]) -> list:
-    """A block of questions as columns in field order, months as month indices."""
-    columns = [*zip(*questions)]
-    columns[9] = [t_ref and t_ref[0] * 12 + t_ref[1] - 1 for t_ref in columns[9]]  # timeline.month_index
-    return columns
-
-
 def _questions(columns: list[list]) -> list[Question] | None:
     """A cached block's questions, if every column has the types
-    ``Question.from_record`` accepts."""
+    ``Question.from_record`` accepts and every month is of year 1 on."""
     (ids, levels, relations, subjects, subject_ids, template_ids, texts, answers, negatives, t_refs, neighbors,
      splits) = columns
     # raises TypeError, a miss, unless every item is a str
     "".join(chain(ids, template_ids, texts, splits, chain.from_iterable(chain(answers, negatives))))
     if (not {*levels} <= _LEVEL_SET or {*map(type, chain(answers, negatives))} - {list} or not all(answers)
             or {*map(type, chain(relations, subjects, subject_ids, neighbors))} - _TEXT_OR_NULL_SET
-            or {*map(type, t_refs)} - _MONTH_OR_NULL):
+            or {*map(type, t_refs)} - _MONTH_OR_NULL
+            or min({*t_refs} - {None}, default=12 * MIN_YEAR) < 12 * MIN_YEAR):
         return None
-    months = {index: time_from_month_index(index) for index in {*t_refs} - {None}}  # validating
-    months[None] = None
     return list(map(tuple.__new__, repeat(Question),
                     zip(ids, levels, relations, subjects, subject_ids, template_ids, texts, map(tuple, answers),
-                        map(tuple, negatives), map(months.__getitem__, t_refs), neighbors, splits, strict=True)))
+                        map(tuple, negatives), t_refs, neighbors, splits, strict=True)))
 
 
 _LEVEL_SET = frozenset(LEVELS)
@@ -134,7 +127,7 @@ _TEXT_OR_NULL_SET = frozenset(_TEXT_OR_NULL)
 _MONTH_OR_NULL = frozenset((int, type(None)))
 # The question codec of the input cache (jsonl.load_cached). Raise the
 # number whenever the columns or their checks change.
-QUESTION_COLUMNS = Columns("questions 1", _question_columns, _questions)
+QUESTION_COLUMNS = Columns("questions 1", _questions)
 
 
 def _all_strings(items: list) -> bool:

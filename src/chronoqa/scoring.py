@@ -64,7 +64,7 @@ def _predictions(columns: list[list]) -> list[Prediction]:
 
 # The prediction codec of the input cache (jsonl.load_cached). Raise the
 # number whenever the columns or their checks change.
-PREDICTION_COLUMNS = Columns("predictions 1", lambda predictions: [*zip(*predictions)], _predictions)
+PREDICTION_COLUMNS = Columns("predictions 1", _predictions)
 
 
 def prediction_line(prediction: Prediction) -> str:

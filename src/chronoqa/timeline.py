@@ -1,9 +1,12 @@
 """Month-granularity calendar arithmetic.
 
 Everything in this toolkit that touches time goes through this module. A
-calendar month is a :class:`TimePoint`, or its integer :func:`month_index`
-where months are compared or counted: a fact's validity range, L1 draws.
-Months are the finest unit; there is no day or timezone handling.
+calendar month is held in every record (a fact's validity range, a
+question's reference month, L1 draws, the input caches) as its integer
+:func:`month_index`. A :class:`TimePoint` is what :func:`parse_time` gives
+and the public value type for a month given by hand (``--range``,
+``--snapshot``). Months are the finest unit; there is no day or timezone
+handling.
 
 The canonical textual form is ``"Jul 2019"`` (3-letter English month
 abbreviation, year without leading zeros). A bare ``"2019"`` is accepted on
@@ -78,16 +81,6 @@ def month_index(t: TimePoint) -> int:
     return t.year * 12 + (t.month - 1)
 
 
-@lru_cache(maxsize=1 << 14)
-def time_from_month_index(index: int) -> TimePoint:
-    """The month ``index`` months after Jan of year 0; a TimeRangeError before
-    year 1. Each result is remembered, as :func:`parse_time_cached` does."""
-    year, month0 = divmod(index, 12)
-    if year < MIN_YEAR:
-        raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
-    return tuple.__new__(TimePoint, (year, month0 + 1))  # the month is in 1..12 by construction
-
-
 def compare(a: TimePoint, b: TimePoint) -> str:
     """Chronological order of two points: 'before', 'same', or 'after'."""
     if a < b:
@@ -125,21 +118,29 @@ def parse_time(text: str, bare_year_month: int = 1) -> TimePoint:
 
 
 @lru_cache(maxsize=1 << 14)
-def parse_time_cached(text: str, bare_year_month: int) -> TimePoint:
-    """:func:`parse_time`, remembering each successful result by ``(text,
-    bare_year_month)`` for the life of the process.
+def parse_month(text: str, bare_year_month: int) -> int:
+    """The :func:`month_index` of :func:`parse_time`'s result, remembering
+    each successful result by ``(text, bare_year_month)`` for the life of
+    the process.
 
     A fact file or a question file repeats a few thousand distinct time texts
-    many times over. Results are immutable, so every caller may share them,
-    and the memo is bounded. Failures are not remembered, so a bad text
-    raises the same error every time it is read. Pass both arguments by
-    position: the memo keys on the arguments as passed."""
-    return parse_time(text, bare_year_month)
+    many times over, and the memo is bounded. Failures are not remembered,
+    so a bad text raises the same error every time it is read. Pass both
+    arguments by position: the memo keys on the arguments as passed."""
+    return month_index(parse_time(text, bare_year_month))
 
 
 def format_time(t: TimePoint) -> str:
     """Canonical textual form, e.g. ``"Jul 2019"``."""
     return f"{MONTH_ABBREVS[t.month - 1]} {t.year}"
+
+
+@lru_cache(maxsize=1 << 15)  # every month from year 1 to 2730, so an L1 range from year 1 stays in it
+def format_month(index: int) -> str:
+    """The canonical textual form of the month with :func:`month_index`
+    ``index``, remembered as :func:`parse_month` remembers its results."""
+    year, month0 = divmod(index, 12)
+    return f"{MONTH_ABBREVS[month0]} {year}"
 
 
 # Seeded draws. Generated files depend on every draw, so these make exactly the

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import pytest
 
 from chronoqa import TimePoint, build_groups, ingest, load_templates
-from chronoqa.timeline import format_time, month_index, time_from_month_index
+from chronoqa.timeline import MIN_YEAR, TimeRangeError, format_time, month_index
 
 # Every character class the escaper treats differently: quote, backslash,
 # the C0 controls, DEL, the JavaScript line separators, non-ASCII, astral,
@@ -88,6 +88,15 @@ def _offset(cls, years: int, months: int, direction: str) -> Offset:
 
 
 Offset.__new__ = _offset
+
+
+def time_from_month_index(index: int) -> TimePoint:
+    """The month ``index`` months after Jan of year 0, the inverse of
+    ``timeline.month_index``; a TimeRangeError before year 1."""
+    year, month0 = divmod(index, 12)
+    if year < MIN_YEAR:
+        raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
+    return TimePoint(year, month0 + 1)
 
 
 def shift(t: TimePoint, offset: Offset) -> TimePoint:

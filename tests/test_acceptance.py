@@ -46,6 +46,7 @@ from chronoqa import (
 from chronoqa.cli import main
 from chronoqa.facts import group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
+from chronoqa.timeline import month_index
 
 from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, random_doc, synth_rows, write_facts
 
@@ -280,7 +281,7 @@ def test_criterion_8_intra_year_fixture():
         failures.append(f"gold is {question.answers[0]!r}")
     if "Mayor of Osaka" not in question.negatives:
         failures.append("negatives do not contain the intra-year distractor")
-    solver_answer = solve_l2(group, t_ref)
+    solver_answer = solve_l2(group, month_index(t_ref))
     if solver_answer.answers != ("Governor of Osaka Prefecture",):
         failures.append(f"solver answered {solver_answer.answers!r}")
     record = reward("Mayor of Osaka", question.answers[0], list(question.negatives))

@@ -10,7 +10,7 @@ from chronoqa.facts import build_groups, group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
 from chronoqa.templates import load_templates
 
-from conftest import YOSHIMURA_ROWS, synth_rows, write_facts
+from conftest import MONTHS, YOSHIMURA_ROWS, synth_rows, write_facts
 
 
 def run(*argv) -> int:
@@ -77,6 +77,7 @@ class TestExitCodes:
         ["gen-l1", "--count", "-10"],
         ["gen-l1", "--count", "10", "--range", "Foo 1000:Dec 2022"],
         ["gen-l1", "--count", "10", "--range", "Jan 1000"],
+        ["gen-l1", "--count", "10", "--range", "Dec 2022:Jan 1000"],
         ["gen-l2", "--facts", "absent.jsonl", "--max-subjects", "-1"],
         ["gen-l3", "--facts", "absent.jsonl", "--min-facts", "-1"],
         ["gen-l2", "--facts", "absent.jsonl", "--split-counts", "train:3,train:4"],
@@ -94,6 +95,7 @@ class TestExitCodes:
         ["eval", "--questions", "absent.jsonl", "--predictions", "absent.jsonl", "--period-edges", "2000,1990"],
         ["eval", "--questions", "absent.jsonl", "--predictions", "absent.jsonl", "--period-edges", "1900,abc"],
     ], ids=["negative-dev-count", "negative-test-count", "negative-count", "unparseable-range", "one-ended-range",
+            "inverted-range",
             "negative-max-subjects", "negative-min-facts", "repeated-split", "negative-split", "non-numeric-split",
             "ratios-above-one", "nan-ratio", "unparseable-snapshot", "both-split-specs", "unknown-setting",
             "reasonqa-without-facts", "zero-mask-ratio", "sentinel-without-k", "split-without-count",
@@ -180,6 +182,13 @@ class TestGenL1Cli:
         a = (tmp_path / "a" / "l1_train.jsonl").read_bytes()
         b = (tmp_path / "b" / "l1_train.jsonl").read_bytes()
         assert a == b
+
+    def test_a_bare_year_range_end_is_its_december(self, tmp_path):
+        # month templates draw every month of the years that year templates draw
+        assert run("gen-l1", "--out-dir", str(tmp_path), "--count", "300", "--range", "2000:2001") == 0
+        _, records = read_jsonl(str(tmp_path / "l1_train.jsonl"))
+        months = {r["t_ref"] for r in records if not r["template_id"].startswith("l1_year")}
+        assert months == {f"{month} {year}" for month in MONTHS for year in (2000, 2001)}
 
     def test_future_set(self, tmp_path):
         assert run("gen-l1-future", "--out-dir", str(tmp_path), "--count", "40", "--seed", "1") == 0

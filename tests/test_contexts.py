@@ -10,9 +10,9 @@ from chronoqa.cli import main
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimePoint, format_time, time_from_month_index
+from chronoqa.timeline import TimePoint, format_time
 
-from conftest import YOSHIMURA_ROWS, l2_question_at, make_group, random_doc, synth_rows
+from conftest import YOSHIMURA_ROWS, l2_question_at, make_group, random_doc, synth_rows, time_from_month_index
 
 
 class TestRender:

@@ -9,9 +9,9 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
 from chronoqa.facts import Fact, FactGroup, group_stats
 from chronoqa.scoring import normalized_key
-from chronoqa.timeline import parse_time, time_from_month_index
+from chronoqa.timeline import parse_time
 
-from conftest import fact_sort_key, make_group, month_text, synth_rows
+from conftest import fact_sort_key, make_group, month_text, synth_rows, time_from_month_index
 
 MESSI_ROW = {
     "subject": "Lionel Messi", "subject_id": "QM1", "relation": "P54",

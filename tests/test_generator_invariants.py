@@ -17,9 +17,9 @@ import pytest
 
 from chronoqa.cli import main
 from chronoqa.scoring import normalized_key
-from chronoqa.timeline import format_time, time_from_month_index
+from chronoqa.timeline import format_time
 
-from conftest import synth_rows, write_facts
+from conftest import synth_rows, time_from_month_index, write_facts
 
 # Objects that collide under normalize, repeat, or have no scoring tokens.
 EDGE_OBJECTS = ["Mayor", "mayor.", "MAYOR", "Governor", "the Governor", "Senator", "...", "The", "a"]

@@ -10,10 +10,9 @@ from chronoqa.facts import FactGroup
 from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
 from chronoqa.templates import load_templates
-from chronoqa.timeline import (TimeParseError, TimeRangeError, format_time, is_year_text, parse_time,
-                               time_from_month_index)
+from chronoqa.timeline import TimeParseError, TimeRangeError, format_time, is_year_text, month_index, parse_time
 
-from conftest import Offset, fact_sort_key, make_group, shift, synth_rows
+from conftest import Offset, fact_sort_key, make_group, shift, synth_rows, time_from_month_index
 
 
 def l1_question(text: str, template_id: str = "") -> Question:
@@ -137,10 +136,10 @@ class TestSolveL1AgainstShift:
 
 class TestSolveL2:
     def test_yoshimura_reference_month(self, yoshimura_group, jul_2019):
-        assert solve_l2(yoshimura_group, jul_2019).answers == ("Governor of Osaka Prefecture",)
+        assert solve_l2(yoshimura_group, month_index(jul_2019)).answers == ("Governor of Osaka Prefecture",)
 
     def test_before_earliest_fact_is_no_valid_answer(self, yoshimura_group):
-        answer = solve_l2(yoshimura_group, TimePoint(1990, 1))
+        answer = solve_l2(yoshimura_group, month_index(TimePoint(1990, 1)))
         assert answer.answers == ()
         assert answer.no_valid_answer
 
@@ -152,7 +151,7 @@ class TestSolveL2:
     ], ids=["month-before-first", "first-month", "last-month", "month-after-last"])
     def test_a_fact_holds_from_its_first_through_its_last_month(self, yoshimura_group, month, answers):
         # Mayor of Osaka holds Dec 2015 through Mar 2019; nothing holds in Nov 2015
-        assert solve_l2(yoshimura_group, month).answers == answers
+        assert solve_l2(yoshimura_group, month_index(month)).answers == answers
 
     def test_matches_brute_force_scan(self):
         rng = random.Random(55)
@@ -168,17 +167,17 @@ class TestSolveL2:
             for start, end, obj in spans:
                 if start <= t_r <= end and obj not in expected:
                     expected.append(obj)
-            assert list(solve_l2(group, t_r).answers) == expected
+            assert list(solve_l2(group, month_index(t_r)).answers) == expected
 
     def test_permutation_invariant(self, jul_2019):
         group = make_group(synth_rows(1, facts_per_subject=(6, 6), seed=91, allow_overlap=True))
-        t_r = time_from_month_index(group.facts[2].start)
-        baseline = solve_l2(group, t_r)
+        t_index = group.facts[2].start
+        baseline = solve_l2(group, t_index)
         for seed in range(5):
             facts = list(group.facts)
             random.Random(seed).shuffle(facts)
             shuffled = FactGroup(group.subject, group.subject_id, group.relation, tuple(facts))
-            assert solve_l2(shuffled, t_r).answers == baseline.answers
+            assert solve_l2(shuffled, t_index).answers == baseline.answers
 
 
 class TestSolveL3:

@@ -15,9 +15,10 @@ from chronoqa.jsonl import load_jsonl
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 from chronoqa.records import QUESTION_COLUMNS
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimeParseError, format_time, time_from_month_index
+from chronoqa.timeline import TimeParseError, month_index
 
-from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, synth_rows
+from conftest import (YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, month_text, synth_rows,
+                      time_from_month_index)
 
 
 class TestGenL1:
@@ -179,7 +180,7 @@ class TestGenL1Future:
         assert len(questions) == 400
         for q in questions:
             assert q.split == "future"
-            assert 2022 <= q.t_ref.year <= 2040
+            assert type(q.t_ref) is int and 2022 <= q.t_ref // 12 <= 2040
 
     def test_disjoint_from_in_domain_ids(self):
         future = {q.id for q in gen_l1_future(200, seed=6)}
@@ -247,7 +248,7 @@ class TestGenL2:
         assert q.question == "Which position did Hirofumi Yoshimura hold in Jul 2019?"
         assert q.answers == ("Governor of Osaka Prefecture",)
         assert set(q.negatives) == {"Member of the House of Representatives of Japan", "Mayor of Osaka"}
-        assert q.t_ref == jul_2019
+        assert q.t_ref == month_index(jul_2019)
 
     def test_start_month_is_inclusive(self, yoshimura_group):
         q = l2_question_at(yoshimura_group, TimePoint(2019, 4))
@@ -273,7 +274,8 @@ class TestGenL2:
             group = make_group(synth_rows(1, facts_per_subject=(3, 8), seed=100 + seed,
                                           allow_overlap=True))
             for q in gen_l2(group, seed=9):
-                valid = scan_valid(group, q.t_ref)
+                assert type(q.t_ref) is int
+                valid = scan_valid(group, time_from_month_index(q.t_ref))
                 assert set(q.answers) == set(valid)
                 assert q.answers[0] in valid
                 for negative in q.negatives:
@@ -310,7 +312,7 @@ class TestGenL3:
         group = make_group(rows)
         templates = load_templates()
         for q in gen_l2(group, seed=3):
-            assert q.question == templates.render_l2(group.relation, group.subject, format_time(q.t_ref))
+            assert q.question == templates.render_l2(group.relation, group.subject, month_text(q.t_ref))
         questions = gen_l3(group)
         assert len(questions) == 8
         for q in questions:

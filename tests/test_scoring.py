@@ -27,7 +27,9 @@ from chronoqa.questions import Question
 from chronoqa.scoring import (EvalReport, MetricBlock, _strip_punctuation, _token_f1, extract_year, period_label,
                               reward_records)
 
-from conftest import ESCAPES, l2_question_at, synth_rows
+from chronoqa.timeline import month_index
+
+from conftest import ESCAPES, l2_question_at, synth_rows, time_from_month_index
 
 # The normalization rule written with a str.translate deletion table; the
 # package must give the same tokens for any text.
@@ -301,8 +303,8 @@ class TestEvaluate:
 
     def test_numeric_metrics_for_year_answers(self):
         questions = [
-            _question("a", ["2009"], t_ref=TimePoint(2010, 1), level="L1"),
-            _question("b", ["1955"], t_ref=TimePoint(1950, 1), level="L1"),
+            _question("a", ["2009"], t_ref=month_index(TimePoint(2010, 1)), level="L1"),
+            _question("b", ["1955"], t_ref=month_index(TimePoint(1950, 1)), level="L1"),
         ]
         predictions = [Prediction("a", "2005"), Prediction("b", "1960")]
         report = evaluate(questions, predictions)
@@ -311,7 +313,7 @@ class TestEvaluate:
         assert report.overall.numeric_count == 2
 
     def test_unparseable_numeric_excluded_from_mae_but_trend_incorrect(self):
-        questions = [_question("a", ["2009"], t_ref=TimePoint(2010, 1), level="L1")]
+        questions = [_question("a", ["2009"], t_ref=month_index(TimePoint(2010, 1)), level="L1")]
         report = evaluate(questions, [Prediction("a", "no idea")])
         assert report.overall.mae is None
         assert report.overall.trend_acc == 0.0
@@ -464,11 +466,12 @@ class TestSinglePassEquivalence:
         for q in questions:
             text = texts.get(q.id, "")
             numeric = None
-            if (q.t_ref is not None and len(q.answers) == 1 and q.answers[0].isdigit()
-                    and int(q.answers[0]) != q.t_ref.year):
-                numeric = score_numeric(text, int(q.answers[0]), q.t_ref.year)
+            t_ref = None if q.t_ref is None else time_from_month_index(q.t_ref)
+            if (t_ref is not None and len(q.answers) == 1 and q.answers[0].isdigit()
+                    and int(q.answers[0]) != t_ref.year):
+                numeric = score_numeric(text, int(q.answers[0]), t_ref.year)
             item = (score_em(text, q.answers), score_f1(text, q.answers), numeric)
-            period = period_label(q.t_ref.year, (1900, 1950, 2000)) if q.t_ref else "undated"
+            period = period_label(t_ref.year, (1900, 1950, 2000)) if t_ref else "undated"
             for bucket in (("overall", ""), ("period", period), ("relation", q.relation or "none")):
                 buckets.setdefault(bucket, []).append(item)
         expected = EvalReport(

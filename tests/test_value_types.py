@@ -22,7 +22,8 @@ def _fact(obj: str = "Mayor") -> Fact:
 
 def _question(question_id: str = "l2-train-Q1-P39-0") -> Question:
     return Question(question_id, "L2", "P39", "Aiko", "Q1", "P39_l2",
-                    "Which position did Aiko hold in Jul 2019?", ("Mayor",), ("Governor",), JUL, None, "train")
+                    "Which position did Aiko hold in Jul 2019?", ("Mayor",), ("Governor",), month_index(JUL), None,
+                    "train")
 
 
 def _group(obj: str = "Mayor") -> FactGroup:
@@ -81,7 +82,7 @@ def test_repr_shows_every_field():
     assert repr(_question()) == (
         "Question(id='l2-train-Q1-P39-0', level='L2', relation='P39', subject='Aiko', subject_id='Q1', "
         "template_id='P39_l2', question='Which position did Aiko hold in Jul 2019?', answers=('Mayor',), "
-        "negatives=('Governor',), t_ref=TimePoint(year=2019, month=7), neighbor_object=None, split='train')")
+        "negatives=('Governor',), t_ref=24234, neighbor_object=None, split='train')")
     assert repr(Prediction("q1", "Mayor")) == "Prediction(id='q1', prediction='Mayor')"
 
 

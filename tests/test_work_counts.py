@@ -8,9 +8,8 @@ from chronoqa import Prediction, TimePoint, build_groups, ingest, scoring, timel
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
 from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3
 from chronoqa.scoring import evaluate, reward_records
-from chronoqa.timeline import time_from_month_index
 
-from conftest import l2_question_at, make_group, synth_rows
+from conftest import l2_question_at, make_group, synth_rows, time_from_month_index
 
 
 @pytest.fixture
@@ -48,7 +47,7 @@ def test_solver_normalizes_group_objects_once(normalize_calls):
     n = len(group.facts)
     for fact in group.facts:
         for month in (fact.start, fact.end):
-            solve_l2(group, time_from_month_index(month))
+            solve_l2(group, month)
     assert len(normalize_calls) == n
     pivots = 0
     for fact in group.facts:
@@ -104,9 +103,9 @@ def parse_calls(monkeypatch):
         return original(text, bare_year_month)
 
     monkeypatch.setattr(timeline, "parse_time", counting)
-    timeline.parse_time_cached.cache_clear()
+    timeline.parse_month.cache_clear()
     yield calls
-    timeline.parse_time_cached.cache_clear()
+    timeline.parse_month.cache_clear()
 
 
 def test_ingest_parses_each_distinct_time_text_once(parse_calls):
