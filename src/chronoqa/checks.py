@@ -12,7 +12,7 @@ def checked_templates(raw: str, path: str) -> dict:
     """The decoded template file, once every check passes."""
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an over-long integer or too deep a nest is invalid too
         raise TemplateError(f"template file {path} is not valid JSON: {exc}") from exc
     if not (isinstance(data, dict) and isinstance(data.get("l1"), list) and isinstance(data.get("relations"), dict)):
         raise TemplateError(f"template file {path}: the top level must be an object with an 'l1' list "

@@ -38,7 +38,6 @@ except ImportError:
 
 if TYPE_CHECKING:
     from .facts import FactGroup
-    from .timeline import TimePoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,9 +65,9 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _parse_point(text: str, bare_year_month: int = 1) -> TimePoint:
-    from .timeline import parse_time
-    return parse_time(text.strip(), bare_year_month)
+def _parse_month(text: str, bare_year_month: int = 1) -> int:
+    from .timeline import parse_month
+    return parse_month(text.strip(), bare_year_month)
 
 
 def _parse_count(text: str) -> int:
@@ -111,7 +110,7 @@ def _load_groups(args, templates, max_subjects: int = 1 << 60, min_facts: int = 
     """The fact file's groups. The defaults keep every group: solving and
     rendering must see every group a question may reference."""
     from .facts import build_groups, load_fact_file
-    store = load_fact_file(args.facts, snapshot=_parse_point(args.snapshot),
+    store = load_fact_file(args.facts, snapshot=_parse_month(args.snapshot),
                            relation_codes=templates.relation_codes, strict=args.strict)
     for diagnostic in store.diagnostics:
         print(f"warning: {args.facts}: {diagnostic}", file=sys.stderr)
@@ -152,10 +151,10 @@ _OUT_DIR = _flag("--out-dir", required=True)
 
 
 def _fact_flags(required: bool = False) -> list:
-    from .timeline import DEFAULT_SNAPSHOT
+    from .timeline import DEFAULT_SNAPSHOT, format_month
     return [
         _flag("--facts", required=required, help="fact file (JSONL quintuplets)"),
-        _flag("--snapshot", type=_flag_type(_parse_point, keep_text=True), default=str(DEFAULT_SNAPSHOT),
+        _flag("--snapshot", type=_flag_type(_parse_month, keep_text=True), default=format_month(DEFAULT_SNAPSHOT),
               help="KB snapshot month closing ongoing facts (default: %(default)s)"),
         _flag("--strict", action="store_true", help="fail on the first malformed fact row"),
     ]

@@ -1,13 +1,13 @@
 """``chronoqa gen-l1``: relative-time questions, split into train, dev and test."""
 
-from .cli import _COUNT, _OUT_DIR, _TEMPLATES, EXIT_OK, _flag, _flag_type, _parse_point, _write_questions
+from .cli import _COUNT, _OUT_DIR, _TEMPLATES, EXIT_OK, _flag, _flag_type, _parse_month, _write_questions
 
 
-def _parse_range(text: str) -> tuple:
+def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"range must look like 'Jan 1000:Dec 2022', got {text!r}")
-    start, end = _parse_point(parts[0]), _parse_point(parts[1], 12)  # a bare-year end is its December
+    start, end = _parse_month(parts[0]), _parse_month(parts[1], 12)  # a bare-year end is its December
     if end < start:
         raise ValueError(f"range ends before it starts, got {text!r}")
     return start, end

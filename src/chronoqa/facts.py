@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .jsonl import Columns, load_cached
 from .scoring import _Memo, normalized_key
 from .templates import load_templates
-from .timeline import DEFAULT_SNAPSHOT, MIN_YEAR, TimePoint, format_month, month_index, parse_month
+from .timeline import DEFAULT_SNAPSHOT, MIN_YEAR, format_month, parse_month
 
 MAX_SUBJECTS_PER_RELATION = 2000
 MIN_FACTS_PER_GROUP = 3
@@ -150,9 +150,9 @@ def _validate_row(row: object, relation_codes: frozenset[str], snapshot: int,
     return tuple.__new__(Fact, (subject, subject_id, relation, obj, object_id, start, end))
 
 
-def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
+def ingest(rows: Iterable, *, snapshot: int = DEFAULT_SNAPSHOT,
            relation_codes: frozenset[str] | None = None) -> FactStore:
-    """Validate quintuplet rows into a store.
+    """Validate quintuplet rows into a store, ending ongoing facts at month index ``snapshot``.
 
     ``rows`` yields dicts, or (line_number, row) pairs from
     :func:`jsonl.read_rows` after its header. Bad rows (a line the reader
@@ -166,11 +166,10 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     seen: set[tuple] = set()
     duplicates = 0
     object_keys = _Memo(normalized_key)  # once per distinct object
-    snapshot_index = month_index(snapshot)
     for position, item in enumerate(rows, start=1):
         line, row = item if isinstance(item, tuple) else (position, item)
         try:
-            fact = _validate_row(row, relation_codes, snapshot_index, object_keys)
+            fact = _validate_row(row, relation_codes, snapshot, object_keys)
         except ValueError as exc:
             diagnostics.append(Diagnostic(line, str(exc)))
             continue
@@ -184,7 +183,7 @@ def ingest(rows: Iterable, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
     return FactStore(tuple(facts), tuple(diagnostics), duplicates)
 
 
-def load_fact_file(path: str, *, snapshot: TimePoint = DEFAULT_SNAPSHOT,
+def load_fact_file(path: str, *, snapshot: int = DEFAULT_SNAPSHOT,
                    relation_codes: frozenset[str] | None = None, strict: bool = False) -> FactStore:
     """Ingest a JSONL fact file, reporting bad lines by number.
 

@@ -115,9 +115,9 @@ def _rows(stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
                 row, end = _decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # an over-long integer or too deep a nest is invalid too
                 detail = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[0] == "\ufeff"
-                          else exc.msg)
+                          else getattr(exc, "msg", exc))
                 row = ValueError(f"invalid JSON: {detail}")
             else:
                 if not isinstance(row, dict):

@@ -15,12 +15,10 @@ from .timeline import (
     AFTER,
     BEFORE,
     MIN_YEAR,
-    TimePoint,
     TimeParseError,
     TimeRangeError,
     format_month,
     is_year_text,
-    month_index,
     parse_month,
 )
 
@@ -66,14 +64,11 @@ def solve_l1(question: Question, templates: TemplateTable | None = None) -> Orac
         months = int(groups["y"]) if "y" in groups else 0
         t_text = groups["t"]
         try:
-            if granularity == "year":
-                if not is_year_text(t_text):
-                    raise OracleError(f"expected a bare year, got {t_text!r}")
-                index = month_index(TimePoint(int(t_text), 1))
-            else:
-                if len(t_text.split()) != 2:
-                    raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
-                index = parse_month(t_text, 1)
+            if granularity == "year" and not is_year_text(t_text):
+                raise OracleError(f"expected a bare year, got {t_text!r}")
+            if granularity != "year" and len(t_text.split()) != 2:
+                raise OracleError(f"expected 'Mon YYYY', got {t_text!r}")
+            index = parse_month(t_text, 1)
             shifted = 12 * years + months
             if not shifted:
                 raise ValueError("offset must move by at least one month")

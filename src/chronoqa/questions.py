@@ -24,19 +24,17 @@ from .timeline import (
     BEFORE,
     DIRECTIONS,
     MIN_YEAR,
-    TimePoint,
+    TimeRangeError,
     _shuffle,
     below,
     format_month,
-    format_time,
-    month_index,
 )
 
 if TYPE_CHECKING:
     from .facts import FactGroup
     from .templates import TemplateTable
 
-FUTURE_RANGE = (TimePoint(2022, 1), TimePoint(2040, 12))
+FUTURE_RANGE = (12 * 2022, 12 * 2040 + 11)  # Jan 2022 to Dec 2040, as month indices
 MAX_YEAR_OFFSET = 10
 MAX_MONTH_OFFSET = 11
 _FIRST_MONTH_INDEX = 12 * MIN_YEAR  # the month index of Jan of year 1
@@ -94,9 +92,9 @@ def _l1_renderer(templates: TemplateTable, split: str):
     return render
 
 
-def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
+def gen_l1(time_range: tuple[int, int], count: int, seed: int, *,
            split: str = "train", templates: TemplateTable | None = None) -> list[Question]:
-    """Generate ``count`` unique relative-time questions.
+    """Generate ``count`` unique relative-time questions in ``time_range``, two month indices.
 
     Uniqueness is over (template, direction, reference time, offset). Year
     templates draw a bare reference year from the range's years; the other
@@ -104,12 +102,13 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     year 1 are never emitted.
     """
     templates = templates or load_templates()
-    start, end = time_range
-    if end < start:
-        raise ValueError(f"empty time range: {format_time(start)}..{format_time(end)}")
-    index_lo, index_hi = month_index(start), month_index(end)
-    months = index_hi - index_lo + 1
-    years = end.year - start.year + 1
+    index_lo, index_hi = time_range
+    if index_lo < _FIRST_MONTH_INDEX:
+        raise TimeRangeError(f"month index {index_lo} falls before year {MIN_YEAR}")
+    if index_hi < index_lo:
+        raise ValueError(f"empty time range: {format_month(index_lo)}..{format_month(index_hi)}")
+    months, year_lo = index_hi - index_lo + 1, index_lo // 12
+    years = index_hi // 12 - year_lo + 1
     families = _l1_families(templates)
     space = _l1_combination_space(families, months, years)
     if count > space:
@@ -118,7 +117,7 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
     rng = random.Random(f"{seed}|l1|{split}")
     render = _l1_renderer(templates, split)
     if count > space // 2:
-        return _gen_l1_enumerated(families, render, rng, index_lo, index_hi, start.year, end.year, count)
+        return _gen_l1_enumerated(families, render, rng, index_lo, index_hi, year_lo, index_hi // 12, count)
 
     # The draws of rng.choice(families), rng.choice(DIRECTIONS), then
     # rng.randint over the years or months, and over each offset used.
@@ -134,7 +133,7 @@ def gen_l1(time_range: tuple[TimePoint, TimePoint], count: int, seed: int, *,
         family = families[below(family_count, getrandbits)]
         _, _, template_id, by_year, uses_years, uses_months = family
         direction = DIRECTIONS[below(direction_count, getrandbits)]
-        t_index = 12 * (start.year + below(years, getrandbits)) if by_year else index_lo + below(months, getrandbits)
+        t_index = 12 * (year_lo + below(years, getrandbits)) if by_year else index_lo + below(months, getrandbits)
         x = 1 + below(MAX_YEAR_OFFSET, getrandbits) if uses_years else 0
         y = 1 + below(MAX_MONTH_OFFSET, getrandbits) if uses_months else 0
         key = (template_id, direction, t_index, x, y)

@@ -1,9 +1,9 @@
 """The temporally-aware reward.
 
-It compares a prediction against the gold and the temporally wrong answers
-from the same fact group: it is the positive score when that is at least
-the best negative score, otherwise minus the best negative score. With
-exact match as the scorer this lands in {-1, 0, +1}.
+It compares a prediction against the golds and the temporally wrong answers
+from the same fact group: it is the best gold score when that is at least
+the best negative score, otherwise minus the best negative score. With exact
+match as the scorer this lands in {-1, 0, +1}, +1 for any gold, as in ``eval``.
 """
 
 from __future__ import annotations
@@ -37,20 +37,20 @@ def reward_line(record: RewardRecord) -> str:
 Scorer = Callable[[str, str], float]
 
 
-def _reward(prediction: str, gold: str, negatives: Sequence[str], scorer: Scorer | None, id: str,
+def _reward(prediction: str, golds: Sequence[str], negatives: Sequence[str], scorer: Scorer | None, id: str,
             key: Callable[[str], str]) -> RewardRecord:
-    gold_key = key(gold)
-    negative_keys = [key(neg) for neg in negatives]
-    if not gold_key or "" in negative_keys:
-        kind, text = ("gold", gold) if not gold_key else ("negative", negatives[negative_keys.index("")])
-        raise ValueError(f"question {id!r}: {kind} {text!r} has no scoring tokens")
-    if gold_key in negative_keys:
-        raise ValueError(f"question {id!r}: gold answer {gold!r} also appears in the negative set")
+    gold_keys, negative_keys = [*map(key, golds)], [*map(key, negatives)]
+    if "" in gold_keys or "" in negative_keys:
+        kind, texts, keys = ("gold", golds, gold_keys) if "" in gold_keys else ("negative", negatives, negative_keys)
+        raise ValueError(f"question {id!r}: {kind} {texts[keys.index('')]!r} has no scoring tokens")
+    for gold, gold_key in zip(golds, gold_keys):
+        if gold_key in negative_keys:
+            raise ValueError(f"question {id!r}: gold answer {gold!r} also appears in the negative set")
     if scorer is None:  # exact match compares normalized keys
         pred_key = key(prediction)
-        p, n = float(pred_key == gold_key), float(pred_key in negative_keys)
+        p, n = float(pred_key in gold_keys), float(pred_key in negative_keys)
     else:
-        p = float(scorer(prediction, gold))
+        p = max(float(scorer(prediction, gold)) for gold in golds)
         n = max((float(scorer(prediction, neg)) for neg in negatives), default=0.0)
     return RewardRecord(id, p, n, p if p >= n else -n)
 
@@ -62,19 +62,19 @@ def reward(prediction: str, gold: str, negatives: Sequence[str],
     and negatives to be disjoint after normalization, and each to have at
     least one scoring token; a breach is a data error, not a scoring outcome.
     """
-    return _reward(prediction, gold, negatives, scorer, id, normalized_key)
+    return _reward(prediction, (gold,), negatives, scorer, id, normalized_key)
 
 
 def reward_records(questions: Sequence[Question], predictions: Iterable[Prediction],
                    scorer: Scorer | None = None) -> list[RewardRecord]:
-    """Reward for every question, matched to predictions by id under the
-    same id rules as :func:`metrics.evaluate`.
+    """Reward for every question against all its golds, matched to
+    predictions by id under the same id rules as :func:`metrics.evaluate`.
 
     A question with no prediction scores as an empty prediction. A gold or
-    negative with no scoring tokens raises a ValueError naming the question.
+    negative :func:`reward` refuses raises a ValueError naming the question.
     """
     pred_map = _prediction_map(questions, predictions)
     key = _Memo(normalized_key).__getitem__
-    return [_reward(pred_map.get(question.id, ""), question.answers[0], question.negatives,
+    return [_reward(pred_map.get(question.id, ""), question.answers, question.negatives,
                     scorer, question.id, key)
             for question in questions]

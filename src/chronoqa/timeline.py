@@ -2,11 +2,12 @@
 
 Everything in this toolkit that touches time goes through this module. A
 calendar month is held in every record (a fact's validity range, a
-question's reference month, L1 draws, the input caches) as its integer
-:func:`month_index`. A :class:`TimePoint` is what :func:`parse_time` gives
-and the public value type for a month given by hand (``--range``,
-``--snapshot``). Months are the finest unit; there is no day or timezone
-handling.
+question's reference month, L1 draws and ranges, the KB snapshot, the input
+caches) as its integer :func:`month_index`; :func:`parse_month` and
+:func:`format_month` are the one boundary between that index and its text. A
+:class:`TimePoint` is only what :func:`parse_time` gives and the public value
+type of a month given by hand, which :func:`month_index` turns into an index.
+Months are the finest unit; there is no day or timezone handling.
 
 The canonical textual form is ``"Jul 2019"`` (3-letter English month
 abbreviation, year without leading zeros). A bare ``"2019"`` is accepted on
@@ -73,7 +74,7 @@ def _time_point(cls, year: int, month: int) -> TimePoint:
 
 TimePoint.__new__ = _time_point
 
-DEFAULT_SNAPSHOT = TimePoint(2022, 11)  # KB dump month used to close ongoing facts
+DEFAULT_SNAPSHOT = 12 * 2022 + 10  # Nov 2022: the KB dump month, which closes ongoing facts
 
 
 def month_index(t: TimePoint) -> int:

@@ -18,6 +18,13 @@ from chronoqa.timeline import MIN_YEAR, TimeRangeError, format_time, month_index
 # and a lone surrogate (a str that cannot be written as UTF-8).
 ESCAPES = "".join(map(chr, range(0x20))) + '"\\/\x7f   Zürich 東京 \U0001F600 \ud800'
 
+# Lines the JSON decoder refuses with an error other than a JSONDecodeError,
+# each with the start of that error's message.
+UNDECODABLE = {
+    "deep": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    "long-int": ('{"id": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string conversion"),
+}
+
 MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 MONTH_NUM = {name: i + 1 for i, name in enumerate(MONTHS)}
 
@@ -97,6 +104,11 @@ def time_from_month_index(index: int) -> TimePoint:
     if year < MIN_YEAR:
         raise TimeRangeError(f"month index {index} falls before year {MIN_YEAR}")
     return TimePoint(year, month0 + 1)
+
+
+def month_range(first: tuple[int, int], last: tuple[int, int]) -> tuple[int, int]:
+    """The month indices of two (year, month) pairs: a ``gen_l1`` time range."""
+    return month_index(TimePoint(*first)), month_index(TimePoint(*last))
 
 
 def shift(t: TimePoint, offset: Offset) -> TimePoint:

@@ -7,7 +7,7 @@ Criteria:
   2. 400,000 unique L1 questions, every answer re-verified by an
      independent month-index oracle, zero duplicates, under 120 s
   3. reward branch semantics match a brute-force reimplementation on
-     10,000 randomized cases
+     10,000 randomized cases of one to three golds, where any gold is correct
   4. hand-computed metric fixtures hold exactly
   5. construction rules: minimum group size, per-relation subject cap,
      subject-disjoint splits, facts/subjects density
@@ -29,6 +29,7 @@ import time
 
 from chronoqa import (
     Prediction,
+    Question,
     TimePoint,
     build_groups,
     evaluate,
@@ -46,9 +47,10 @@ from chronoqa import (
 from chronoqa.cli import main
 from chronoqa.facts import group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
+from chronoqa.rewards import reward_records
 from chronoqa.timeline import month_index
 
-from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, random_doc, synth_rows, write_facts
+from conftest import YOSHIMURA_ROWS, l1_oracle, l2_question_at, month_range, random_doc, synth_rows, write_facts
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -91,7 +93,7 @@ def test_criterion_1_oracle_em_100(tmp_path):
 
 def test_criterion_2_l1_scale_and_correctness():
     started = time.perf_counter()
-    questions = gen_l1((TimePoint(1000, 1), TimePoint(2022, 12)), 400_000, seed=2024)
+    questions = gen_l1(month_range((1000, 1), (2022, 12)), 400_000, seed=2024)
     seen_keys = set()
     mismatches = 0
     for q in questions:
@@ -115,31 +117,38 @@ def test_criterion_3_reward_truth_table():
         return " ".join(t for t in text.lower().translate(punct_table).split()
                         if t not in ("a", "an", "the"))
 
-    def bf_reward(pred, gold, negatives):
-        p = 1 if bf_norm(pred) == bf_norm(gold) else 0
+    def bf_reward(pred, golds, negatives):
+        p = max(1 if bf_norm(pred) == bf_norm(gold) else 0 for gold in golds)
         n = max((1 if bf_norm(pred) == bf_norm(neg) else 0 for neg in negatives), default=0)
         return p if p >= n else -n
 
     rng = random.Random(31337)
     pool = [f"Office of {a}{i}" for i in range(40) for a in ("North", "South")]
-    disagreements = 0
-    branch_failures = 0
-    for _ in range(10_000):
-        gold = rng.choice(pool)
-        negatives = rng.sample([c for c in pool if c != gold], rng.randint(0, 6))
+    cases = []
+    for i in range(10_000):
+        golds = rng.sample(pool, rng.randint(1, 3))
+        negatives = rng.sample([c for c in pool if c not in golds], rng.randint(0, 6))
         draw = rng.random()
         if draw < 0.35:
-            pred, expected = gold, 1
+            pred, expected = rng.choice(golds), 1
         elif draw < 0.65 and negatives:
             pred, expected = rng.choice(negatives), -1
         else:
             pred, expected = "entirely unrelated answer", 0
-        record = reward(pred, gold, negatives)
-        if record.reward != bf_reward(pred, gold, negatives):
+        cases.append((f"q{i}", pred, golds, negatives, expected))
+    records = reward_records(
+        [Question(qid, "L2", None, None, None, "t", "q?", tuple(golds), tuple(negatives), None, None, "test")
+         for qid, _, golds, negatives, _ in cases],
+        [Prediction(qid, pred) for qid, pred, _, _, _ in cases])
+    disagreements = 0
+    branch_failures = 0
+    for (_, pred, golds, negatives, expected), record in zip(cases, records):
+        single = reward(pred, golds[0], negatives)  # the one-gold form
+        if record.reward != bf_reward(pred, golds, negatives) or single.reward != bf_reward(pred, golds[:1], negatives):
             disagreements += 1
         if record.reward not in (-1.0, 0.0, 1.0) or record.reward != expected:
             branch_failures += 1
-    ok = disagreements == 0 and branch_failures == 0
+    ok = disagreements == 0 and branch_failures == 0 and any(len(golds) > 1 for _, _, golds, _, _ in cases)
     report(3, ok, f"10000 randomized cases, {disagreements} brute-force disagreements, "
                   f"{branch_failures} branch-semantics failures")
 

@@ -10,7 +10,7 @@ from chronoqa.facts import build_groups, group_stats, load_fact_file
 from chronoqa.jsonl import read_jsonl
 from chronoqa.templates import load_templates
 
-from conftest import MONTHS, YOSHIMURA_ROWS, synth_rows, write_facts
+from conftest import MONTHS, UNDECODABLE, YOSHIMURA_ROWS, synth_rows, write_facts
 
 
 def run(*argv) -> int:
@@ -500,6 +500,16 @@ class TestFileBoundary:
         assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
         assert f"{questions}:4: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", UNDECODABLE)
+    def test_undecodable_question_line_is_named_by_path_and_line(self, tmp_path, capsys, kind):
+        # A deep nest exited 3 with a bare RecursionError; an over-long
+        # integer exited 2 with the interpreter's message, naming no line.
+        line, message = UNDECODABLE[kind]
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1")), line])
+        assert run("solve", "--questions", questions, "--out", str(tmp_path / "out.jsonl")) == 2
+        assert capsys.readouterr().err.startswith(f"chronoqa: error [E_DATA] {questions}:2: invalid JSON: {message}")
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize("command, bad_file", [("solve", "q"), ("eval", "q"), ("eval", "p")])
     @pytest.mark.parametrize("meta, message", [
         (5, "the _meta header must be an object, got int"),
@@ -569,6 +579,15 @@ class TestFileBoundary:
         assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
         err = capsys.readouterr().err
         assert f"E_DATA] template file {templates}: 'granularity' in l1 entry 1 must be 'year' or 'month'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", UNDECODABLE)
+    def test_undecodable_template_file_is_a_data_error_naming_the_file(self, tmp_path, capsys, kind):
+        line, message = UNDECODABLE[kind]
+        templates = write_lines(tmp_path / "t.json", [line])
+        assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
+        assert capsys.readouterr().err.startswith(
+            f"chronoqa: error [E_DATA] template file {templates} is not valid JSON: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_l1_text_without_t_is_a_data_error_naming_the_file(self, tmp_path, capsys):

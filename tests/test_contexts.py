@@ -10,7 +10,7 @@ from chronoqa.cli import main
 from chronoqa.contexts import RenderError, mask_corpus
 from chronoqa.facts import build_groups, ingest
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimePoint, format_time
+from chronoqa.timeline import TimePoint, format_time, month_index
 
 from conftest import YOSHIMURA_ROWS, l2_question_at, make_group, random_doc, synth_rows, time_from_month_index
 
@@ -86,7 +86,7 @@ class TestRender:
     def test_open_ended_fact_renders_snapshot(self):
         rows = [dict(r) for r in YOSHIMURA_ROWS]
         rows[0]["end"] = None
-        store = ingest(rows, snapshot=TimePoint(2022, 11))
+        store = ingest(rows, snapshot=month_index(TimePoint(2022, 11)))
         group = build_groups(store, seed=0)[0]
         q = l2_question_at(group, TimePoint(2019, 7))
         prompt = render(q, group, setting="reasonqa", seed=0).prompt

@@ -18,7 +18,7 @@ from chronoqa.cli import main
 from chronoqa.facts import FACT_COLUMNS, Diagnostic, Fact, FactStore, load_fact_file
 from chronoqa.templates import load_templates
 
-from conftest import synth_rows
+from conftest import UNDECODABLE, synth_rows
 from test_cache_codecs import FACTS as PINNED_FACTS, PINNED
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -346,6 +346,26 @@ def test_a_line_that_is_not_utf8_is_skipped_with_a_warning(two_bad_lines, capsys
                               "warning: f.jsonl: line 5: invalid UTF-8: invalid start byte "
                               "(byte 0xfc at byte 1 of the line)\n")
     Path("f.jsonl").write_bytes(b"\n".join(two_bad_lines) + b"\n")
+    assert main(argv) == 0
+    assert Path("out/l2_train.jsonl").read_bytes() == written["out/l2_train.jsonl"]
+
+
+@pytest.mark.parametrize("kind", UNDECODABLE)
+def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, monkeypatch, capsys, ingests, kind):
+    """Like any other bad line, cold and warm alike: a deep nest exited 3,
+    and an over-long integer exited 2 naming no line."""
+    monkeypatch.chdir(tmp_path)
+    line, message = UNDECODABLE[kind]
+    good = [json.dumps(row) for row in synth_rows(2, relation="P39", facts_per_subject=(3, 3), seed=5)]
+    Path("f.jsonl").write_text("\n".join([good[0], line, *good[1:]]) + "\n", encoding="utf-8")
+    argv = ["gen-l2", "--facts", "f.jsonl", "--out-dir", "out"]
+    runs = [capture(capsys, argv, ["out/l2_train.jsonl"]) for _ in range(2)]
+    assert len(ingests) == 1
+    assert runs[1] == runs[0]
+    code, _, err, written = runs[0]
+    assert code == 0 and err.startswith(f"warning: f.jsonl: line 2: invalid JSON: {message}")
+    assert err.count("\n") == 1
+    Path("f.jsonl").write_text("\n".join(good) + "\n", encoding="utf-8")
     assert main(argv) == 0
     assert Path("out/l2_train.jsonl").read_bytes() == written["out/l2_train.jsonl"]
 

@@ -9,7 +9,7 @@ import pytest
 from chronoqa import TimePoint, build_groups, ingest, load_fact_file, split_subjects
 from chronoqa.facts import Fact, FactGroup, group_stats
 from chronoqa.scoring import normalized_key
-from chronoqa.timeline import parse_time
+from chronoqa.timeline import month_index, parse_time
 
 from conftest import fact_sort_key, make_group, month_text, synth_rows, time_from_month_index
 
@@ -59,12 +59,12 @@ class TestIngest:
 
     def test_open_end_closed_at_snapshot(self):
         row = dict(MESSI_ROW, end=None)
-        store = ingest([row], snapshot=TimePoint(2022, 11))
+        store = ingest([row], snapshot=month_index(TimePoint(2022, 11)))
         assert time_from_month_index(store.facts[0].end) == TimePoint(2022, 11)
 
     def test_ongoing_fact_after_snapshot_rejected(self):
         row = dict(MESSI_ROW, start="Jan 2023", end=None)
-        store = ingest([row], snapshot=TimePoint(2022, 11))
+        store = ingest([row], snapshot=month_index(TimePoint(2022, 11)))
         assert not store.facts
         assert "snapshot" in store.diagnostics[0].message
 
@@ -229,7 +229,7 @@ class TestRowChecks:
         rows = synth_rows(40, facts_per_subject=(3, 8), seed=23, allow_overlap=True)
         rows += [dict(row, end=None) for row in rows[::7]]
         rows += [dict(MESSI_ROW, start=month, end=month) for month in ("2004", "Jan 2004", "Dec 2004")]
-        store = ingest(rows, snapshot=TimePoint(2030, 1))
+        store = ingest(rows, snapshot=month_index(TimePoint(2030, 1)))
         assert len(store.facts) + store.duplicates_dropped == len(rows) and not store.diagnostics
         for fact in store.facts:
             start, end = fact.start, fact.end

@@ -1,7 +1,7 @@
 """Generator invariants on adversarial fact files: every question
 ``gen-l2`` and ``gen-l3`` write can be scored with no prediction at all,
-the solver answers every one of them (EM 100), and ``reward`` accepts the
-solver's answers.
+the solver answers every one of them (EM 100), and ``reward`` gives each
+of the solver's answers +1.
 
 The fact files mix ``synth_rows`` output with the rows that have broken a
 generator before: objects with no scoring tokens, objects equal under
@@ -101,3 +101,23 @@ def test_every_generated_question_is_scored_solved_and_rewarded(adversarial_fact
     assert main(["reward", "--questions", questions, "--predictions", f"{level}/preds.jsonl",
                  "--out", f"{level}/rewards.jsonl"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("level", ["l2", "l3"])
+def test_the_solvers_answer_to_every_generated_question_gets_reward_one(adversarial_facts, monkeypatch, capsys,
+                                                                        level):
+    """``reward`` agrees with ``eval`` on what is correct: the solver answers
+    every question right, so every reward is +1. Scoring only the first
+    gold gave 0 where the solver's answer was another gold of an L2 question."""
+    work, _ = adversarial_facts
+    monkeypatch.chdir(work)
+    out = f"{level}-reward"
+    assert main([f"gen-{level}", "--facts", "facts.jsonl", "--min-facts", "1", "--out-dir", out]) == 0
+    questions = f"{out}/{level}_train.jsonl"
+    assert main(["solve", "--facts", "facts.jsonl", "--questions", questions, "--out", f"{out}/preds.jsonl"]) == 0
+    assert main(["reward", "--questions", questions, "--predictions", f"{out}/preds.jsonl",
+                 "--out", f"{out}/rewards.jsonl"]) == 0
+    capsys.readouterr()
+    with open(f"{out}/rewards.jsonl", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle][1:]
+    assert len(records) > 20 and {record["reward"] for record in records} == {1.0}

@@ -29,7 +29,7 @@ GOLDEN = {
     "l3_test.jsonl": "b266de0a70c2fd2125515a8a8d1705856e3b4ebdc31b7eab673ea427834fea8b",
     "l3_train.jsonl": "c0465128a6613757b6b0fe09d2fd56e7e52229c42a9d9ee19c0b791030d2a28e",
     "render_l2.jsonl": "12b1d295cd20fe9bde4bd846f66398f254aeda61fdf58da2adad00774941e861",
-    "reward_l2.jsonl": "9c159e5767a92092127cdc92ff991c8c2eb698b685b1cb2a40536e7fd30de62f",
+    "reward_l2.jsonl": "7c043c69be20a54fcf114b8eb43cfb34be43e3bdebf0f1e89c61080227835e55",
     "reward_l3.jsonl": "4e6a5ed82d1e626da8a06ea2608b9362ccf75c1fecb882357c93abaa9121819b",
     "solve_l2.jsonl": "cc4adbd6557570d2575526593fe9f8f1e72b9a2cad2da318f897a6289174840e",
     "solve_l3.jsonl": "4b1605d6995bde3ef94d13bda9a3d1d5771b3c54625e8fdcdb4a57cd9857c33c",

@@ -13,15 +13,14 @@ from chronoqa.questions import gen_l1, gen_l2, gen_l3
 from chronoqa.records import record_line
 from chronoqa.scoring import Prediction, RewardRecord, prediction_line, reward_line, reward_records, score_f1
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimePoint
 
-from conftest import ESCAPES, make_group, random_doc, synth_rows
+from conftest import ESCAPES, make_group, month_range, random_doc, synth_rows
 
 
 def _generated_records():
     templates = load_templates()
-    questions = gen_l1((TimePoint(1890, 1), TimePoint(2030, 12)), 300, 3, templates=templates)
-    questions += gen_l1((TimePoint(1, 1), TimePoint(5, 12)), 300, 4, split="dev", templates=templates)
+    questions = gen_l1(month_range((1890, 1), (2030, 12)), 300, 3, templates=templates)
+    questions += gen_l1(month_range((1, 1), (5, 12)), 300, 4, split="dev", templates=templates)
     for seed in (11, 12, 13):
         group = make_group(seed)
         questions += gen_l2(group, seed, templates=templates) + gen_l3(group, split="test", templates=templates)

@@ -12,7 +12,7 @@ from chronoqa.questions import Question
 from chronoqa.templates import load_templates
 from chronoqa.timeline import TimeParseError, TimeRangeError, format_time, is_year_text, month_index, parse_time
 
-from conftest import Offset, fact_sort_key, make_group, shift, synth_rows, time_from_month_index
+from conftest import Offset, fact_sort_key, make_group, month_range, shift, synth_rows, time_from_month_index
 
 
 def l1_question(text: str, template_id: str = "") -> Question:
@@ -40,7 +40,7 @@ class TestSolveL1:
         assert answer.answers == ("Aug 1953",)
 
     def test_solves_generated_questions(self):
-        for q in gen_l1((TimePoint(1900, 1), TimePoint(2020, 12)), 300, seed=17):
+        for q in gen_l1(month_range((1900, 1), (2020, 12)), 300, seed=17):
             assert solve_l1(q).answers == q.answers
 
     def test_unmatched_text_raises(self):
@@ -233,7 +233,7 @@ class TestDispatch:
         for group in groups:
             questions += gen_l2(group, seed=3)
             questions += gen_l3(group)
-        questions += gen_l1((TimePoint(1900, 1), TimePoint(2000, 12)), 50, seed=3)
+        questions += gen_l1(month_range((1900, 1), (2000, 12)), 50, seed=3)
         for q in questions:
             answer = solve(q, index)
             assert answer.answers, f"no answer for {q.id}"

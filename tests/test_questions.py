@@ -15,28 +15,28 @@ from chronoqa.jsonl import load_jsonl
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 from chronoqa.records import QUESTION_COLUMNS
 from chronoqa.templates import load_templates
-from chronoqa.timeline import TimeParseError, month_index
+from chronoqa.timeline import TimeParseError, TimeRangeError, month_index
 
-from conftest import (YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, month_text, synth_rows,
+from conftest import (YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, month_range, month_text, synth_rows,
                       time_from_month_index)
 
 
 class TestGenL1:
     def test_table_year_forms(self):
         # exhaustive pool over one year so specific wordings must appear
-        pool = gen_l1((TimePoint(1905, 1), TimePoint(1905, 12)), 3164, seed=0)
+        pool = gen_l1(month_range((1905, 1), (1905, 12)), 3164, seed=0)
         by_text = {q.question: q for q in pool}
         assert by_text["What is the year after 1905?"].answers == ("1906",)
         assert by_text["What is the year 3 years before 1905?"].answers == ("1902",)
         assert by_text["What is the time 2 months after Dec 1905?"].answers == ("Feb 1906",)
 
     def test_month_rollover_answer(self):
-        pool = gen_l1((TimePoint(2010, 12), TimePoint(2010, 12)), 282, seed=0)
+        pool = gen_l1(month_range((2010, 12), (2010, 12)), 282, seed=0)
         by_text = {q.question: q for q in pool}
         assert by_text["What is the time 2 months after Dec 2010?"].answers == ("Feb 2011",)
 
     def test_unique_and_oracle_verified(self):
-        questions = gen_l1((TimePoint(1900, 1), TimePoint(2000, 12)), 4000, seed=7)
+        questions = gen_l1(month_range((1900, 1), (2000, 12)), 4000, seed=7)
         assert len(questions) == 4000
         assert len({q.id for q in questions}) == 4000
         assert len({q.question for q in questions}) == 4000
@@ -50,22 +50,28 @@ class TestGenL1:
             assert q.level == "L1"
 
     def test_deterministic_under_seed(self):
-        a = gen_l1((TimePoint(1950, 1), TimePoint(1960, 12)), 500, seed=3)
-        b = gen_l1((TimePoint(1950, 1), TimePoint(1960, 12)), 500, seed=3)
+        a = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3)
+        b = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3)
         assert a == b
-        c = gen_l1((TimePoint(1950, 1), TimePoint(1960, 12)), 500, seed=4)
+        c = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=4)
         assert a != c
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            gen_l1((TimePoint(2000, 1), TimePoint(2000, 1)), 283, seed=0)
+            gen_l1(month_range((2000, 1), (2000, 1)), 283, seed=0)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            gen_l1((TimePoint(2000, 1), TimePoint(1999, 1)), 1, seed=0)
+            gen_l1(month_range((2000, 1), (1999, 1)), 1, seed=0)
+
+    def test_range_messages(self):
+        with pytest.raises(ValueError, match=r"^empty time range: Jan 2000\.\.Dec 1999$"):
+            gen_l1(month_range((2000, 1), (1999, 12)), 1, seed=0)
+        with pytest.raises(TimeRangeError, match="^month index 11 falls before year 1$"):
+            gen_l1((11, 24), 1, seed=0)
 
     def test_record_round_trip(self):
-        questions = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 50, seed=1)
+        questions = gen_l1(month_range((1990, 1), (1999, 12)), 50, seed=1)
         for q in questions:
             assert Question.from_record(q.to_record()) == q
 
@@ -76,7 +82,7 @@ class TestGenL1:
         ("negatives", "Paris Saint-Germain"),
     ])
     def test_from_record_rejects_bad_answer_lists(self, field, value):
-        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
         with pytest.raises(ValueError, match="must be a non-empty list of strings"):
             Question.from_record(dict(record, **{field: value}))
 
@@ -84,13 +90,13 @@ class TestGenL1:
         ("id", None), ("id", 7), ("question", 7), ("template_id", None), ("split", ["train"]),
     ])
     def test_from_record_requires_text_fields_to_be_strings(self, field, value):
-        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
         with pytest.raises(ValueError, match=f"^{field} must be a string$"):
             Question.from_record(dict(record, **{field: value}))
 
     @pytest.mark.parametrize("value", [2019, ["Jul 2019"], False])
     def test_from_record_rejects_a_t_ref_that_is_not_text(self, value):
-        record = gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 1, seed=1)[0].to_record()
+        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
         with pytest.raises(ValueError, match="t_ref must be a time string or null"):
             Question.from_record(dict(record, t_ref=value))
 
@@ -115,7 +121,7 @@ class TestFromRecordMutations:
     def records(self):
         group_rows = synth_rows(12, relation="P39", seed=4, allow_overlap=True)
         groups = build_groups(ingest(group_rows), seed=4)
-        questions = (gen_l1((TimePoint(1990, 1), TimePoint(1999, 12)), 60, seed=4)
+        questions = (gen_l1(month_range((1990, 1), (1999, 12)), 60, seed=4)
                      + gen_l1_future(20, seed=4)
                      + [q for group in groups for q in gen_l2(group, seed=4)][:60]
                      + [q for group in groups for q in gen_l3(group)][:60])
@@ -184,7 +190,7 @@ class TestGenL1Future:
 
     def test_disjoint_from_in_domain_ids(self):
         future = {q.id for q in gen_l1_future(200, seed=6)}
-        in_domain = {q.id for q in gen_l1((TimePoint(1900, 1), TimePoint(2000, 12)), 200, seed=6)}
+        in_domain = {q.id for q in gen_l1(month_range((1900, 1), (2000, 12)), 200, seed=6)}
         assert not future & in_domain
 
     def test_deterministic(self):
@@ -218,7 +224,7 @@ class TestDrawStream:
 
 class TestPartitionL1:
     def test_partition_sizes_and_relabel(self):
-        pool = gen_l1((TimePoint(1900, 1), TimePoint(1999, 12)), 100, seed=2)
+        pool = gen_l1(month_range((1900, 1), (1999, 12)), 100, seed=2)
         parts = partition_l1(pool, {"train": 70, "dev": 20, "test": 10}, seed=2)
         assert [len(parts[k]) for k in ("train", "dev", "test")] == [70, 20, 10]
         assert all(q.split == "dev" for q in parts["dev"])
@@ -227,7 +233,7 @@ class TestPartitionL1:
         assert texts == sorted(q.question for q in pool)
 
     def test_count_mismatch_rejected(self):
-        pool = gen_l1((TimePoint(1900, 1), TimePoint(1999, 12)), 10, seed=2)
+        pool = gen_l1(month_range((1900, 1), (1999, 12)), 10, seed=2)
         with pytest.raises(ValueError):
             partition_l1(pool, {"train": 5}, seed=0)
 

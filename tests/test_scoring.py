@@ -10,6 +10,7 @@ import pytest
 
 from chronoqa import (
     Prediction,
+    RewardRecord,
     TimePoint,
     build_groups,
     evaluate,
@@ -29,7 +30,7 @@ from chronoqa.scoring import (EvalReport, MetricBlock, _strip_punctuation, _toke
 
 from chronoqa.timeline import month_index
 
-from conftest import ESCAPES, l2_question_at, synth_rows, time_from_month_index
+from conftest import ESCAPES, l2_question_at, month_range, synth_rows, time_from_month_index
 
 # The normalization rule written with a str.translate deletion table; the
 # package must give the same tokens for any text.
@@ -321,7 +322,7 @@ class TestEvaluate:
 
     def test_period_buckets_and_weighted_average(self):
         rng = random.Random(5)
-        questions = gen_l1((TimePoint(1880, 1), TimePoint(2030, 12)), 300, seed=6)
+        questions = gen_l1(month_range((1880, 1), (2030, 12)), 300, seed=6)
         predictions = [
             Prediction(q.id, q.answers[0] if rng.random() < 0.7 else "wrong")
             for q in questions
@@ -374,6 +375,21 @@ class TestRewardRecords:
         records = reward_records([question], [])
         assert records[0].reward == 0.0
 
+    def test_any_gold_is_correct_as_in_evaluate(self):
+        # Only the first gold scored: a later one got p = 0 while evaluate counted it correct.
+        questions = [_question("q1", ["Mayor", "Governor"], ["Senator"]), _question("q2", ["Mayor", "Governor"])]
+        predictions = [Prediction("q1", "the governor."), Prediction("q2", "Senator")]
+        assert reward_records(questions, predictions) == [RewardRecord("q1", 1.0, 0.0, 1.0),
+                                                          RewardRecord("q2", 0.0, 0.0, 0.0)]
+        assert evaluate(questions, predictions).overall.em == 50.0
+        records = reward_records(questions, predictions, scorer=lambda pred, ref: float(ref == "Governor"))
+        assert [record.p for record in records] == [1.0, 1.0]
+
+    def test_a_later_gold_among_the_negatives_is_refused(self):
+        questions = [_question("q1", ["Mayor", "Governor"], ["Senator", "governor"])]
+        with pytest.raises(ValueError, match="question 'q1': gold answer 'Governor' also appears in the negative set"):
+            reward_records(questions, [])
+
     @pytest.mark.parametrize("questions, predictions, message", [
         ([_question("a", ["X"])], [Prediction("zz", "X")], "unknown question ids"),
         ([_question("a", ["X"])], [Prediction("a", "X"), Prediction("a", "Y")], "duplicate prediction id"),
@@ -405,6 +421,12 @@ class TestAnswersWithoutScoringTokens:
             reward_records(questions, [])
 
     @pytest.mark.parametrize("empty", EMPTY)
+    def test_reward_records_refuse_a_later_gold(self, empty):
+        questions = [_question("q1", ["Mayor", empty], ["Senator"])]
+        with pytest.raises(ValueError, match=f"question 'q1': gold {re.escape(repr(empty))} has no scoring tokens"):
+            reward_records(questions, [Prediction("q1", "Mayor")])
+
+    @pytest.mark.parametrize("empty", EMPTY)
     def test_reward_records_refuse_a_negative(self, empty):
         questions = [_question("q1", ["Mayor"], ["Senator", empty])]
         with pytest.raises(ValueError, match=f"question 'q1': negative {re.escape(repr(empty))} has no scoring tokens"):
@@ -423,7 +445,7 @@ def _labelled_mix(seed: int):
     for index in (3, 20, 33):
         rows[index]["object"] = "the " + rows[index - 1]["object"].lower() + "."
     questions = [q for group in build_groups(ingest(rows)) for q in gen_l2(group, seed) + gen_l3(group)]
-    questions += gen_l1((TimePoint(1890, 1), TimePoint(2030, 12)), 150, seed=seed)
+    questions += gen_l1(month_range((1890, 1), (2030, 12)), 150, seed=seed)
     predictions = []
     for question in questions:
         gold = rng.choice(question.answers)
@@ -492,12 +514,16 @@ class TestSinglePassEquivalence:
     def test_reward_records_match_per_item_reward(self, seed):
         questions, predictions = _labelled_mix(seed)
         texts = {p.id: p.prediction for p in predictions}
-        expected = [reward(texts.get(q.id, ""), q.answers[0], q.negatives, id=q.id,
-                           scorer=lambda pred, ref: float(score_em(pred, [ref])))
+        # per gold: the record of the best-scoring gold, as n does not depend on the gold
+        expected = [max((reward(texts.get(q.id, ""), gold, q.negatives, id=q.id,
+                                scorer=lambda pred, ref: float(score_em(pred, [ref]))) for gold in q.answers),
+                        key=lambda record: record.p)
                     for q in questions]
         records = reward_records(questions, predictions)
         assert records == expected
         assert {r.reward for r in records} == {-1.0, 0.0, 1.0}
+        # the mix holds predictions of a gold that is not the first
+        assert any(r.p > reward(texts.get(q.id, ""), q.answers[0], q.negatives).p for q, r in zip(questions, records))
 
     def test_custom_scorer_is_still_called(self):
         questions, predictions = _labelled_mix(3)
@@ -508,5 +534,5 @@ class TestSinglePassEquivalence:
             return 0.5
 
         records = reward_records(questions, predictions, scorer=scorer)
-        assert len(calls) == sum(1 + len(q.negatives) for q in questions)
+        assert len(calls) == sum(len(q.answers) + len(q.negatives) for q in questions)
         assert {(r.p, r.reward) for r in records} == {(0.5, 0.5)}

@@ -1,21 +1,26 @@
 """Calendar arithmetic: frozen examples plus randomized property checks
 against an independent absolute-month-index oracle."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import chronoqa
 from chronoqa.timeline import (
     TimeParseError,
     TimePoint,
     TimeRangeError,
     compare,
+    format_month,
     format_time,
+    parse_month,
     parse_time,
     sample,
 )
 
-from conftest import Offset, shift
+from conftest import MONTHS, Offset, month_text, shift, time_from_month_index
 
 
 def oracle_index(year: int, month: int) -> int:
@@ -135,6 +140,48 @@ class TestParseFormat:
     def test_rejects_extra_tokens(self):
         with pytest.raises(TimeParseError):
             parse_time("12 Jul 2019")
+
+
+class TestTextIndexBoundary:
+    """``format_month`` and ``parse_month``, the one boundary between a
+    month's text and its index, against the tests' reference."""
+
+    def test_every_month_of_years_1_to_2999_round_trips(self):
+        # 35,988 months: more than format_month's memo of 32,768 holds
+        for index in range(12 * 1, 12 * 3000):
+            text = format_month(index)
+            assert text == month_text(index)
+            assert parse_month(text, 1) == index
+
+    @pytest.mark.parametrize("bare_year_month", [1, 12], ids=["start", "end"])
+    def test_parse_month_agrees_with_the_reference_on_every_form(self, bare_year_month):
+        rng = random.Random(bare_year_month)
+        for _ in range(3000):
+            year, month = rng.randint(1, 9999), rng.randint(1, 12)
+            mixed = "".join(rng.choice((c.lower(), c.upper())) for c in MONTHS[month - 1])
+            for abbrev in (MONTHS[month - 1], MONTHS[month - 1].upper(), MONTHS[month - 1].lower(), mixed):
+                assert time_from_month_index(parse_month(f"{abbrev} {year}", bare_year_month)) == (year, month)
+            assert time_from_month_index(parse_month(str(year), bare_year_month)) == (year, bare_year_month)
+
+
+class TestOneMonthType:
+    def test_only_timeline_names_time_point(self):
+        """Every internal signature takes month indices: ``TimePoint`` is
+        only what ``parse_time`` gives and the public type of a month given
+        by hand. The package's export table holds its name as a string."""
+        naming = []
+        for path in sorted(Path(chronoqa.__file__).parent.glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(alias.name.rpartition(".")[2] for alias in node.names)
+            if "TimePoint" in names:
+                naming.append(path.name)
+        assert naming == ["timeline.py"]
 
 
 class TestTypes:

@@ -4,12 +4,12 @@ once, however many facts or questions repeat it."""
 
 import pytest
 
-from chronoqa import Prediction, TimePoint, build_groups, ingest, scoring, timeline
+from chronoqa import Prediction, build_groups, ingest, scoring, timeline
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
 from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3
 from chronoqa.scoring import evaluate, reward_records
 
-from conftest import l2_question_at, make_group, synth_rows, time_from_month_index
+from conftest import l2_question_at, make_group, month_range, synth_rows, time_from_month_index
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ def test_ingest_parses_each_distinct_time_text_once(parse_calls):
 
 
 def test_question_records_and_l1_solver_share_the_memo(parse_calls):
-    questions = gen_l1((TimePoint(1990, 1), TimePoint(1990, 6)), 300, seed=3)
+    questions = gen_l1(month_range((1990, 1), (1990, 6)), 300, seed=3)
     parse_calls.clear()
     loaded = [Question.from_record(q.to_record()) for q in questions]
     assert loaded == questions
@@ -138,4 +138,5 @@ def test_question_records_and_l1_solver_share_the_memo(parse_calls):
     parse_calls.clear()
     for question in loaded:
         solve(question)
-    assert parse_calls == []  # the solver re-reads each month text from the question, through the memo
+    # the solver re-reads each month text from the question, through the memo, and parses a bare year once
+    assert parse_calls == [("1990", 1)]
