@@ -26,15 +26,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .jsonl import write_jsonl
-
-try:  # CPython's own SHA-256; hashlib would load OpenSSL in every process
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+from .jsonl import blake2b, write_jsonl
 
 if TYPE_CHECKING:
     from .facts import FactGroup
@@ -76,25 +68,27 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
-def _flag_type(parse, keep_text: bool = False):
+def _flag_type(parse):
     """An argparse type from ``parse``: its ValueError is a usage error raised
-    while parsing, before any file is read. With ``keep_text`` the flag holds
-    the text as typed, which ``_meta.config`` records; the command parses it
-    again."""
+    while parsing, before any file is read."""
     def convert(text: str):
         try:
-            value = parse(text)
+            return parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return text if keep_text else value
     return convert
 
 
-def _config_hash(config: dict) -> str:
-    return sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+# What _meta.config leaves out: the output paths, the seed (a field of its
+# own) and argparse's own two entries.
+_NOT_CONFIG = frozenset({"out", "out_dir", "seed", "command", "func"})
 
 
-def _meta(args, render_version: str, config: dict) -> dict:
+def _meta(args, render_version: str) -> dict:
+    """An output file's header. Its config holds the parsed value of every
+    other flag the subcommand declares, so two runs on the same input files
+    and seed that write different records have different ``config_hash``es."""
+    config = {name: value for name, value in vars(args).items() if name not in _NOT_CONFIG}
     return {
         "tool": "chronoqa",
         "tool_version": __version__,
@@ -102,7 +96,7 @@ def _meta(args, render_version: str, config: dict) -> dict:
         "seed": args.seed,
         "render_version": render_version,
         "config": config,
-        "config_hash": _config_hash(config),
+        "config_hash": blake2b(json.dumps(config, sort_keys=True).encode("utf-8"), digest_size=8).hexdigest(),
     }
 
 
@@ -110,8 +104,8 @@ def _load_groups(args, templates, max_subjects: int = 1 << 60, min_facts: int = 
     """The fact file's groups. The defaults keep every group: solving and
     rendering must see every group a question may reference."""
     from .facts import build_groups, load_fact_file
-    store = load_fact_file(args.facts, snapshot=_parse_month(args.snapshot),
-                           relation_codes=templates.relation_codes, strict=args.strict)
+    store = load_fact_file(args.facts, snapshot=args.snapshot, relation_codes=templates.relation_codes,
+                           strict=args.strict)
     for diagnostic in store.diagnostics:
         print(f"warning: {args.facts}: {diagnostic}", file=sys.stderr)
     return build_groups(store, args.seed, max_subjects_per_relation=max_subjects, min_facts=min_facts)
@@ -122,14 +116,14 @@ def _write_records(path, records, meta: dict, noun: str, encode) -> None:
     print(f"wrote {count} {noun} to {path}")
 
 
-def _write_questions(args, templates, config: dict, level: str, partitions: dict) -> None:
+def _write_questions(args, templates, level: str, partitions: dict) -> None:
     """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``."""
     from pathlib import Path
 
     from .records import record_line
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(args, templates.render_version, config)
+    meta = _meta(args, templates.render_version)
     for split, questions in partitions.items():
         _write_records(out_dir / f"{level}_{split}.jsonl", (q.to_record() for q in questions), meta,
                        "questions", record_line)
@@ -154,7 +148,7 @@ def _fact_flags(required: bool = False) -> list:
     from .timeline import DEFAULT_SNAPSHOT, format_month
     return [
         _flag("--facts", required=required, help="fact file (JSONL quintuplets)"),
-        _flag("--snapshot", type=_flag_type(_parse_month, keep_text=True), default=format_month(DEFAULT_SNAPSHOT),
+        _flag("--snapshot", type=_flag_type(_parse_month), default=format_month(DEFAULT_SNAPSHOT),
               help="KB snapshot month closing ongoing facts (default: %(default)s)"),
         _flag("--strict", action="store_true", help="fail on the first malformed fact row"),
     ]

@@ -27,7 +27,7 @@ def _print_block(label: str, block) -> None:
 FLAGS = [
     _QUESTIONS, _PREDICTIONS,
     _flag("--breakdown", choices=("period", "relation"), default="period"),
-    _flag("--period-edges", type=_flag_type(_parse_edges, keep_text=True),
+    _flag("--period-edges", type=_flag_type(_parse_edges),
           default=",".join(map(str, DEFAULT_PERIOD_EDGES)),
           help="bucket edges for the period breakdown (default: %(default)s)"),
     _flag("--missing", choices=("zero", "error"), default="zero",
@@ -49,13 +49,9 @@ def run(args) -> int:
     if version_q and version_p and version_q != version_p and not args.force:
         raise ValueError(f"render version mismatch: questions {version_q!r} vs predictions "
                          f"{version_p!r} (use --force to evaluate anyway)")
-    report = evaluate(questions, predictions, period_edges=_parse_edges(args.period_edges),
-                      missing_policy=args.missing)
+    report = evaluate(questions, predictions, period_edges=args.period_edges, missing_policy=args.missing)
     if args.out:  # written before the table, so a failed print cannot lose it
-        config = {"questions": args.questions, "predictions": args.predictions,
-                  "breakdown": args.breakdown, "period_edges": args.period_edges,
-                  "missing": args.missing}
-        write_json(args.out, {"_meta": _meta(args, version_q or "", config), "report": report.to_record()})
+        write_json(args.out, {"_meta": _meta(args, version_q or ""), "report": report.to_record()})
 
     print(f"  {'bucket':<16} {'EM':>7} {'F1':>7} {'MAE':>7} {'Trend':>7} {'count':>8}")
     _print_block("overall", report.overall)

@@ -29,9 +29,9 @@ def _parse_split_spec(text: str, number: type = int) -> dict:
 
 FLAGS = [
     _TEMPLATES, *_fact_flags(required=True), *_group_limits(), _OUT_DIR,
-    _flag("--split-counts", type=_flag_type(_parse_split_spec, keep_text=True),
+    _flag("--split-counts", type=_flag_type(_parse_split_spec),
           help="e.g. 'train:3000,dev:1000,test:1000'"),
-    _flag("--split-ratios", type=_flag_type(partial(_parse_split_spec, number=float), keep_text=True),
+    _flag("--split-ratios", type=_flag_type(partial(_parse_split_spec, number=float)),
           help="e.g. 'train:0.6,dev:0.2,test:0.2'"),
 ]
 
@@ -47,9 +47,9 @@ def run(args) -> int:
     templates = load_templates(args.templates)
     groups = _load_groups(args, templates, args.max_subjects, args.min_facts)
     if args.split_counts:
-        partitions = split_subjects(groups, counts=_parse_split_spec(args.split_counts), seed=args.seed)
+        partitions = split_subjects(groups, counts=args.split_counts, seed=args.seed)
     elif args.split_ratios:
-        partitions = split_subjects(groups, ratios=_parse_split_spec(args.split_ratios, float), seed=args.seed)
+        partitions = split_subjects(groups, ratios=args.split_ratios, seed=args.seed)
     else:
         partitions = {"train": groups}
 
@@ -57,9 +57,6 @@ def run(args) -> int:
         for group in part_groups:
             yield from generator(group, split=split, templates=templates)
 
-    config = {"facts": args.facts, "snapshot": args.snapshot, "max_subjects": args.max_subjects,
-              "min_facts": args.min_facts, "split_counts": args.split_counts,
-              "split_ratios": args.split_ratios, "templates": args.templates}
-    _write_questions(args, templates, config, level,
+    _write_questions(args, templates, level,
                      {name: questions(name, part_groups) for name, part_groups in partitions.items()})
     return EXIT_OK

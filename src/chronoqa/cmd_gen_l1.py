@@ -18,7 +18,7 @@ FLAGS = [
     _flag("--count", type=_COUNT, required=True, help="train questions"),
     _flag("--dev-count", type=_COUNT, default=0),
     _flag("--test-count", type=_COUNT, default=0),
-    _flag("--range", type=_flag_type(_parse_range, keep_text=True), default="Jan 1000:Dec 2022",
+    _flag("--range", type=_flag_type(_parse_range), default="Jan 1000:Dec 2022",
           help="sampling range for the reference time (default: %(default)s)"),
 ]
 
@@ -29,7 +29,6 @@ def run(args) -> int:
     templates = load_templates(args.templates)
     counts = {"train": args.count, "dev": args.dev_count, "test": args.test_count}
     counts = {name: count for name, count in counts.items() if count or name == "train"}
-    pool = gen_l1(_parse_range(args.range), sum(counts.values()), args.seed, templates=templates)
-    config = {"range": args.range, "counts": counts, "templates": args.templates}
-    _write_questions(args, templates, config, "l1", partition_l1(pool, counts, args.seed))
+    pool = gen_l1(args.range, sum(counts.values()), args.seed, templates=templates)
+    _write_questions(args, templates, "l1", partition_l1(pool, counts, args.seed))
     return EXIT_OK

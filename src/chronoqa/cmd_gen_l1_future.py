@@ -11,6 +11,5 @@ def run(args) -> int:
     from .templates import load_templates
     templates = load_templates(args.templates)
     questions = gen_l1_future(args.count, args.seed, templates=templates)
-    _write_questions(args, templates, {"count": args.count, "templates": args.templates}, "l1",
-                     {"future": questions})
+    _write_questions(args, templates, "l1", {"future": questions})
     return EXIT_OK

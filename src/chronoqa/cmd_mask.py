@@ -12,11 +12,17 @@ def _parse_ratio(text: str) -> float:
     return float(text)
 
 
+def _sentinel_pattern(text: str) -> str:
+    """The pattern as typed, once ``sentinel_parts`` accepts it."""
+    sentinel_parts(text)
+    return text
+
+
 FLAGS = [
     _flag("--docs", required=True), _OUT,
     _flag("--ratio", type=_flag_type(_parse_ratio), default=0.5,
           help="fraction of spans to mask (default: %(default)s)"),
-    _flag("--sentinel-pattern", type=_flag_type(sentinel_parts, keep_text=True), default=DEFAULT_SENTINEL_PATTERN,
+    _flag("--sentinel-pattern", type=_flag_type(_sentinel_pattern), default=DEFAULT_SENTINEL_PATTERN,
           help="sentinel text: {k} once, with text on both sides, neither side starting with a digit, "
                "and no copy of the first character after {k} (default: %(default)s)"),
 ]
@@ -30,7 +36,6 @@ def run(args) -> int:
     masked, diagnostics = mask_corpus(docs, args.ratio, args.seed, args.sentinel_pattern)
     for message in diagnostics:
         print(f"warning: {args.docs}: {message}", file=sys.stderr)
-    config = {"docs": args.docs, "ratio": args.ratio, "sentinel_pattern": args.sentinel_pattern}
-    count = write_jsonl(args.out, masked, _meta(args, str(RENDER_FORMAT), config), masked_line)
+    count = write_jsonl(args.out, masked, _meta(args, str(RENDER_FORMAT)), masked_line)
     print(f"wrote {count} masked documents to {args.out} ({len(diagnostics)} skipped)")
     return EXIT_OK

@@ -45,7 +45,5 @@ def run(args) -> int:
             yield render(question, group, article, setting=setting, seed=args.seed, templates=templates)
 
     render_version = (meta_in or {}).get("render_version", templates.render_version)
-    config = {"questions": args.questions, "setting": setting, "facts": args.facts,
-              "articles": args.articles, "templates": args.templates}
-    _write_records(args.out, examples(), _meta(args, render_version, config), "rendered examples", rendered_line)
+    _write_records(args.out, examples(), _meta(args, render_version), "rendered examples", rendered_line)
     return EXIT_OK

@@ -14,9 +14,8 @@ def run(args) -> int:
     meta_q, questions = load_jsonl(args.questions, Question.from_record, QUESTION_COLUMNS)
     _, predictions = load_jsonl(args.predictions, Prediction.from_record, PREDICTION_COLUMNS)
     records = reward_records(questions, predictions)
-    config = {"questions": args.questions, "predictions": args.predictions}
     render_version = (meta_q or {}).get("render_version", "")
-    count = write_jsonl(args.out, records, _meta(args, render_version, config), reward_line)
+    count = write_jsonl(args.out, records, _meta(args, render_version), reward_line)
     values = [r.reward for r in records]
     mean = sum(values) / len(values) if values else 0.0
     positive = sum(1 for v in values if v > 0)

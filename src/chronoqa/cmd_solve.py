@@ -18,6 +18,5 @@ def run(args) -> int:
     predictions = (Prediction(question.id, (solve(question, groups, templates).answers or ("",))[0])
                    for question in questions)  # the first answer, or "" when there is none
     render_version = (meta_in or {}).get("render_version", templates.render_version)
-    config = {"questions": args.questions, "facts": args.facts, "templates": args.templates}
-    _write_records(args.out, predictions, _meta(args, render_version, config), "predictions", prediction_line)
+    _write_records(args.out, predictions, _meta(args, render_version), "predictions", prediction_line)
     return EXIT_OK

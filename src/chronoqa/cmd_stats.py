@@ -48,8 +48,7 @@ def run(args) -> int:
                 "facts_per_subject": ratio,
             }
     if args.out:
-        config = {"facts": args.facts, "questions": args.questions}
-        payload["_meta"] = _meta(args, "", config)
+        payload["_meta"] = _meta(args, "")
         write_json(args.out, payload)
         lines.append(f"wrote stats to {args.out}")
     for line in lines:

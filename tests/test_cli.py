@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -673,7 +674,11 @@ class TestFileBoundary:
 
 
 class ReadRecorder(argparse.Namespace):
-    """A namespace that records the names of the attributes read from it."""
+    """A namespace that records the names of the attributes read from it. The
+    record is a slot, not an entry of ``vars()``: ``vars()`` neither holds it
+    nor counts as reading a flag."""
+
+    __slots__ = ("_reads",)
 
     def __init__(self):
         super().__init__()
@@ -683,6 +688,18 @@ class ReadRecorder(argparse.Namespace):
         if not name.startswith("_"):
             object.__getattribute__(self, "_reads").add(name)
         return object.__getattribute__(self, name)
+
+
+def output_meta(argv: list[str]) -> dict:
+    """The ``_meta`` of the file a run wrote: its ``--out``, or the first file
+    in its ``--out-dir``."""
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+    else:
+        path = min(Path(argv[argv.index("--out-dir") + 1]).glob("*.jsonl"))
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8"))["_meta"]
+    return read_jsonl(str(path))[0]
 
 
 class TestDeclaredFlags:
@@ -696,35 +713,46 @@ class TestDeclaredFlags:
                                                      *map(json.dumps, records)])
         write_lines(tmp_path / "docs.jsonl", [json.dumps({"doc_id": "d1", "text": "Osaka in July 2019",
                                                           "spans": [[0, 5, "entity"], [9, 18, "temporal"]]})])
+        subject_ids = sorted({record["subject_id"] for record in read_jsonl("l2_train.jsonl")[1]})
+        write_lines(tmp_path / "articles.jsonl", [json.dumps({"subject_id": subject_id, "text": "An article."})
+                                                  for subject_id in subject_ids])
         return facts_file
 
     def test_every_subcommand_reads_every_flag_it_declares(self, inputs):
+        """Each declared flag is read by some run of its subcommand, and each
+        run's ``_meta.config`` holds every declared flag but the output paths
+        and the seed."""
         facts = ["--facts", inputs]
-        argvs = {
-            "gen-l1": ["--out-dir", "out", "--count", "20", "--dev-count", "3", "--test-count", "2",
-                       "--range", "Jan 1950:Dec 1960"],
-            "gen-l1-future": ["--out-dir", "out", "--count", "10"],
-            "gen-l2": [*facts, "--out-dir", "out", "--split-counts", "train:6,test:3"],
-            "gen-l3": [*facts, "--out-dir", "out", "--split-ratios", "train:0.6,test:0.4"],
-            "render": [*facts, "--questions", "l2_train.jsonl", "--setting", "reasonqa", "--out", "r.jsonl"],
-            "mask": ["--docs", "docs.jsonl", "--out", "m.jsonl"],
-            "solve": [*facts, "--questions", "l2_train.jsonl", "--out", "p.jsonl"],
+        argvs = [
+            ["gen-l1", "--out-dir", "l1", "--count", "20", "--dev-count", "3", "--test-count", "2",
+             "--range", "Jan 1950:Dec 1960"],
+            ["gen-l1-future", "--out-dir", "future", "--count", "10"],
+            ["gen-l2", *facts, "--out-dir", "l2", "--split-counts", "train:6,test:3"],
+            ["gen-l3", *facts, "--out-dir", "l3", "--split-ratios", "train:0.6,test:0.4"],
+            ["render", *facts, "--questions", "l2_train.jsonl", "--setting", "reasonqa", "--out", "r.jsonl"],
+            # the one setting that reads --articles
+            ["render", "--questions", "l2_train.jsonl", "--setting", "obqa", "--articles", "articles.jsonl",
+             "--out", "o.jsonl"],
+            ["mask", "--docs", "docs.jsonl", "--out", "m.jsonl"],
+            ["solve", *facts, "--questions", "l2_train.jsonl", "--out", "p.jsonl"],
             # mismatched render versions, so that --force is read
-            "eval": ["--questions", "l2_train.jsonl", "--predictions", "stale_preds.jsonl", "--force",
-                     "--out", "e.json"],
-            "reward": ["--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "w.jsonl"],
-            "stats": [*facts, "--questions", "l2_train.jsonl", "--out", "s.json"],
-        }
-        assert set(argvs) == set(SUBCOMMANDS)
-        unread = {}
-        for command, argv in argvs.items():
-            argv = [command, "--seed", "1", *argv]
+            ["eval", "--questions", "l2_train.jsonl", "--predictions", "stale_preds.jsonl", "--force",
+             "--out", "e.json"],
+            ["reward", "--questions", "l2_train.jsonl", "--predictions", "preds.jsonl", "--out", "w.jsonl"],
+            ["stats", *facts, "--questions", "l2_train.jsonl", "--out", "s.json"],
+        ]
+        assert {argv[0] for argv in argvs} == set(SUBCOMMANDS)
+        declared, reads = {}, {}
+        for command, *rest in argvs:
+            argv = [command, "--seed", "1", *rest]
             args = build_parser(argv).parse_args(argv, namespace=ReadRecorder())
-            declared = set(vars(args)) - {"_reads", "command", "func"}
+            declared[command] = set(vars(args)) - {"command", "func"}
             args._reads.clear()
-            assert args.func(args) == 0, command
-            if declared - args._reads:
-                unread[command] = sorted(declared - args._reads)
+            assert args.func(args) == 0, argv
+            reads.setdefault(command, set()).update(args._reads)
+            assert set(output_meta(argv)["config"]) == declared[command] - {"out", "out_dir", "seed"}, argv
+        unread = {command: sorted(declared[command] - reads[command]) for command in declared
+                  if declared[command] - reads[command]}
         assert unread == {}
 
     @pytest.mark.parametrize("argv", [
@@ -734,3 +762,36 @@ class TestDeclaredFlags:
     def test_flags_a_subcommand_does_not_read_are_usage_errors(self, inputs, capsys, argv):
         assert run(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestConfigHash:
+    """Two runs on the same input files and seed that write different records
+    write different config hashes."""
+
+    def test_stats_records_its_group_limits(self, tmp_path, facts_file):
+        reports = []
+        for name, limits in (("a", []), ("b", ["--max-subjects", "5"])):
+            out = tmp_path / f"{name}.json"
+            assert run("stats", "--facts", facts_file, *limits, "--out", str(out)) == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+        default, capped = reports
+        assert default["facts_file"]["groups"] != capped["facts_file"]["groups"]
+        assert default["_meta"]["config_hash"] != capped["_meta"]["config_hash"]
+
+    @pytest.mark.parametrize("command", [["solve"], ["render", "--setting", "reasonqa"]], ids=["solve", "render"])
+    def test_snapshot_is_recorded(self, tmp_path, command):
+        # the subject's last office is ongoing, so the snapshot closes it
+        rows = [dict(YOSHIMURA_ROWS[0], subject="Aiko Abe", subject_id="Q1", object=obj, object_id=f"O{i}",
+                     start=start, end=end)
+                for i, (obj, start, end) in enumerate([("Deputy", "Jan 2000", "Dec 2009"),
+                                                       ("Mayor", "Jan 2010", None)])]
+        facts = write_facts(tmp_path / "facts.jsonl", rows)
+        questions = write_lines(tmp_path / "q.jsonl", [json.dumps(l2_record("Q1"))])
+        outputs = []
+        for name, snapshot in (("a", []), ("b", ["--snapshot", "Dec 2015"])):
+            out = str(tmp_path / f"{name}.jsonl")
+            assert run(*command, "--facts", facts, "--questions", questions, *snapshot, "--out", out) == 0
+            outputs.append(read_jsonl(out))
+        (default_meta, default_records), (snapshot_meta, snapshot_records) = outputs
+        assert default_records != snapshot_records
+        assert default_meta["config_hash"] != snapshot_meta["config_hash"]

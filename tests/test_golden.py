@@ -17,34 +17,34 @@ from chronoqa.jsonl import read_jsonl
 from conftest import synth_rows, write_facts
 
 GOLDEN = {
-    "eval_l1.json": "010bb16d3209adbd2b13002a778eaff265effd3e8eb71a25332e10596b3683f5",
+    "eval_l1.json": "1988338cbd832b06b7e1998a91dd35379a7f77bad51e013978d376cde77c2fa5",
     "eval_l1_table.txt": "ef16eca75a30e9583bb13a50dd27cc80580cd2351f2ab94501615e4b2a49283e",
-    "eval_l2.json": "99a53e66012965d38c43600976914c3b850c96f5508077046501a8bcee15c681",
+    "eval_l2.json": "a54d903192b601c7fc55ddf0ba0bedcafc2870283c5cbf6343851ca0e1dc0b39",
     "eval_l2_table.txt": "2c2917c3c4c65bbdaf0db7146edda3116df9818380ac90c3c76621248914facf",
-    "eval_l3.json": "e0c4f94526738da1c119f57ed81fd396eb3a6c7c1bff7618dd15e792e9dcbccf",
+    "eval_l3.json": "1a33ec1bda72ea940fcc509248609ffda876c95e8656686e88f42e30c06499fc",
     "eval_l3_table.txt": "551570c17a6d73c97c2b62c2b94a4bfabaf01e9c894b4758df8bcca94f51216c",
-    "l1_train.jsonl": "4c58aed77b0c4369653bd5d21b206e5105af253681723d15a4fb3adf8bd03215",
-    "l2_test.jsonl": "2f5209fd849cabdbbf7d5e98a50a1b523090f4f342d035801af16768198c0227",
-    "l2_train.jsonl": "05bff0d3c0163739f5d65c77ddc191998eec6d5ab7c58dee09296967ec5b2833",
-    "l3_test.jsonl": "b266de0a70c2fd2125515a8a8d1705856e3b4ebdc31b7eab673ea427834fea8b",
-    "l3_train.jsonl": "c0465128a6613757b6b0fe09d2fd56e7e52229c42a9d9ee19c0b791030d2a28e",
-    "render_l2.jsonl": "12b1d295cd20fe9bde4bd846f66398f254aeda61fdf58da2adad00774941e861",
-    "reward_l2.jsonl": "7c043c69be20a54fcf114b8eb43cfb34be43e3bdebf0f1e89c61080227835e55",
-    "reward_l3.jsonl": "4e6a5ed82d1e626da8a06ea2608b9362ccf75c1fecb882357c93abaa9121819b",
-    "solve_l2.jsonl": "cc4adbd6557570d2575526593fe9f8f1e72b9a2cad2da318f897a6289174840e",
-    "solve_l3.jsonl": "4b1605d6995bde3ef94d13bda9a3d1d5771b3c54625e8fdcdb4a57cd9857c33c",
+    "l1_train.jsonl": "17c363212d08402540c7affc54cca202e87e6b16ec3456bf98e0b1e0d2cc6187",
+    "l2_test.jsonl": "ab33d356c88030cfae533e18f65eea3fcf95c1651272aced6efd50eda5bb2a82",
+    "l2_train.jsonl": "f846aa6c626cdfb2644a8d5b0a519c1d4d09086fa77bf775b4515763245a18ce",
+    "l3_test.jsonl": "648421ab7ded3406691b9efd02c68c9df644aaac5b94019c2191d05a1fc41040",
+    "l3_train.jsonl": "9e60f31efe7d3757900f1500df62fb8efa9029f72f3055f4e1c0e678d1400f10",
+    "render_l2.jsonl": "435172455514e265c00dea8bbfba5223614ef1160adb513d4b3d7b8d027b9693",
+    "reward_l2.jsonl": "0fc2ae473e283d5a48fbd445e531d6ed7be9002f84d2da43937bdcfcc44ee620",
+    "reward_l3.jsonl": "99be4200fa45098e6c04d3c53e78ed96a8c8627a2c9cf533dee7aa6a327f24d4",
+    "solve_l2.jsonl": "fd2ec870d555858e42b5a1c7adac0e7c5a801c2d5a5586734725c816fc16b7eb",
+    "solve_l3.jsonl": "df7c53fa13f1ee813a63ff7b625b268d56faf833da2167e98a65efffd9e78bca",
     # gen-l1 dev/test, the future set, mask and stats --out
-    "l1_splits/l1_dev.jsonl": "ee11ee67c266c17ccd93b5f5eab5565f8f1924648a706f939c082d0a88cc0db9",
-    "l1_splits/l1_test.jsonl": "18739fbbbae60dd20aee2f80c655f467ac1a907a4fac6b7f7dac972be04d119f",
-    "l1_splits/l1_train.jsonl": "75a69cf9bd7324405d6b3e4dd3d5c8a339c04e1bf6474cf6d518533f06e9e4c6",
-    "l1_future.jsonl": "5e8c3092dd64169ce68fefb9575e106bea98a54917fc0888a84adb932a1b38ec",
-    "mask.jsonl": "0bd8a7d7bd1443cf2c6ea01900fc6b450a3f43cd8fdfe805040536d7877b9306",
-    "stats.json": "1efb83bd3784193174dab631fe7efba43811858d394c2b6783ed7ad05fbcb149",
+    "l1_splits/l1_dev.jsonl": "b01c954ea38dce19e865555f44c4e3bf73e5ee64614e62b62dd94f0371a06ab6",
+    "l1_splits/l1_test.jsonl": "2f053b3aa660514d7b4fa3e255136f474ae47475a6fb17db8d5e00ed4a241787",
+    "l1_splits/l1_train.jsonl": "2d1825a32790bb48b113200e65b92ca55e3f85eb52a80dae22b2793ac985cfe4",
+    "l1_future.jsonl": "f69c3404344843774fdd2b35b9d37d9f4e3cb42282e1de2374fbb6a28e885c1b",
+    "mask.jsonl": "7fd386c6bce166699cc39c56a792a2ab3714bbecd868ddd7a43e9c63a9ab3fb2",
+    "stats.json": "c3e3f5699688c04b751b300f4a9fc902ee5d548909f50f38dfda9e1976095c01",
     # gen-l1 near year 1: enumeration, and sampling into three splits
-    "l1_enumerated/l1_train.jsonl": "23388d12cd329afd7383bdfc2d3bdf69ac2df4dac493ed66b19af3471593d537",
-    "l1_early/l1_dev.jsonl": "21584d89c418cb2d9482b53df091320c12d69d2ce88d39757ef04b6113f80c8c",
-    "l1_early/l1_test.jsonl": "2a2d747fd44033c59e6b082d65e7d39f965b131b12f1a5067f4456ca5c0b55f2",
-    "l1_early/l1_train.jsonl": "6932303a6da480a962c8679300e9f84d677e8a0c500c81744a4aaef50963247d",
+    "l1_enumerated/l1_train.jsonl": "fe018290d59b9d0b64f11fef95d94976555ad440178486cd090084bb7d409d06",
+    "l1_early/l1_dev.jsonl": "609e5a454f36503cc937487c7e26242e91d9229847ede4fb62438aa83b7d32e0",
+    "l1_early/l1_test.jsonl": "73a963e42450aac7940ce77e76ebb4c55b686dd07a4748534e9b1c2bb05bf08b",
+    "l1_early/l1_train.jsonl": "b2e6e28ba7b58fd51ea10eed3f93bdfc07203eb8b18eed3d95610b592cda5dd2",
 }
 
 
@@ -183,10 +183,10 @@ _ESCAPED_NAMES = ['Ada "the Count" Lovelace', "C:\\Users\\admin", "Tab\there", "
                   "Para\u2029Sep \x7f", "Bell\x07 and \x1f", "Emoji \U0001F600 Ω", "Back\\\"slash"]
 
 ESCAPED_GOLDEN = {
-    "l2_train.jsonl": "70904c2c273a95092d91834d69023b66b3b46e3e949233f223ac8cf3001bd94c",
-    "l3_train.jsonl": "bac0c3e49e29c5973f193ca98c9e05af951b4e9c6c0ee6b7a9950928651d6224",
-    "solve_l2.jsonl": "3fa31cdf516f518fa03797a3459e05b98ab97fcccf685fa4ca525d2dc1027a30",
-    "solve_l3.jsonl": "6b9b465648ae289fdb06637380fe21e2ceca6dcdb99baee8169fd01ed4748691",
+    "l2_train.jsonl": "b1e2195a7ca5684fb3f0aedaaf789372b96a17d231e90d6a4aae46b45341680e",
+    "l3_train.jsonl": "cf19acd850e13ea06436a9b1b079fdbd3ae9e8a00bb8f138f54a645f58679583",
+    "solve_l2.jsonl": "07b1c9dde4f95129934e4a23bf334233bad59e39aecae841476617cb18f72d0b",
+    "solve_l3.jsonl": "0241c2b91530ff880813b36fc0d78e9081e3572e516e78a5ffd67aec3293c9dc",
 }
 
 
