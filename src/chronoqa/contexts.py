@@ -137,7 +137,9 @@ def _holds_sentinel(text: str, prefix: str, suffix: str) -> bool:
 
 @lru_cache(maxsize=64)
 def _decimal_ratio(ratio: float) -> tuple[int, int]:
-    """(numerator, denominator) of the decimal ``ratio`` prints as: 0.28 is 7/25."""
+    """(numerator, denominator) of the decimal ``ratio`` prints as: 0.28 is 7/25. A ratio must be in (0, 1]."""
+    if not 0 < ratio <= 1:
+        raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
     from fractions import Fraction  # only masking needs it
     return Fraction(repr(ratio)).as_integer_ratio()
 
@@ -151,16 +153,21 @@ def mask_spans(doc: AnnotatedDocument, ratio: float, seed: int = 0,
     is each sentinel followed by the span it replaced, so :func:`unmask`
     recovers the original text exactly; text already holding a sentinel is refused.
     """
-    if not 0 < ratio <= 1:
-        raise ValueError(f"mask ratio must be in (0, 1], got {ratio}")
+    share = _decimal_ratio(ratio)
     prefix, suffix = sentinel_parts(sentinel_pattern)
     doc_id, text, spans = doc
     if not spans:
         raise ValueError(f"document {doc_id!r} has no spans to mask")
     if _holds_sentinel(text, prefix, suffix):
         raise ValueError(f"document {doc_id!r} already holds text shaped like a sentinel")
+    return _mask(doc, share, seed, prefix, suffix)
+
+
+def _mask(doc: AnnotatedDocument, share: tuple[int, int], seed: int, prefix: str, suffix: str) -> tuple[str, str]:
+    """:func:`mask_spans` of a document with spans and no sentinel, ``share`` its ratio's ``_decimal_ratio``."""
+    doc_id, text, spans = doc
     span_count = len(spans)
-    numerator, denominator = _decimal_ratio(ratio)
+    numerator, denominator = share
     masked_count = -(-numerator * span_count // denominator)  # the ceiling, in integers
     if masked_count == span_count:  # every span, whatever the draws; seeding a generator costs more than masking
         chosen = range(span_count)
@@ -201,8 +208,10 @@ def masked_line(record: dict) -> str:
 def mask_corpus(docs: Iterable[AnnotatedDocument], ratio: float, seed: int = 0,
                 sentinel_pattern: str = DEFAULT_SENTINEL_PATTERN) -> tuple[list[dict], list[str]]:
     """Mask a whole corpus; documents :func:`mask_spans` refuses for zero
-    spans or a sentinel in their text are skipped with a diagnostic."""
+    spans or a sentinel in their text are skipped with a diagnostic. A
+    ratio out of (0, 1] raises, whatever the documents."""
     prefix, suffix = sentinel_parts(sentinel_pattern)
+    share = _decimal_ratio(ratio)
     records = []
     diagnostics = []
     for doc in docs:
@@ -211,6 +220,6 @@ def mask_corpus(docs: Iterable[AnnotatedDocument], ratio: float, seed: int = 0,
             reason = "already holds text shaped like a sentinel" if spans else "has no spans"
             diagnostics.append(f"document {doc_id!r} {reason}; skipped")
             continue
-        masked, target = mask_spans(doc, ratio, seed, sentinel_pattern)
+        masked, target = _mask(doc, share, seed, prefix, suffix)
         records.append({"doc_id": doc_id, "input": masked, "target": target})
     return records, diagnostics

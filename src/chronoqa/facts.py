@@ -86,10 +86,6 @@ class FactGroup:
         return "FactGroup(subject=%r, subject_id=%r, relation=%r, facts=%r)" % self._fields()
 
     @property
-    def key(self) -> tuple[str, str]:
-        return (self.subject_id, self.relation)
-
-    @property
     def keys(self) -> tuple[str, ...]:
         """The scoring key of each fact's object, aligned with ``facts``;
         computed on first use, so grouping itself normalizes nothing."""
@@ -214,14 +210,14 @@ def _ingest_rows(rows: Iterable, **settings) -> tuple[dict, tuple[Fact, ...]]:
     return {"diagnostics": store.diagnostics, "duplicates_dropped": store.duplicates_dropped}, store.facts
 
 
-def _facts(columns: list[list]) -> list[Fact] | None:
-    """A cached block's facts, if its texts are strings and its months
-    integer month indices of year 1 on, no fact ending before it starts."""
+def _facts(columns: list[list]) -> list[Fact]:
+    """A cached block's facts; raises unless its texts are strings and its
+    months integer month indices of year 1 on, no fact ending before it starts."""
     subjects, subject_ids, relations, objects, object_ids, starts, ends = columns
     # raises TypeError, a miss, unless every item is a str
     "".join(chain(subjects, subject_ids, relations, objects, object_ids))
     if {*map(type, chain(starts, ends))} - {int} or min(starts) < 12 * MIN_YEAR or not all(map(le, starts, ends)):
-        return None
+        raise ValueError("a cached month is not a month index of year 1 on, or a fact ends before it starts")
     return list(map(tuple.__new__, repeat(Fact), zip(*columns, strict=True)))
 
 

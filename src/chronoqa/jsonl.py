@@ -216,11 +216,9 @@ def load_cached(path: str, salt: str, decode: Callable[[Iterator[tuple[int, dict
                 for block in iter(partial(handle.read, 1 << 20), b""):
                     digest.update(block)
                 try:
-                    result = _read_columns(codec, cached, digest.hexdigest())
-                except (OSError, ValueError, TypeError, KeyError, RecursionError):
-                    result = None
-            if result is not None:
-                return result
+                    return _read_columns(codec, cached, digest.hexdigest())
+                except (OSError, ValueError, TypeError, KeyError, RecursionError):  # a miss
+                    pass
             handle.seek(0)
         # hashed as it is decoded, so the key is that of the bytes decoded
         digest = blake2b(salt.encode("ascii") + b"\n", digest_size=20)
@@ -263,27 +261,27 @@ class Columns(NamedTuple):
     ``{"key", "meta", "records"}`` and then blocks of up to 1,024 records,
     each block one array of columns: the records' fields, transposed.
 
-    ``build`` gives a block back from its columns, or None (or raises)
-    unless every column has the types ``parse`` accepts; ``meta``,
-    likewise, whether the header's ``meta`` has the shape the decode gives
-    (by default, a file's ``_meta`` header or None)."""
+    ``build`` gives a block back from its columns, and raises unless
+    every record in it is one ``parse`` accepts, as ``parse`` would give
+    it; ``meta``, likewise, whether the header's ``meta`` has the shape the
+    decode gives (by default, a file's ``_meta`` header or None)."""
 
     name: str  # the record type and its cache format: first in the key's salt
-    build: Callable[[list], list | None]
+    build: Callable[[list], list]
     meta: Callable[[object], bool] = _file_meta
 
 
-def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple | None:
+def _read_columns(codec: Columns, handle: IO[str], key: str) -> tuple:
+    """The cached ``(meta, items)``; raises unless the cache is whole, under ``key``, and passes ``codec``."""
     header = json.loads(handle.readline())
-    if type(header) is not dict or header["key"] != key:
-        return None
     meta, items = header["meta"], []
-    if not codec.meta(meta):
-        return None
+    if header["key"] != key or not codec.meta(meta):
+        raise ValueError("another input's cache, or another codec's")
     for line in handle:  # a block at a time
         block = json.loads(line)
-        block = codec.build(block) if type(block) is list and {*map(type, block)} == {list} else None
-        if block is None:
-            return None
-        items += block
-    return (meta, items) if len(items) == header["records"] else None
+        if type(block) is not list or {*map(type, block)} != {list}:
+            raise ValueError("a block is not an array of columns")
+        items += codec.build(block)
+    if len(items) != header["records"]:
+        raise ValueError("records missing from the cache")
+    return meta, items

@@ -4,14 +4,12 @@ reads questions compiles none of it."""
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from typing import Mapping, NamedTuple
 
 from .jsonl import Columns, quote
 from .timeline import MIN_YEAR, format_month, parse_month
 
 LEVELS = ("L1", "L2", "L3")
-_TEXT_OR_NULL = (str, type(None))
 _TEXT_FIELDS = ("id", "question", "template_id", "split")
 _OPTIONAL_TEXT_FIELDS = ("relation", "subject", "subject_id", "neighbor_object")
 
@@ -61,33 +59,15 @@ class Question(NamedTuple):
     def from_record(cls, record: Mapping) -> "Question":
         """The question ``record`` holds, with the defaults of its optional
         keys; a ValueError or KeyError names the first bad field."""
-        level = record["level"]
-        if level not in LEVELS:
-            raise ValueError(f"unknown question level {level!r}")
-        texts = (record["id"], record["question"], record.get("template_id", ""), record.get("split", "train"))
-        question_id, question, template_id, split = texts
-        if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
-                and isinstance(split, str)):
-            name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
-            raise ValueError(f"{name} must be a string")
-        answers, negatives = record["answers"], record.get("negatives", [])
-        if not (isinstance(answers, list) and answers and isinstance(negatives, list)
-                and _all_strings(answers) and _all_strings(negatives)):
-            raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
         t_ref = record.get("t_ref")
-        if t_ref is not None and not isinstance(t_ref, str):
-            raise ValueError("t_ref must be a time string or null")
-        relation, subject = record.get("relation"), record.get("subject")
-        subject_id, neighbor_object = record.get("subject_id"), record.get("neighbor_object")
-        if not (isinstance(relation, _TEXT_OR_NULL) and isinstance(subject, _TEXT_OR_NULL)
-                and isinstance(subject_id, _TEXT_OR_NULL) and isinstance(neighbor_object, _TEXT_OR_NULL)):
-            name = next(name for name in _OPTIONAL_TEXT_FIELDS
-                        if not isinstance(record.get(name), _TEXT_OR_NULL))
-            raise ValueError(f"{name} must be a string or null")
-        # tuple.__new__: Question's generated __new__ only packs the fields, in one more call per record.
-        return tuple.__new__(cls, (question_id, level, relation, subject, subject_id, template_id, question,
-                                   tuple(answers), tuple(negatives),
-                                   None if t_ref is None else parse_month(t_ref, 1), neighbor_object, split))
+        if t_ref is not None:
+            if not isinstance(t_ref, str):
+                raise ValueError("t_ref must be a time string or null")
+            t_ref = parse_month(t_ref, 1)
+        return _question((record["id"], record["level"], record.get("relation"), record.get("subject"),
+                          record.get("subject_id"), record.get("template_id", ""), record["question"],
+                          record["answers"], record.get("negatives", []), t_ref, record.get("neighbor_object"),
+                          record.get("split", "train")))
 
 
 def record_line(record: dict) -> str:
@@ -105,29 +85,40 @@ def record_line(record: dict) -> str:
             f'"t_ref": {"null" if t_ref is None else quote(t_ref)}, "template_id": {quote(record["template_id"])}}}')
 
 
-def _questions(columns: list[list]) -> list[Question] | None:
-    """A cached block's questions, if every column has the types
-    ``Question.from_record`` accepts and every month is of year 1 on."""
-    (ids, levels, relations, subjects, subject_ids, template_ids, texts, answers, negatives, t_refs, neighbors,
-     splits) = columns
-    # raises TypeError, a miss, unless every item is a str
-    "".join(chain(ids, template_ids, texts, splits, chain.from_iterable(chain(answers, negatives))))
-    if (not {*levels} <= _LEVEL_SET or {*map(type, chain(answers, negatives))} - {list} or not all(answers)
-            or {*map(type, chain(relations, subjects, subject_ids, neighbors))} - _TEXT_OR_NULL_SET
-            or {*map(type, t_refs)} - _MONTH_OR_NULL
-            or min({*t_refs} - {None}, default=12 * MIN_YEAR) < 12 * MIN_YEAR):
-        return None
-    return list(map(tuple.__new__, repeat(Question),
-                    zip(ids, levels, relations, subjects, subject_ids, template_ids, texts, map(tuple, answers),
-                        map(tuple, negatives), t_refs, neighbors, splits, strict=True)))
+def _question(values: tuple) -> Question:
+    """The question of a record's field values in field order, ``t_ref`` a
+    month index or None, as a line and a cached block both give them; a
+    ValueError names the first bad field."""
+    (question_id, level, relation, subject, subject_id, template_id, question, answers, negatives, t_ref,
+     neighbor_object, split) = values
+    if level not in LEVELS:
+        raise ValueError(f"unknown question level {level!r}")
+    if not (isinstance(question_id, str) and isinstance(question, str) and isinstance(template_id, str)
+            and isinstance(split, str)):
+        name = next(name for name, value in zip(_TEXT_FIELDS, (question_id, question, template_id, split))
+                    if not isinstance(value, str))
+        raise ValueError(f"{name} must be a string")
+    if not (isinstance(answers, list) and answers and isinstance(negatives, list)
+            and _all_strings(answers) and _all_strings(negatives)):
+        raise ValueError("answers must be a non-empty list of strings and negatives a list of strings")
+    if t_ref is not None and (type(t_ref) is not int or t_ref < 12 * MIN_YEAR):
+        raise ValueError("t_ref must be a month index of year 1 on or null")
+    if not ((relation is None or isinstance(relation, str)) and (subject is None or isinstance(subject, str))
+            and (subject_id is None or isinstance(subject_id, str))
+            and (neighbor_object is None or isinstance(neighbor_object, str))):
+        optional = (relation, subject, subject_id, neighbor_object)
+        name = next(name for name, value in zip(_OPTIONAL_TEXT_FIELDS, optional)
+                    if value is not None and not isinstance(value, str))
+        raise ValueError(f"{name} must be a string or null")
+    # tuple.__new__: Question's generated __new__ only packs the fields, in one more call per record.
+    return tuple.__new__(Question, (question_id, level, relation, subject, subject_id, template_id, question,
+                                    tuple(answers), tuple(negatives), t_ref, neighbor_object, split))
 
 
-_LEVEL_SET = frozenset(LEVELS)
-_TEXT_OR_NULL_SET = frozenset(_TEXT_OR_NULL)
-_MONTH_OR_NULL = frozenset((int, type(None)))
-# The question codec of the input cache (jsonl.load_cached). Raise the
-# number whenever the columns or their checks change.
-QUESTION_COLUMNS = Columns("questions 1", _questions)
+# The question codec of the input cache (jsonl.load_cached): each cached
+# record goes through the check its line goes through. Raise the number
+# whenever the columns or the records the check accepts change.
+QUESTION_COLUMNS = Columns("questions 1", lambda columns: list(map(_question, zip(*columns, strict=True))))
 
 
 def _all_strings(items: list) -> bool:

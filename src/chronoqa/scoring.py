@@ -15,7 +15,6 @@ module on first use, so solving and fact grouping compile neither.
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .jsonl import Columns, quote
@@ -47,24 +46,24 @@ class Prediction(NamedTuple):
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Prediction":
-        prediction_id, prediction = record["id"], record["prediction"]
-        if not isinstance(prediction_id, str):
-            raise ValueError(f"id must be a string, got {type(prediction_id).__name__}")
-        if not isinstance(prediction, str):
-            raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
-        return cls(prediction_id, prediction)
+        return _prediction((record["id"], record["prediction"]))
 
 
-def _predictions(columns: list[list]) -> list[Prediction]:
-    """A cached block's predictions, if both columns hold strings only."""
-    ids, texts = columns
-    "".join(chain(ids, texts))  # raises TypeError, a miss, unless every item is a str
-    return list(map(tuple.__new__, repeat(Prediction), zip(ids, texts, strict=True)))
+def _prediction(values: tuple) -> Prediction:
+    """The prediction of a record's field values in field order, as a line
+    and a cached block both give them; a ValueError names the first bad field."""
+    prediction_id, prediction = values
+    if not isinstance(prediction_id, str):
+        raise ValueError(f"id must be a string, got {type(prediction_id).__name__}")
+    if not isinstance(prediction, str):
+        raise ValueError(f"prediction must be a string, got {type(prediction).__name__}")
+    return tuple.__new__(Prediction, values)
 
 
-# The prediction codec of the input cache (jsonl.load_cached). Raise the
-# number whenever the columns or their checks change.
-PREDICTION_COLUMNS = Columns("predictions 1", _predictions)
+# The prediction codec of the input cache (jsonl.load_cached): each cached
+# record goes through the check its line goes through. Raise the number
+# whenever the columns or the records the check accepts change.
+PREDICTION_COLUMNS = Columns("predictions 1", lambda columns: list(map(_prediction, zip(*columns, strict=True))))
 
 
 def prediction_line(prediction: Prediction) -> str:

@@ -176,6 +176,8 @@ class TestMaskSpans:
         for ratio in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="ratio"):
                 mask_spans(doc, ratio)
+            with pytest.raises(ValueError, match="ratio"):  # with no document to mask too
+                mask_corpus([AnnotatedDocument("empty", "no spans", ())], ratio)
 
     def test_deterministic_under_seed(self):
         rng = random.Random(4)

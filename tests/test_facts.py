@@ -257,7 +257,7 @@ class TestBuildGroups:
         first = build_groups(store, seed=42)
         assert len({g.subject_id for g in first}) == 2000
         again = build_groups(store, seed=42)
-        assert [g.key for g in first] == [g.key for g in again]
+        assert [(g.subject_id, g.relation) for g in first] == [(g.subject_id, g.relation) for g in again]
         other_seed = build_groups(store, seed=43)
         assert {g.subject_id for g in other_seed} != {g.subject_id for g in first}
 

@@ -17,9 +17,10 @@ from chronoqa.cli import main
 from chronoqa.jsonl import load_jsonl
 from chronoqa.records import QUESTION_COLUMNS, Question
 from chronoqa.scoring import PREDICTION_COLUMNS, Prediction
-from chronoqa.timeline import TimePoint, month_index
+from chronoqa.timeline import TimePoint, month_index, parse_month
 
 from conftest import ESCAPES, synth_rows, write_facts
+from test_questions import _MISSING, _MUTATIONS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SUFFIX = ".chronoqa-cache"
@@ -284,6 +285,51 @@ def test_a_bad_prediction_cache_is_a_miss(copy_of, how):
         header = json.dumps(dict(json.loads(header), key="0" * 40))
     cache.write_text("\n".join([header, json.dumps(columns), *rest]) + "\n", encoding="ascii")
     assert load(path, "predictions") == (cold, len(cold[1]))
+
+
+def cached_value(field: str, value):
+    """What a cache holds for a line's ``value``: a month index for a ``t_ref`` that parses as one."""
+    if field == "t_ref" and isinstance(value, str):
+        try:
+            return parse_month(value, 1)
+        except ValueError:
+            pass
+    return value
+
+
+@pytest.mark.parametrize("name, kind", [("hand", "questions"), ("predictions", "predictions")])
+def test_a_cache_with_one_bad_field_misses_or_gives_what_its_line_gives(copy_of, tmp_path, name, kind):
+    """Each mutation of one field of the first record, put into its column
+    of a cached block (a short column for a missing key): a warm load
+    either misses, rebuilding the cache, or gives what a cold load of the
+    file with that value on the record's line gives."""
+    path = copy_of(name)
+    cold, _ = load(path, kind)
+    good_cache = cache_of(path).read_text(encoding="ascii")
+    header, block, *blocks = good_cache.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = 1 if cold[0] is not None else 0  # the first record's line, after a header
+    line_file = tmp_path / "line.jsonl"
+    parse = CODECS[kind][0]
+    for column, field in enumerate(type(cold[1][0])._fields):
+        for value in _MUTATIONS:
+            columns, record = json.loads(block), json.loads(lines[at])
+            if value is _MISSING:
+                del columns[column][0], record[field]
+            else:
+                columns[column][0], record[field] = cached_value(field, value), value
+            cache_of(path).write_text("\n".join([header, json.dumps(columns), *blocks]) + "\n", encoding="ascii")
+            warm, calls = load(path, kind)
+            if calls:  # a miss
+                assert warm == cold and cache_of(path).read_text(encoding="ascii") == good_cache
+                continue
+            line_file.write_text("\n".join([*lines[:at], json.dumps(record), *lines[at + 1:]]) + "\n",
+                                 encoding="utf-8")
+            try:
+                expected = load_jsonl(str(line_file), parse)
+            except ValueError as exc:
+                pytest.fail(f"a cache holding {field} {value!r} is a hit, but its line fails: {exc}")
+            assert_same_records(warm, expected)
 
 
 def test_one_changed_byte_is_a_miss(copy_of):
