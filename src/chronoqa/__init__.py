@@ -16,7 +16,7 @@ _EXPORTS = {
     "facts": ("Fact", "FactGroup", "FactStore", "build_groups", "ingest", "load_fact_file", "split_subjects"),
     "metrics": ("EvalReport", "evaluate", "score_em", "score_f1", "score_numeric"),
     "oracle": ("OracleAnswer", "solve", "solve_l1", "solve_l2", "solve_l3"),
-    "questions": ("gen_l1", "gen_l1_future", "gen_l2", "gen_l3"),
+    "questions": ("gen_l1", "gen_l1_future", "gen_l2", "gen_l3", "l1_questions"),
     "records": ("Question",),
     "rewards": ("RewardRecord", "reward"),
     "scoring": ("Prediction", "normalize"),

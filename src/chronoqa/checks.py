@@ -20,12 +20,16 @@ def checked_templates(raw: str, path: str) -> dict:
     version = data.get("version", 1)
     if not isinstance(version, int) or isinstance(version, bool):
         raise TemplateError(f"template file {path}: 'version' must be an integer, got {version!r}")
+    entries: dict[str, int] = {}  # each l1 id's entry number
     for i, entry in enumerate(data["l1"], 1):
         template = RelativeTimeTemplate(*_texts(entry, f"l1 entry {i}", path, RelativeTimeTemplate._fields[:4],
                                                 RelativeTimeTemplate._fields[4:]))
         if template.granularity not in ("year", "month"):
             raise TemplateError(f"template file {path}: 'granularity' in l1 entry {i} must be 'year' or "
                                 f"'month', got {template.granularity!r}")
+        if entries.setdefault(template.id, i) != i:
+            raise TemplateError(f"template file {path}: 'id' in l1 entry {i} repeats that of l1 entry "
+                                f"{entries[template.id]}, {template.id!r}")
         _check_placeholders(template, f"l1 entry {i}", path)
     for code, entry in data["relations"].items():
         _texts(entry, code, path, RelationTemplates._fields[1:])

@@ -116,8 +116,9 @@ def _write_records(path, records, meta: dict, noun: str, encode) -> None:
     print(f"wrote {count} {noun} to {path}")
 
 
-def _write_questions(args, templates, level: str, partitions: dict) -> None:
-    """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``."""
+def _write_questions(args, templates, level: str, partitions: dict, encode=None) -> None:
+    """Write each split's questions to ``{out_dir}/{level}_{split}.jsonl``,
+    each ``Question`` through its record, or each item through ``encode``."""
     from pathlib import Path
 
     from .records import record_line
@@ -125,8 +126,8 @@ def _write_questions(args, templates, level: str, partitions: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _meta(args, templates.render_version)
     for split, questions in partitions.items():
-        _write_records(out_dir / f"{level}_{split}.jsonl", (q.to_record() for q in questions), meta,
-                       "questions", record_line)
+        records = questions if encode else (q.to_record() for q in questions)
+        _write_records(out_dir / f"{level}_{split}.jsonl", records, meta, "questions", encode or record_line)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ FLAGS = [_TEMPLATES, _OUT_DIR, _flag("--count", type=_COUNT, required=True)]
 
 
 def run(args) -> int:
-    from .questions import gen_l1_future
+    from .questions import _l1_renderer, gen_l1_future
     from .templates import load_templates
     templates = load_templates(args.templates)
-    questions = gen_l1_future(args.count, args.seed, templates=templates)
-    _write_questions(args, templates, "l1", {"future": questions})
+    draws = gen_l1_future(args.count, args.seed, templates=templates)
+    lines = map(_l1_renderer(templates, "future").line, draws, range(len(draws)))
+    _write_questions(args, templates, "l1", {"future": lines}, encode=str)  # each a line already
     return EXIT_OK

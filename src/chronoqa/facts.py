@@ -231,7 +231,7 @@ def _ingest_report(report: dict) -> bool:
 # The fact-file codec of the input cache (jsonl.load_cached): Fact's fields
 # are its columns, and the header's meta is ingest's report. Raise the number
 # whenever ingest's rules or messages, Fact's fields, or the checks change.
-FACT_COLUMNS = Columns("facts 3", _facts, _ingest_report)
+FACT_COLUMNS = Columns("facts 4", _facts, _ingest_report)
 
 
 def build_groups(store: FactStore, seed: int = 0, *,

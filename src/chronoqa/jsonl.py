@@ -11,9 +11,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from contextlib import closing, contextmanager
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 from stat import S_ISREG
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -30,6 +31,14 @@ _BLOCK_LINES = 1024
 # ``read_rows`` keeps the two checks ``json.loads`` adds (trailing data, a
 # leading byte-order mark) with their messages.
 _decode = json.JSONDecoder().raw_decode
+
+# How deep a line may nest its arrays and objects: far above any record's
+# depth, far below the recursion limit the decoder shares with its caller, so
+# a deeper line reads the same from any stack. Only a line with more ``[``
+# and ``{`` than that is scanned, by these tokens: a string, or one bracket.
+_MAX_DEPTH = 100
+_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 T = TypeVar("T")
 
@@ -112,6 +121,9 @@ def _rows(stream: IO[bytes]) -> Iterator[tuple[int, dict | ValueError]]:
             if not text:
                 continue
             try:
+                if text.count("[") + text.count("{") > _MAX_DEPTH and max(accumulate(
+                        _NESTING.get(token, 0) for token in _TOKENS.findall(text))) > _MAX_DEPTH:
+                    raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
                 row, end = _decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)

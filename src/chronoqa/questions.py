@@ -15,9 +15,11 @@ worker scheduling or group order.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import accumulate, product
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping
 
+from .jsonl import quote
 from .records import Question
 from .templates import load_templates
 from .timeline import (
@@ -44,62 +46,74 @@ class CapacityError(ValueError):
     """More unique questions were requested than the range can yield."""
 
 
-def _l1_families(templates: TemplateTable) -> list[tuple]:
-    """Per L1 template: (position, template, id, year granularity, uses
-    years, uses months)."""
-    return [(i, template, template.id, template.granularity == "year", template.uses_years(),
-             template.uses_months()) for i, template in enumerate(templates.l1)]
-
-
-def _l1_combination_space(families: list[tuple], months: int, years: int) -> int:
-    space = 0
-    for _, _, _, by_year, uses_years, uses_months in families:
-        per_direction = (MAX_YEAR_OFFSET if uses_years else 1) * (MAX_MONTH_OFFSET if uses_months else 1)
-        space += len(DIRECTIONS) * per_direction * (years if by_year else months)
-    return space
-
-
-def _l1_renderer(templates: TemplateTable, split: str):
-    """A function ``(family, direction, t_index, x, y, sequence)`` that
-    returns the question, or None when the answer falls before year 1.
+def _l1_renderer(templates: TemplateTable, split: str) -> SimpleNamespace:
+    """The two views of an L1 draw ``(position, direction, t_index, x, y)``
+    numbered ``n`` in ``split``: ``question(draw, n)``, its Question, and
+    ``line(draw, n)``, the line ``record_line`` writes for that question,
+    built without it.
 
     Times are month indices. Each (template, direction, x, y) is rendered
-    once, up to its ``<t>`` (which a loaded template holds exactly once);
-    every question then only fills in its reference time.
+    once, up to its ``<t>`` (which a loaded template holds exactly once),
+    and the line's text around its times is quoted once; a draw then only
+    fills in its id and months, which need no escape.
     """
-    texts: dict[tuple, tuple[str, str, str]] = {}
+    pieces: dict[tuple, tuple] = {}
     prefix = f"l1-{split}-"  # ids are prefix + str(n).zfill(6): f"{n:06d}"'s text, built for less
+    id_open, split_text = quote(prefix)[:-1], quote(split)
 
-    def render(family: tuple, direction: str, t_index: int, x: int, y: int, sequence: int) -> Question | None:
-        shifted = 12 * x + y
-        answer_index = t_index - shifted if direction == BEFORE else t_index + shifted
-        if answer_index < _FIRST_MONTH_INDEX:
-            return None
-        position, template, template_id, by_year, _, _ = family
+    def cached(key: tuple) -> tuple:
+        position, direction, x, y = key
+        template = templates.l1[position]
+        head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
+        template_id = f"{template.id}_{direction}"
+        pieces[key] = parts = (
+            template.granularity == "year", -12 * x - y if direction == BEFORE else 12 * x + y, template_id, head,
+            tail, f'", "level": "L1", "negatives": [], "neighbor_object": null, "question": {quote(head)[:-1]}',
+            f'{quote(tail)[1:]}, "relation": null, "split": {split_text}, "subject": null, "subject_id": null, '
+            '"t_ref": "', f'", "template_id": {quote(template_id)}}}')
+        return parts
+
+    def question(draw: tuple, n: int) -> Question:
+        position, direction, t_index, x, y = draw
         key = (position, direction, x, y)
-        parts = texts.get(key)
-        if parts is None:
-            head, tail = templates.render_l1(template, direction, x, y, "<t>").split("<t>")
-            parts = texts[key] = (f"{template_id}_{direction}", head, tail)
-        template_direction_id, head, tail = parts
+        by_year, shift, template_id, head, tail, _, _, _ = pieces.get(key) or cached(key)
         if by_year:
-            text, answer = head + str(t_index // 12) + tail, str(answer_index // 12)
+            text, answer = head + str(t_index // 12) + tail, str((t_index + shift) // 12)
         else:
-            text, answer = head + format_month(t_index) + tail, format_month(answer_index)
-        return tuple.__new__(Question, (prefix + str(sequence).zfill(6), "L1", None, None, None,
-                                        template_direction_id, text, (answer,), (), t_index, None, split))
+            text, answer = head + format_month(t_index) + tail, format_month(t_index + shift)
+        return tuple.__new__(Question, (prefix + str(n).zfill(6), "L1", None, None, None, template_id, text,
+                                        (answer,), (), t_index, None, split))
 
-    return render
+    def line(draw: tuple, n: int) -> str:
+        position, direction, t_index, x, y = draw
+        key = (position, direction, x, y)
+        by_year, shift, _, _, _, before_text, after_text, end = pieces.get(key) or cached(key)
+        t_ref = format_month(t_index)
+        if by_year:
+            t_text, answer = str(t_index // 12), str((t_index + shift) // 12)
+        else:
+            t_text, answer = t_ref, format_month(t_index + shift)
+        return (f'{{"answers": ["{answer}"], "id": {id_open}{str(n).zfill(6)}{before_text}{t_text}{after_text}'
+                f'{t_ref}{end}')
+
+    return SimpleNamespace(question=question, line=line)
+
+
+def l1_questions(draws: list[tuple], split: str, templates: TemplateTable | None = None) -> list[Question]:
+    """The questions of :func:`gen_l1`'s draws in ``split``, numbered from 0."""
+    return list(map(_l1_renderer(templates or load_templates(), split).question, draws, range(len(draws))))
 
 
 def gen_l1(time_range: tuple[int, int], count: int, seed: int, *,
-           split: str = "train", templates: TemplateTable | None = None) -> list[Question]:
-    """Generate ``count`` unique relative-time questions in ``time_range``, two month indices.
+           split: str = "train", templates: TemplateTable | None = None) -> list[tuple]:
+    """Draw ``count`` unique relative-time questions in ``time_range``, two
+    month indices, each as ``(template position, direction, t_index, x, y)``;
+    :func:`l1_questions` builds them.
 
     Uniqueness is over (template, direction, reference time, offset). Year
     templates draw a bare reference year from the range's years; the other
     templates draw a reference month. Offsets whose result would fall before
-    year 1 are never emitted.
+    year 1 are never emitted. ``split`` seeds the draws.
     """
     templates = templates or load_templates()
     index_lo, index_hi = time_range
@@ -109,87 +123,69 @@ def gen_l1(time_range: tuple[int, int], count: int, seed: int, *,
         raise ValueError(f"empty time range: {format_month(index_lo)}..{format_month(index_hi)}")
     months, year_lo = index_hi - index_lo + 1, index_lo // 12
     years = index_hi // 12 - year_lo + 1
-    families = _l1_families(templates)
-    space = _l1_combination_space(families, months, years)
+    # per L1 template, by position: (year granularity, uses years, uses months)
+    families = [(template.granularity == "year", template.uses_years(), template.uses_months())
+                for template in templates.l1]
+    space = sum(len(DIRECTIONS) * (MAX_YEAR_OFFSET if uses_years else 1) * (MAX_MONTH_OFFSET if uses_months else 1)
+                * (years if by_year else months) for by_year, uses_years, uses_months in families)
     if count > space:
         raise CapacityError(f"requested {count} questions but the range holds only {space} unique combinations")
 
     rng = random.Random(f"{seed}|l1|{split}")
-    render = _l1_renderer(templates, split)
     if count > space // 2:
-        return _gen_l1_enumerated(families, render, rng, index_lo, index_hi, year_lo, index_hi // 12, count)
+        return _gen_l1_enumerated(families, rng, index_lo, index_hi, year_lo, index_hi // 12, count)
 
     # The draws of rng.choice(families), rng.choice(DIRECTIONS), then
     # rng.randint over the years or months, and over each offset used.
+    # No stall guard: every after draw is valid, and they are half the space.
     getrandbits, family_count, direction_count = rng.getrandbits, len(families), len(DIRECTIONS)
     seen: set[tuple] = set()
-    out: list[Question] = []
-    attempts = 0
-    budget = max(200_000, 50 * count)
-    while len(out) < count:
-        attempts += 1
-        if attempts > budget:
-            raise CapacityError("unique-question sampling stalled; too few valid combinations in range")
-        family = families[below(family_count, getrandbits)]
-        _, _, template_id, by_year, uses_years, uses_months = family
+    draws: list[tuple] = []
+    while len(draws) < count:
+        position = below(family_count, getrandbits)
+        by_year, uses_years, uses_months = families[position]
         direction = DIRECTIONS[below(direction_count, getrandbits)]
         t_index = 12 * (year_lo + below(years, getrandbits)) if by_year else index_lo + below(months, getrandbits)
         x = 1 + below(MAX_YEAR_OFFSET, getrandbits) if uses_years else 0
         y = 1 + below(MAX_MONTH_OFFSET, getrandbits) if uses_months else 0
-        key = (template_id, direction, t_index, x, y)
-        if key in seen:
-            continue
-        seen.add(key)
-        question = render(family, direction, t_index, x, y, len(out))
-        if question is not None:  # else the answer fell before year 1; the key stays burned
-            out.append(question)
-    return out
+        draw = (position, direction, t_index, x, y)
+        if draw not in seen:
+            seen.add(draw)
+            if direction != BEFORE or t_index - 12 * x - y >= _FIRST_MONTH_INDEX:  # else the draw stays burned
+                draws.append(draw)
+    return draws
 
 
-def _gen_l1_enumerated(families: list[tuple], render, rng: random.Random, index_lo: int, index_hi: int,
-                       year_lo: int, year_hi: int, count: int) -> list[Question]:
+def _gen_l1_enumerated(families: list[tuple], rng: random.Random, index_lo: int, index_hi: int,
+                       year_lo: int, year_hi: int, count: int) -> list[tuple]:
     # Dense requests enumerate the whole space instead of rejection sampling.
-    combos: list[tuple] = []
-    for position, _, _, by_year, uses_years, uses_months in families:
+    draws: list[tuple] = []
+    for position, (by_year, uses_years, uses_months) in enumerate(families):
         xs = range(1, MAX_YEAR_OFFSET + 1) if uses_years else (0,)
         ys = range(1, MAX_MONTH_OFFSET + 1) if uses_months else (0,)
         slots = range(12 * year_lo, 12 * year_hi + 1, 12) if by_year else range(index_lo, index_hi + 1)
-        combos.extend(product((position,), DIRECTIONS, slots, xs, ys))
-    _shuffle(combos, rng)
-    out: list[Question] = []
-    for position, direction, t_index, x, y in combos:
-        if len(out) == count:
-            break
-        question = render(families[position], direction, t_index, x, y, len(out))
-        if question is not None:
-            out.append(question)
-    if len(out) < count:
-        raise CapacityError(f"only {len(out)} of {count} requested questions are representable in range")
-    return out
+        draws.extend(product((position,), DIRECTIONS, slots, xs, ys))
+    _shuffle(draws, rng)
+    if 12 * (year_lo - MAX_YEAR_OFFSET) - MAX_MONTH_OFFSET < _FIRST_MONTH_INDEX:  # some answers fall before year 1
+        draws = [draw for draw in draws if draw[1] != BEFORE or draw[2] - 12 * draw[3] - draw[4] >= _FIRST_MONTH_INDEX]
+    if len(draws) < count:
+        raise CapacityError(f"only {len(draws)} of {count} requested questions are representable in range")
+    return draws[:count]
 
 
-def gen_l1_future(count: int, seed: int, *, templates: TemplateTable | None = None) -> list[Question]:
-    """The out-of-domain set: reference times drawn from 2022 to 2040."""
+def gen_l1_future(count: int, seed: int, *, templates: TemplateTable | None = None) -> list[tuple]:
+    """The out-of-domain set's draws: reference times from 2022 to 2040."""
     return gen_l1(FUTURE_RANGE, count, seed, split="future", templates=templates)
 
 
-def partition_l1(questions: list[Question], counts: Mapping[str, int], seed: int) -> dict[str, list[Question]]:
-    """Randomly assign a unique question pool to splits and renumber ids."""
+def partition_l1(draws: list[tuple], counts: Mapping[str, int], seed: int) -> dict[str, list[tuple]]:
+    """Randomly assign a unique pool of draws to splits, each numbered from 0 when it is built."""
     total = sum(counts.values())
-    if total != len(questions):
-        raise ValueError(f"split counts sum to {total} but the pool has {len(questions)} questions")
-    pool = list(questions)
+    if total != len(draws):
+        raise ValueError(f"split counts sum to {total} but the pool has {len(draws)} questions")
+    pool = list(draws)
     _shuffle(pool, random.Random(f"{seed}|l1-partition"))
-    partitions: dict[str, list[Question]] = {}
-    cursor = 0
-    for name, size in counts.items():
-        chunk = pool[cursor:cursor + size]
-        cursor += size
-        prefix = f"l1-{name}-"
-        # Every field but the first (id) and the last (split) is kept.
-        partitions[name] = [tuple.__new__(Question, (prefix + str(i).zfill(6), *question[1:-1], name))
-                            for i, question in enumerate(chunk)]
-    return partitions
+    return {name: pool[end - size:end] for (name, size), end in zip(counts.items(), accumulate(counts.values()))}
 
 
 def _objects_at(rows: list[tuple[str, str, int, int]], t_index: int) -> tuple[list[tuple[str, str]], list[str]]:

@@ -19,9 +19,10 @@ from chronoqa.timeline import MIN_YEAR, TimeRangeError, format_time, month_index
 ESCAPES = "".join(map(chr, range(0x20))) + '"\\/\x7f   Zürich 東京 \U0001F600 \ud800'
 
 # Lines the JSON decoder refuses with an error other than a JSONDecodeError,
-# each with the start of that error's message.
+# each with the start of the message a JSONL reader gives: it refuses a line
+# nested too deep before decoding it, a template file's decode does not.
 UNDECODABLE = {
-    "deep": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    "deep": ("[" * 100_000 + "]" * 100_000, "nested deeper than 100 levels"),
     "long-int": ('{"id": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string conversion"),
 }
 

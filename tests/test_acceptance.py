@@ -35,6 +35,7 @@ from chronoqa import (
     evaluate,
     gen_l1,
     ingest,
+    l1_questions,
     mask_spans,
     reward,
     score_em,
@@ -93,7 +94,7 @@ def test_criterion_1_oracle_em_100(tmp_path):
 
 def test_criterion_2_l1_scale_and_correctness():
     started = time.perf_counter()
-    questions = gen_l1(month_range((1000, 1), (2022, 12)), 400_000, seed=2024)
+    questions = l1_questions(gen_l1(month_range((1000, 1), (2022, 12)), 400_000, seed=2024), "train")
     seen_keys = set()
     mismatches = 0
     for q in questions:

@@ -37,7 +37,7 @@ PREDICTIONS = [{"id": "q1", "prediction": "Mayor"}, {"id": "q2", "prediction": "
 
 # The cache each codec writes for its input above, with its key, a digest, as KEY.
 PINNED = {
-    "facts 3":
+    "facts 4":
         '{"key":"KEY","meta":{"diagnostics":[[5,"unsupported relation \'P999\'"]],"duplicates_dropped":1},'
         '"records":2}\n'
         '[["Ada Park","Ada Park"],["Q1","Q1"],["P39","P39"],["Mayor","Senator"],["O1","O2"],[24054,24108],'

@@ -582,9 +582,24 @@ class TestFileBoundary:
         assert f"E_DATA] template file {templates}: 'granularity' in l1 entry 1 must be 'year' or 'month'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count", [61, 110])
+    def test_repeated_l1_template_id_is_a_data_error_naming_the_file(self, tmp_path, capsys, count):
+        # With the year entry listed twice, sampling (61) stalled after 200,000
+        # draws and enumeration (110) wrote 51 duplicate question texts.
+        table = load_templates()
+        table = {"l1": [tpl._asdict() for tpl in table.l1 + table.l1[:1]],
+                 "relations": {code: rel._asdict() for code, rel in table.relations.items()}}
+        templates = write_lines(tmp_path / "t.json", [json.dumps(table)])
+        assert run("gen-l1", "--count", str(count), "--range", "Jan 1:Dec 5", "--out-dir", str(tmp_path / "out"),
+                   "--templates", templates) == 2
+        assert capsys.readouterr().err == (f"chronoqa: error [E_DATA] template file {templates}: 'id' in l1 entry 5 "
+                                           "repeats that of l1 entry 1, 'l1_year'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", UNDECODABLE)
     def test_undecodable_template_file_is_a_data_error_naming_the_file(self, tmp_path, capsys, kind):
         line, message = UNDECODABLE[kind]
+        message = "maximum recursion depth exceeded" if kind == "deep" else message  # the decoder's own
         templates = write_lines(tmp_path / "t.json", [line])
         assert run("gen-l1", "--count", "5", "--out-dir", str(tmp_path / "out"), "--templates", templates) == 2
         assert capsys.readouterr().err.startswith(

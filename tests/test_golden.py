@@ -9,7 +9,13 @@ change's notes.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from chronoqa.cli import main
 from chronoqa.jsonl import read_jsonl
@@ -46,6 +52,20 @@ GOLDEN = {
     "l1_early/l1_test.jsonl": "73a963e42450aac7940ce77e76ebb4c55b686dd07a4748534e9b1c2bb05bf08b",
     "l1_early/l1_train.jsonl": "b2e6e28ba7b58fd51ea10eed3f93bdfc07203eb8b18eed3d95610b592cda5dd2",
 }
+
+
+# The chain's L1 generators, which read no file, so any process can run them alone.
+L1_COMMANDS = [
+    ["gen-l1", "--out-dir", "out", "--count", "80", "--seed", "11", "--range", "Jan 1890:Dec 2030"],
+    ["gen-l1", "--out-dir", "out/l1_splits", "--count", "40", "--dev-count", "7", "--test-count", "5",
+     "--seed", "11", "--range", "Jan 1890:Dec 2030"],
+    ["gen-l1-future", "--out-dir", "out", "--count", "30", "--seed", "11"],
+    # Enumeration (1,583 of a 3,164 space) and sampling, both skipping
+    # results that fall before year 1.
+    ["gen-l1", "--out-dir", "out/l1_enumerated", "--count", "1583", "--seed", "11", "--range", "Jan 1:Dec 1"],
+    ["gen-l1", "--out-dir", "out/l1_early", "--count", "300", "--dev-count", "30", "--test-count", "30",
+     "--seed", "11", "--range", "Jan 1:Dec 5"],
+]
 
 
 def _facts():
@@ -134,18 +154,9 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     commands = [
         ["gen-l2", *fact_flags, "--out-dir", "out", "--split-counts", "train:12,test:5"],
         ["gen-l3", *fact_flags, "--out-dir", "out", "--split-counts", "train:12,test:5"],
-        ["gen-l1", "--out-dir", "out", "--count", "80", "--seed", "11", "--range", "Jan 1890:Dec 2030"],
         ["render", *fact_flags, "--questions", "out/l2_train.jsonl", "--setting", "reasonqa",
          "--out", "out/render_l2.jsonl"],
-        ["gen-l1", "--out-dir", "out/l1_splits", "--count", "40", "--dev-count", "7", "--test-count", "5",
-         "--seed", "11", "--range", "Jan 1890:Dec 2030"],
-        ["gen-l1-future", "--out-dir", "out", "--count", "30", "--seed", "11"],
-        # Enumeration (1,583 of a 3,164 space) and sampling, both skipping
-        # results that fall before year 1.
-        ["gen-l1", "--out-dir", "out/l1_enumerated", "--count", "1583", "--seed", "11",
-         "--range", "Jan 1:Dec 1"],
-        ["gen-l1", "--out-dir", "out/l1_early", "--count", "300", "--dev-count", "30", "--test-count", "30",
-         "--seed", "11", "--range", "Jan 1:Dec 5"],
+        *L1_COMMANDS,
         ["mask", "--docs", "docs.jsonl", "--ratio", "0.5", "--seed", "11", "--out", "out/mask.jsonl"],
         ["stats", *fact_flags, "--max-subjects", "7", "--min-facts", "4",
          "--questions", "out/l2_train.jsonl", "out/l3_train.jsonl", "--out", "out/stats.json"],
@@ -175,6 +186,19 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, monkeypatch, capsys):
     run()
     assert _artifact_digests(tmp_path / "out") == GOLDEN
     assert _rerun_over_warm_caches(tmp_path, run) == GOLDEN
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_l1_generators_write_the_golden_bytes_from_their_own_process(tmp_path, hash_seed):
+    """Each L1 generator of the chain, run as a ``python -m chronoqa`` child
+    under a fixed string-hash seed, writes the golden bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for argv in L1_COMMANDS:
+        subprocess.run([sys.executable, "-m", "chronoqa", *argv], cwd=tmp_path, env=env, check=True,
+                       capture_output=True, timeout=120)
+    assert _artifact_digests(tmp_path / "out") == {name: digest for name, digest in GOLDEN.items()
+                                                   if name.startswith("l1_")}
 
 
 # Fact names that every JSON escape rule touches: quotes, backslashes,

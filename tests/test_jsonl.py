@@ -79,6 +79,27 @@ def test_line_one_header_comes_first_as_line_zero(tmp_path):
     assert list(read_rows(str(path))) == [(0, {"seed": 1}), (3, {"a": 1})]
 
 
+def _rows_from_deeper(path, frames: int) -> list:
+    """``read_rows(path)``, called ``frames`` stack frames deeper, with each bad line's message."""
+    if frames:
+        return _rows_from_deeper(path, frames - 1)
+    return [(line_no, str(row) if isinstance(row, ValueError) else row) for line_no, row in read_rows(str(path))]
+
+
+def test_a_line_nested_too_deep_reads_the_same_from_any_stack(tmp_path):
+    # The 900-deep line read "expected a JSON object, got list" from a shallow
+    # stack, but "invalid JSON: maximum recursion depth exceeded ..." from a deep one.
+    lines = ["[" * 900 + "]" * 900, '{"a": ' + "[" * 100 + "]" * 100 + "}", '{"b": ' + "[" * 99 + "]" * 99 + "}",
+             '{"c": "' + "[{" * 200 + '"}', '{"d": "\\"' + "[" * 200 + '", "e": [1]}']
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    too_deep = "invalid JSON: nested deeper than 100 levels"
+    expected = [(1, too_deep), (2, too_deep), (3, json.loads(lines[2])), (4, {"c": "[{" * 200}),
+                (5, {"d": '"' + "[" * 200, "e": [1]})]
+    assert _rows_from_deeper(path, 0) == expected
+    assert _rows_from_deeper(path, 600) == expected
+
+
 def test_rows_decode_as_json_loads_does(tmp_path):
     lines = ['{"a": [1, 2.5e3, -0, null, true], "b": {"c": "\\u00e9\\n"}}', '\t{"d": "x"}  ',
              ' {"e": 1}\u3000', '{"f": NaN, "g": Infinity}', "{}\x0b", '{"h": "\\ud800"}',

@@ -3,24 +3,28 @@ writes for the same record, on generated questions, rendered examples and
 masked documents, and on hand-built records that touch every JSON escape
 rule."""
 
+import json
 import random
+from itertools import product
 
 import pytest
 
+from chronoqa.cli import main
 from chronoqa.contexts import AnnotatedDocument, RenderedExample, mask_corpus, masked_line, render, rendered_line
 from chronoqa.jsonl import dumps
-from chronoqa.questions import gen_l1, gen_l2, gen_l3
+from chronoqa.questions import _l1_renderer, gen_l1, gen_l1_future, gen_l2, gen_l3, l1_questions
 from chronoqa.records import record_line
 from chronoqa.scoring import Prediction, RewardRecord, prediction_line, reward_line, reward_records, score_f1
-from chronoqa.templates import load_templates
+from chronoqa.templates import RelativeTimeTemplate, TemplateTable, load_templates
+from chronoqa.timeline import DIRECTIONS
 
 from conftest import ESCAPES, make_group, month_range, random_doc, synth_rows
 
 
 def _generated_records():
     templates = load_templates()
-    questions = gen_l1(month_range((1890, 1), (2030, 12)), 300, 3, templates=templates)
-    questions += gen_l1(month_range((1, 1), (5, 12)), 300, 4, split="dev", templates=templates)
+    questions = l1_questions(gen_l1(month_range((1890, 1), (2030, 12)), 300, 3, templates=templates), "train")
+    questions += l1_questions(gen_l1(month_range((1, 1), (5, 12)), 300, 4, split="dev", templates=templates), "dev")
     for seed in (11, 12, 13):
         group = make_group(seed)
         questions += gen_l2(group, seed, templates=templates) + gen_l3(group, split="test", templates=templates)
@@ -36,6 +40,65 @@ def test_generated_questions_encode_as_dumps():
                if record["level"] == "L1")  # near year 1
     for record in records:
         assert record_line(record) == dumps(record)
+
+
+def every_l1_draw(templates, time_range):
+    """Every draw of ``time_range`` whose answer falls in year 1 or later, in
+    the ``(position, direction, t_index, x, y)`` form ``gen_l1`` returns."""
+    first, last = time_range
+    for position, template in enumerate(templates.l1):
+        slots = range(first - first % 12, last + 1, 12) if template.granularity == "year" else range(first, last + 1)
+        xs = range(1, 11) if template.uses_years() else (0,)
+        ys = range(1, 12) if template.uses_months() else (0,)
+        for draw in product([position], DIRECTIONS, slots, xs, ys):
+            if draw[1] == "after" or draw[2] - 12 * draw[3] - draw[4] >= 12:
+                yield draw
+
+
+# The packaged wordings, and wordings with every escape rule at each end of <t>.
+_ESCAPED_L1 = TemplateTable(1, [
+    RelativeTimeTemplate(f"{ESCAPES} year", "year", f"{ESCAPES}<x> year(s) before <t>", f"<t>{ESCAPES}<x> year(s)",
+                         f"<t> {ESCAPES}", f"{ESCAPES}<t>"),
+    RelativeTimeTemplate('m"\\', "month", f"<x> year(s) <y> month(s) {ESCAPES}<t>{ESCAPES}", "<x> <y> <t>"),
+], {})
+
+
+@pytest.mark.parametrize("templates", [load_templates(), _ESCAPED_L1], ids=["packaged", "escaped"])
+@pytest.mark.parametrize("time_range, split", [(month_range((1, 1), (5, 12)), "dev"),
+                                               (month_range((1998, 11), (2001, 2)), ESCAPES)],
+                         ids=["years-1-5", "four-digit-years"])
+def test_l1_lines_are_the_lines_of_their_questions(templates, time_range, split):
+    """The renderer's line view writes, for every draw of an enumerated
+    space (the one-year wordings among them: each x = 1 year draw), the
+    bytes ``dumps`` writes for its question view's record."""
+    views = _l1_renderer(templates, split)
+    template_ids = set()
+    for i, draw in enumerate(every_l1_draw(templates, time_range)):
+        n = 97 * i  # ids of one to seven digits
+        question = views.question(draw, n)
+        assert views.line(draw, n) == dumps(question.to_record())
+        template_ids.add(question.template_id)
+    assert len(template_ids) == len(DIRECTIONS) * len(templates.l1)
+
+
+def test_gen_l1_future_writes_the_lines_of_its_questions(tmp_path, monkeypatch, capsys):
+    """The future set, written from the line view, has the bytes of the
+    records of its questions, under template texts that need escapes."""
+    monkeypatch.chdir(tmp_path)
+    texts = '"quoted" \\ back\tslash Zürich 東京 \U0001F600'
+    table = {"l1": [{"id": f'l1 "{texts}"', "granularity": "year", "before": f"<x> year(s) {texts} <t>?",
+                     "after": f"{texts}<t>, <x> year(s)", "before_one": f"{texts}<t>", "after_one": f"<t>{texts}"},
+                    {"id": "l1_m", "granularity": "month", "before": f"<t>{texts}<y> month(s)",
+                     "after": f"<y> month(s)\t{texts}<t>"}],
+             "relations": {"P39": {"name": "position", "l2": "<subject> <t>", "l3_before": "<subject> <o_j>",
+                                   "l3_after": "<subject> <o_j>", "phrase": "holds"}}}
+    (tmp_path / "t.json").write_text(json.dumps(table, ensure_ascii=False), encoding="utf-8")
+    assert main(["gen-l1-future", "--out-dir", "out", "--count", "2000", "--seed", "3", "--templates", "t.json"]) == 0
+    templates = load_templates("t.json")
+    lines = (tmp_path / "out" / "l1_future.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    questions = l1_questions(gen_l1_future(2000, 3, templates=templates), "future", templates)
+    assert lines == [dumps(question.to_record()) for question in questions]
+    assert all(texts in json.loads(line)["question"] for line in lines)
 
 
 HAND_BUILT = pytest.mark.parametrize("text", [ESCAPES, "", "plain", '"', "\\", " ", "\x00"],

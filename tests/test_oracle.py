@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from chronoqa import TimePoint, build_groups, gen_l1, gen_l2, gen_l3, ingest, solve, solve_l1, solve_l2, solve_l3
+from chronoqa import (TimePoint, build_groups, gen_l1, gen_l2, gen_l3, ingest, l1_questions, solve, solve_l1, solve_l2,
+                      solve_l3)
 from chronoqa.facts import FactGroup
 from chronoqa.oracle import OracleError, index_groups
 from chronoqa.questions import Question
@@ -40,7 +41,7 @@ class TestSolveL1:
         assert answer.answers == ("Aug 1953",)
 
     def test_solves_generated_questions(self):
-        for q in gen_l1(month_range((1900, 1), (2020, 12)), 300, seed=17):
+        for q in l1_questions(gen_l1(month_range((1900, 1), (2020, 12)), 300, seed=17), "train"):
             assert solve_l1(q).answers == q.answers
 
     def test_unmatched_text_raises(self):
@@ -233,7 +234,7 @@ class TestDispatch:
         for group in groups:
             questions += gen_l2(group, seed=3)
             questions += gen_l3(group)
-        questions += gen_l1(month_range((1900, 1), (2000, 12)), 50, seed=3)
+        questions += l1_questions(gen_l1(month_range((1900, 1), (2000, 12)), 50, seed=3), "train")
         for q in questions:
             answer = solve(q, index)
             assert answer.answers, f"no answer for {q.id}"

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest
+from chronoqa import TimePoint, build_groups, gen_l1, gen_l1_future, gen_l2, gen_l3, ingest, l1_questions
 from chronoqa.jsonl import load_jsonl
 from chronoqa.questions import CapacityError, Question, _shuffle, below, partition_l1
 from chronoqa.records import QUESTION_COLUMNS
@@ -24,19 +24,19 @@ from conftest import (YOSHIMURA_ROWS, l1_oracle, l2_question_at, make_group, mon
 class TestGenL1:
     def test_table_year_forms(self):
         # exhaustive pool over one year so specific wordings must appear
-        pool = gen_l1(month_range((1905, 1), (1905, 12)), 3164, seed=0)
+        pool = l1_questions(gen_l1(month_range((1905, 1), (1905, 12)), 3164, seed=0), "train")
         by_text = {q.question: q for q in pool}
         assert by_text["What is the year after 1905?"].answers == ("1906",)
         assert by_text["What is the year 3 years before 1905?"].answers == ("1902",)
         assert by_text["What is the time 2 months after Dec 1905?"].answers == ("Feb 1906",)
 
     def test_month_rollover_answer(self):
-        pool = gen_l1(month_range((2010, 12), (2010, 12)), 282, seed=0)
+        pool = l1_questions(gen_l1(month_range((2010, 12), (2010, 12)), 282, seed=0), "train")
         by_text = {q.question: q for q in pool}
         assert by_text["What is the time 2 months after Dec 2010?"].answers == ("Feb 2011",)
 
     def test_unique_and_oracle_verified(self):
-        questions = gen_l1(month_range((1900, 1), (2000, 12)), 4000, seed=7)
+        questions = l1_questions(gen_l1(month_range((1900, 1), (2000, 12)), 4000, seed=7), "train")
         assert len(questions) == 4000
         assert len({q.id for q in questions}) == 4000
         assert len({q.question for q in questions}) == 4000
@@ -50,15 +50,20 @@ class TestGenL1:
             assert q.level == "L1"
 
     def test_deterministic_under_seed(self):
-        a = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3)
-        b = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3)
+        a = l1_questions(gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3), "train")
+        b = l1_questions(gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=3), "train")
         assert a == b
-        c = gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=4)
+        c = l1_questions(gen_l1(month_range((1950, 1), (1960, 12)), 500, seed=4), "train")
         assert a != c
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             gen_l1(month_range((2000, 1), (2000, 1)), 283, seed=0)
+
+    def test_enumeration_counts_only_answers_from_year_1(self):
+        # the whole 3,164-draw space of year 1, less the draws whose answer falls before it
+        with pytest.raises(CapacityError, match="^only 1648 of 3164 requested questions are representable in range$"):
+            gen_l1(month_range((1, 1), (1, 12)), 3164, seed=0)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,7 @@ class TestGenL1:
             gen_l1((11, 24), 1, seed=0)
 
     def test_record_round_trip(self):
-        questions = gen_l1(month_range((1990, 1), (1999, 12)), 50, seed=1)
+        questions = l1_questions(gen_l1(month_range((1990, 1), (1999, 12)), 50, seed=1), "train")
         for q in questions:
             assert Question.from_record(q.to_record()) == q
 
@@ -82,7 +87,7 @@ class TestGenL1:
         ("negatives", "Paris Saint-Germain"),
     ])
     def test_from_record_rejects_bad_answer_lists(self, field, value):
-        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
+        record = l1_questions(gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1), "train")[0].to_record()
         with pytest.raises(ValueError, match="must be a non-empty list of strings"):
             Question.from_record(dict(record, **{field: value}))
 
@@ -90,13 +95,13 @@ class TestGenL1:
         ("id", None), ("id", 7), ("question", 7), ("template_id", None), ("split", ["train"]),
     ])
     def test_from_record_requires_text_fields_to_be_strings(self, field, value):
-        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
+        record = l1_questions(gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1), "train")[0].to_record()
         with pytest.raises(ValueError, match=f"^{field} must be a string$"):
             Question.from_record(dict(record, **{field: value}))
 
     @pytest.mark.parametrize("value", [2019, ["Jul 2019"], False])
     def test_from_record_rejects_a_t_ref_that_is_not_text(self, value):
-        record = gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1)[0].to_record()
+        record = l1_questions(gen_l1(month_range((1990, 1), (1999, 12)), 1, seed=1), "train")[0].to_record()
         with pytest.raises(ValueError, match="t_ref must be a time string or null"):
             Question.from_record(dict(record, t_ref=value))
 
@@ -121,8 +126,8 @@ class TestFromRecordMutations:
     def records(self):
         group_rows = synth_rows(12, relation="P39", seed=4, allow_overlap=True)
         groups = build_groups(ingest(group_rows), seed=4)
-        questions = (gen_l1(month_range((1990, 1), (1999, 12)), 60, seed=4)
-                     + gen_l1_future(20, seed=4)
+        questions = (l1_questions(gen_l1(month_range((1990, 1), (1999, 12)), 60, seed=4), "train")
+                     + l1_questions(gen_l1_future(20, seed=4), "future")
                      + [q for group in groups for q in gen_l2(group, seed=4)][:60]
                      + [q for group in groups for q in gen_l3(group)][:60])
         assert {q.level for q in questions} == {"L1", "L2", "L3"}
@@ -182,15 +187,15 @@ class TestFromRecordMutations:
 
 class TestGenL1Future:
     def test_range_and_split(self):
-        questions = gen_l1_future(400, seed=5)
+        questions = l1_questions(gen_l1_future(400, seed=5), "future")
         assert len(questions) == 400
         for q in questions:
             assert q.split == "future"
             assert type(q.t_ref) is int and 2022 <= q.t_ref // 12 <= 2040
 
     def test_disjoint_from_in_domain_ids(self):
-        future = {q.id for q in gen_l1_future(200, seed=6)}
-        in_domain = {q.id for q in gen_l1(month_range((1900, 1), (2000, 12)), 200, seed=6)}
+        future = {q.id for q in l1_questions(gen_l1_future(200, seed=6), "future")}
+        in_domain = {q.id for q in l1_questions(gen_l1(month_range((1900, 1), (2000, 12)), 200, seed=6), "train")}
         assert not future & in_domain
 
     def test_deterministic(self):
@@ -227,10 +232,9 @@ class TestPartitionL1:
         pool = gen_l1(month_range((1900, 1), (1999, 12)), 100, seed=2)
         parts = partition_l1(pool, {"train": 70, "dev": 20, "test": 10}, seed=2)
         assert [len(parts[k]) for k in ("train", "dev", "test")] == [70, 20, 10]
-        assert all(q.split == "dev" for q in parts["dev"])
-        assert parts["test"][0].id == "l1-test-000000"
-        texts = sorted(q.question for part in parts.values() for q in part)
-        assert texts == sorted(q.question for q in pool)
+        assert sorted(draw for part in parts.values() for draw in part) == sorted(pool)
+        assert all(q.split == "dev" for q in l1_questions(parts["dev"], "dev"))
+        assert l1_questions(parts["test"], "test")[0].id == "l1-test-000000"
 
     def test_count_mismatch_rejected(self):
         pool = gen_l1(month_range((1900, 1), (1999, 12)), 10, seed=2)

@@ -18,6 +18,7 @@ from chronoqa import (
     gen_l2,
     gen_l3,
     ingest,
+    l1_questions,
     normalize,
     reward,
     score_em,
@@ -322,7 +323,7 @@ class TestEvaluate:
 
     def test_period_buckets_and_weighted_average(self):
         rng = random.Random(5)
-        questions = gen_l1(month_range((1880, 1), (2030, 12)), 300, seed=6)
+        questions = l1_questions(gen_l1(month_range((1880, 1), (2030, 12)), 300, seed=6), "train")
         predictions = [
             Prediction(q.id, q.answers[0] if rng.random() < 0.7 else "wrong")
             for q in questions
@@ -445,7 +446,7 @@ def _labelled_mix(seed: int):
     for index in (3, 20, 33):
         rows[index]["object"] = "the " + rows[index - 1]["object"].lower() + "."
     questions = [q for group in build_groups(ingest(rows)) for q in gen_l2(group, seed) + gen_l3(group)]
-    questions += gen_l1(month_range((1890, 1), (2030, 12)), 150, seed=seed)
+    questions += l1_questions(gen_l1(month_range((1890, 1), (2030, 12)), 150, seed=seed), "train")
     predictions = []
     for question in questions:
         gold = rng.choice(question.answers)

@@ -107,6 +107,17 @@ class TestLoading:
             load_templates(str(path))
         assert str(path) in str(excinfo.value)
 
+    def test_repeated_l1_id_is_rejected_naming_the_file(self, tmp_path):
+        # Sampling keyed uniqueness on the id and enumeration on the entry, so
+        # an entry listed twice stalled the one and wrote duplicate texts from the other.
+        table = custom_table()
+        table["l1"] += [dict(table["l1"][0], id="other"), dict(table["l1"][0])]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        with pytest.raises(TemplateError, match=re.escape(
+                f"template file {path}: 'id' in l1 entry 3 repeats that of l1 entry 1, 't'")):
+            load_templates(str(path))
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "l1": [], "relations": {"P39": {"name": "x"}}}),

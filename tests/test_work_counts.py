@@ -6,7 +6,7 @@ import pytest
 
 from chronoqa import Prediction, build_groups, ingest, scoring, timeline
 from chronoqa.oracle import index_groups, solve, solve_l2, solve_l3
-from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3
+from chronoqa.questions import Question, gen_l1, gen_l2, gen_l3, l1_questions
 from chronoqa.scoring import evaluate, reward_records
 
 from conftest import l2_question_at, make_group, month_range, synth_rows, time_from_month_index
@@ -129,7 +129,7 @@ def test_ingest_parses_each_distinct_time_text_once(parse_calls):
 
 
 def test_question_records_and_l1_solver_share_the_memo(parse_calls):
-    questions = gen_l1(month_range((1990, 1), (1990, 6)), 300, seed=3)
+    questions = l1_questions(gen_l1(month_range((1990, 1), (1990, 6)), 300, seed=3), "train")
     parse_calls.clear()
     loaded = [Question.from_record(q.to_record()) for q in questions]
     assert loaded == questions
